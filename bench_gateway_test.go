@@ -119,19 +119,26 @@ func BenchmarkIngestE2E(b *testing.B) {
 }
 
 // BenchmarkGatewayQuery measures /api/query latency over a 3-day
-// Trondheim pilot store, cold (cache disabled) and cached.
+// Trondheim pilot store, cold (cache disabled) and cached, each as an
+// identity/gzip pair. The request names its Accept-Encoding itself:
+// srv.Client() left alone negotiates gzip and gunzips transparently,
+// which would fold client-side decompression into every number.
 func BenchmarkGatewayQuery(b *testing.B) {
 	sys := sharedSys(b)
-	run := func(b *testing.B, cfg api.Config, url string) {
+	run := func(b *testing.B, cfg api.Config, url, encoding string) {
 		cfg.Now = sys.Now
 		gw := api.New(sys.DB, sys.Dataport, cfg)
 		defer gw.Close()
 		srv := httptest.NewServer(gw.Handler())
 		defer srv.Close()
 		client := srv.Client()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resp, err := client.Get(srv.URL + url)
+		req, err := http.NewRequest(http.MethodGet, srv.URL+url, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req.Header.Set("Accept-Encoding", encoding)
+		do := func() {
+			resp, err := client.Do(req)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -141,22 +148,34 @@ func BenchmarkGatewayQuery(b *testing.B) {
 				b.Fatalf("status %d: %s", resp.StatusCode, body)
 			}
 		}
+		// Two untimed requests: the fill, then the first hit (which
+		// builds the gzip variant), so Cached times steady-state hits
+		// only even at -benchtime 10x.
+		do()
+		do()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			do()
+		}
 	}
 	groupByHourly := "/api/query?start=3d-ago&m=avg:1h-avg:air.co2{sensor=*}"
-	b.Run("ColdGroupByDownsample", func(b *testing.B) {
-		run(b, api.Config{CacheSize: -1}, groupByHourly)
-	})
-	b.Run("Cached", func(b *testing.B) {
-		run(b, api.Config{CacheSize: 128, CacheAlign: time.Hour}, groupByHourly)
-	})
-	b.Run("ColdNetworkMean", func(b *testing.B) {
-		run(b, api.Config{CacheSize: -1}, "/api/query?start=1d-ago&m=avg:air.no2")
-	})
-	// Server-side selection on the streamed path: only the 5 highest-
-	// mean sensors are serialized, however many the pilot deployed.
-	b.Run("ColdTopK", func(b *testing.B) {
-		run(b, api.Config{CacheSize: -1}, "/api/query?start=3d-ago&m=topk(5,avg:1h-avg:air.co2{sensor=*})")
-	})
+	for _, bc := range []struct {
+		name string
+		cfg  api.Config
+		url  string
+	}{
+		{"ColdGroupByDownsample", api.Config{CacheSize: -1}, groupByHourly},
+		{"Cached", api.Config{CacheSize: 128, CacheAlign: time.Hour}, groupByHourly},
+		{"ColdNetworkMean", api.Config{CacheSize: -1}, "/api/query?start=1d-ago&m=avg:air.no2"},
+		// Server-side selection on the streamed path: only the 5 highest-
+		// mean sensors are serialized, however many the pilot deployed.
+		{"ColdTopK", api.Config{CacheSize: -1}, "/api/query?start=3d-ago&m=topk(5,avg:1h-avg:air.co2{sensor=*})"},
+	} {
+		for _, encoding := range []string{"identity", "gzip"} {
+			b.Run(bc.name+"/"+encoding, func(b *testing.B) { run(b, bc.cfg, bc.url, encoding) })
+		}
+	}
 }
 
 // BenchmarkGatewayQueryRollup compares a long-window downsampled

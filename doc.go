@@ -84,9 +84,10 @@
 // ever materialize. CI enforces a bench-regression gate: gateway,
 // tsdb, lineproto and obs benchmark medians (ns/op and allocs/op) are
 // compared against ci/bench_baseline.json (see ci/benchcmp) and a
-// >30% slowdown fails the build; BENCH_tsdb.json records the
-// storage-engine trajectory. See README.md ("Performance") for
-// numbers, a quickstart and an architecture sketch.
+// >30% slowdown fails the build; that baseline is the one committed
+// perf record (the BENCH_*.json reports are CI artifacts). See
+// README.md ("Performance") for numbers, a quickstart and an
+// architecture sketch.
 //
 // Observability: internal/obs is a dependency-free metrics registry
 // (atomic counters, gauge closures, lock-free fixed-bucket

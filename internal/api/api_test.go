@@ -587,14 +587,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := newQueryCache(2)
 	c.put("a", []byte("1"), 0, 0, nil, nil)
 	c.put("b", []byte("2"), 0, 0, nil, nil)
-	if _, ok := c.get("a"); !ok { // refresh a
+	if _, ok := c.get("a", false); !ok { // refresh a
 		t.Fatal("a missing")
 	}
 	c.put("c", []byte("3"), 0, 0, nil, nil) // evicts b
-	if _, ok := c.get("b"); ok {
+	if _, ok := c.get("b", false); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get("a", false); !ok {
 		t.Error("a should have survived")
 	}
 	hits, misses, _ := c.stats()
@@ -607,7 +607,7 @@ func TestCacheByteBounds(t *testing.T) {
 	c := newQueryCache(1000)
 	// Oversized bodies are never cached.
 	c.put("huge", make([]byte, maxCacheBody+1), 0, 0, nil, nil)
-	if _, ok := c.get("huge"); ok {
+	if _, ok := c.get("huge", false); ok {
 		t.Error("oversized body was cached")
 	}
 	// Total bytes stay under maxCacheBytes: 100 entries of ~1 MiB
@@ -618,10 +618,10 @@ func TestCacheByteBounds(t *testing.T) {
 	if c.bytes > maxCacheBytes {
 		t.Errorf("cache holds %d bytes, cap %d", c.bytes, maxCacheBytes)
 	}
-	if _, ok := c.get("k000"); ok {
+	if _, ok := c.get("k000", false); ok {
 		t.Error("oldest entry survived byte-bound eviction")
 	}
-	if _, ok := c.get("k099"); !ok {
+	if _, ok := c.get("k099", false); !ok {
 		t.Error("newest entry missing")
 	}
 }
@@ -638,7 +638,7 @@ func TestCacheFillPoisoning(t *testing.T) {
 	f := c.beginFill(100, 200, []string{"m.a"})
 	c.invalidate("m.a", 150)
 	c.put("k1", []byte("stale"), 100, 200, []string{"m.a"}, f)
-	if _, ok := c.get("k1"); ok {
+	if _, ok := c.get("k1", false); ok {
 		t.Error("poisoned fill was cached")
 	}
 
@@ -647,7 +647,7 @@ func TestCacheFillPoisoning(t *testing.T) {
 	c.invalidate("m.a", 300)
 	c.invalidate("m.b", 150)
 	c.put("k2", []byte("fresh"), 100, 200, []string{"m.a"}, f)
-	if _, ok := c.get("k2"); !ok {
+	if _, ok := c.get("k2", false); !ok {
 		t.Error("unpoisoned fill was not cached")
 	}
 

@@ -6,7 +6,9 @@ package api
 // actively invalidated: every write landing in the store drops the
 // entries whose metric and time range cover the written point, so a
 // dashboard polling a range that just received data re-reads the
-// store instead of serving the stale bucket.
+// store instead of serving the stale bucket. One entry serves both
+// encodings: the plain body is stored at fill time, its gzip variant
+// on the first hit that asks for it, and they leave together.
 
 import (
 	"container/list"
@@ -15,8 +17,9 @@ import (
 )
 
 // Byte bounds: entries bigger than maxCacheBody are never cached, and
-// total retained bytes stay under maxCacheBytes — the entry-count cap
-// alone would let a few huge result bodies pin unbounded memory.
+// total retained bytes (plain and gzip variants together) stay under
+// maxCacheBytes — the entry-count cap alone would let a few huge
+// result bodies pin unbounded memory.
 const (
 	maxCacheBody  = 1 << 20  // 1 MiB per entry
 	maxCacheBytes = 64 << 20 // 64 MiB total
@@ -60,9 +63,13 @@ type cacheFill struct {
 	done       bool
 }
 
+// cacheEntry is immutable once inserted, except for gz (guarded by
+// queryCache.mu): a re-put installs a new entry, so a reader holding
+// one outside the lock can tell by identity whether it is still live.
 type cacheEntry struct {
 	key  string
 	body []byte
+	gz   []byte // gzip of body; nil until the first gzip hit
 	// start/end bound the cached query's time range (ms); metrics
 	// lists the metrics it touched — what invalidation matches on.
 	start, end int64
@@ -132,20 +139,43 @@ func (c *queryCache) dropFill(f *cacheFill) {
 	c.fillCount.Add(-1)
 }
 
-func (c *queryCache) get(key string) ([]byte, bool) {
+// get returns the cached response bytes for key in the requested
+// encoding. The first gzip hit on an entry compresses its body —
+// outside the lock, and not at fill time, which would be pure cost for
+// a fill invalidated before it is ever hit — and keeps the result only
+// if the entry is still live, so an invalidate or re-put in between
+// wins.
+func (c *queryCache) get(key string, gz bool) ([]byte, bool) {
 	if c.cap <= 0 {
 		return nil, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
+		c.mu.Unlock()
 		c.misses.Add(1)
 		return nil, false
 	}
 	c.order.MoveToFront(el)
 	c.hits.Add(1)
-	return el.Value.(*cacheEntry).body, true
+	e := el.Value.(*cacheEntry)
+	zbody := e.gz
+	c.mu.Unlock()
+	if !gz {
+		return e.body, true
+	}
+	if zbody != nil {
+		return zbody, true
+	}
+	zbody = gzipBytes(e.body)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok && el.Value.(*cacheEntry) == e && e.gz == nil {
+		e.gz = zbody
+		c.bytes += len(zbody)
+		c.evict()
+	}
+	return zbody, true
 }
 
 // put inserts a result body, consuming the fill token from beginFill.
@@ -165,19 +195,19 @@ func (c *queryCache) put(key string, body []byte, start, end int64, metrics []st
 		return
 	}
 	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
-		c.bytes += len(body) - len(e.body)
-		c.unindex(el, e)
-		e.body, e.start, e.end, e.metrics = body, start, end, metrics
-		c.index(el, e)
-		c.order.MoveToFront(el)
-	} else {
-		e := &cacheEntry{key: key, body: body, start: start, end: end, metrics: metrics}
-		el := c.order.PushFront(e)
-		c.entries[key] = el
-		c.index(el, e)
-		c.bytes += len(body)
+		c.remove(el)
 	}
+	e := &cacheEntry{key: key, body: body, start: start, end: end, metrics: metrics}
+	el := c.order.PushFront(e)
+	c.entries[key] = el
+	c.index(el, e)
+	c.bytes += len(body)
+	c.evict()
+}
+
+// evict drops entries from the back until both bounds hold. Caller
+// holds c.mu.
+func (c *queryCache) evict() {
 	for len(c.entries) > c.cap || c.bytes > maxCacheBytes {
 		c.remove(c.order.Back())
 	}
@@ -221,7 +251,7 @@ func (c *queryCache) invalidate(metric string, tsMS int64) {
 func (c *queryCache) remove(el *list.Element) {
 	e := el.Value.(*cacheEntry)
 	c.order.Remove(el)
-	c.bytes -= len(e.body)
+	c.bytes -= len(e.body) + len(e.gz)
 	delete(c.entries, e.key)
 	c.unindex(el, e)
 }
@@ -250,4 +280,12 @@ func (c *queryCache) unindex(el *list.Element, e *cacheEntry) {
 
 func (c *queryCache) stats() (hits, misses, invalidated uint64) {
 	return c.hits.Load(), c.misses.Load(), c.invalidated.Load()
+}
+
+// size reports the live entry count and the bytes they retain, plain
+// and gzip variants together.
+func (c *queryCache) size() (entries, bytes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries), c.bytes
 }

@@ -13,11 +13,15 @@ package api
 // write.
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 )
 
 // Media types the query path serves.
@@ -30,19 +34,62 @@ const (
 // framing. Only the exact media type opts in — a wildcard Accept
 // (every browser and curl default) keeps the JSON array shape.
 func wantsNDJSON(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		mt, q, hasQ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.TrimSpace(mt) != ctNDJSON {
+	return accepts(r.Header.Get("Accept"), ctNDJSON, "")
+}
+
+// accepts reports whether a comma-separated Accept or Accept-Encoding
+// header lists token — or wildcard, when non-empty — with a non-zero
+// weight; the first element naming either decides. Every spelling of
+// zero refuses (RFC 9110 allows "q=0" through "q=0.000"); a weight
+// that does not parse is ignored.
+func accepts(header, token, wildcard string) bool {
+	for header != "" {
+		var elem string
+		elem, header, _ = strings.Cut(header, ",")
+		name, params, _ := strings.Cut(elem, ";")
+		if name = strings.TrimSpace(name); name != token && (wildcard == "" || name != wildcard) {
 			continue
 		}
-		if hasQ {
-			if v := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(q), "q=")); v == "0" || v == "0.0" {
-				return false
+		for params != "" {
+			var param string
+			param, params, _ = strings.Cut(params, ";")
+			if k, v, _ := strings.Cut(param, "="); strings.EqualFold(strings.TrimSpace(k), "q") {
+				q, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+				return err != nil || q > 0
 			}
 		}
 		return true
 	}
 	return false
+}
+
+// gzipWriters recycles compressors: a gzip.Writer is ~1 MB of flate
+// state, far more than the bodies it compresses. A plain sync.Pool,
+// so the collector can reclaim idle ones.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+
+func getGzipWriter(w io.Writer) *gzip.Writer {
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(w)
+	return zw
+}
+
+// putGzipWriter pools zw, reset away from its destination so an idle
+// writer never keeps a dead ResponseWriter alive (and clear of any
+// state a failed or abandoned stream left).
+func putGzipWriter(zw *gzip.Writer) {
+	zw.Reset(io.Discard)
+	gzipWriters.Put(zw)
+}
+
+// gzipBytes compresses body in one shot.
+func gzipBytes(body []byte) []byte {
+	var buf bytes.Buffer
+	zw := getGzipWriter(&buf)
+	zw.Write(body)
+	zw.Close()
+	putGzipWriter(zw)
+	return buf.Bytes()
 }
 
 // streamEncoder writes query results incrementally. It is not safe
@@ -60,24 +107,42 @@ type streamEncoder struct {
 
 // newStreamEncoder builds an encoder for one request. Headers are not
 // written until the first series (or finish), so callers can still
-// answer 4xx for errors caught before any data is produced.
-func newStreamEncoder(w http.ResponseWriter, r *http.Request, cacheStatus string) *streamEncoder {
-	e := &streamEncoder{http: w, ndjson: wantsNDJSON(r), tee: &cappedBuffer{cap: maxCacheBody}}
-	ct := ctJSON
-	if e.ndjson {
-		ct = ctNDJSON
-	}
-	w.Header().Set("Content-Type", ct)
-	w.Header().Set("X-Cache", cacheStatus)
-	w.Header().Set("Vary", "Accept-Encoding, Accept")
+// answer 4xx for errors caught before any data is produced. The caller
+// must release the encoder on every exit path.
+func newStreamEncoder(w http.ResponseWriter, cacheStatus string, ndjson, gz bool) *streamEncoder {
+	e := &streamEncoder{http: w, ndjson: ndjson, tee: &cappedBuffer{cap: maxCacheBody}}
+	setQueryHeaders(w.Header(), cacheStatus, ndjson, gz)
 	if f, ok := w.(http.Flusher); ok {
 		e.flush = f
 	}
-	if acceptsGzip(r) {
-		w.Header().Set("Content-Encoding", "gzip")
-		e.gzip = gzip.NewWriter(w)
+	if gz {
+		e.gzip = getGzipWriter(w)
 	}
 	return e
+}
+
+// setQueryHeaders sets the headers a streamed and a cached answer share.
+func setQueryHeaders(h http.Header, cacheStatus string, ndjson, gz bool) {
+	ct := ctJSON
+	if ndjson {
+		ct = ctNDJSON
+	}
+	h.Set("Content-Type", ct)
+	h.Set("X-Cache", cacheStatus)
+	h.Set("Vary", "Accept-Encoding, Accept")
+	if gz {
+		h.Set("Content-Encoding", "gzip")
+	}
+}
+
+// release gives the gzip writer back to the pool. The handler defers
+// it, so it runs after finish, abort, a mid-stream error and a panic
+// alike; the encoder must not be used afterwards.
+func (e *streamEncoder) release() {
+	if e.gzip != nil {
+		putGzipWriter(e.gzip)
+		e.gzip = nil
+	}
 }
 
 // write sends bytes to the client and the cache tee.

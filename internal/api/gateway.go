@@ -300,6 +300,8 @@ func (g *Gateway) initObs() {
 	reg.Gauge("ctt_query_cache_hits_total", func() float64 { h, _, _ := g.cache.stats(); return float64(h) })
 	reg.Gauge("ctt_query_cache_misses_total", func() float64 { _, m, _ := g.cache.stats(); return float64(m) })
 	reg.Gauge("ctt_query_cache_invalidations_total", func() float64 { _, _, inv := g.cache.stats(); return float64(inv) })
+	reg.Gauge("ctt_query_cache_entries", func() float64 { n, _ := g.cache.size(); return float64(n) })
+	reg.Gauge("ctt_query_cache_bytes", func() float64 { _, b := g.cache.size(); return float64(b) })
 	reg.Gauge("ctt_query_cache_hit_ratio", func() float64 {
 		h, m, _ := g.cache.stats()
 		if h+m == 0 {

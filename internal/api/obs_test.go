@@ -208,6 +208,40 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestQueryCacheGauges: what the query cache retains is visible on
+// /metrics — entries, and bytes counting the plain body and the gzip
+// variant alike — and returns to zero when a write invalidates it.
+func TestQueryCacheGauges(t *testing.T) {
+	g, srv := newTestGateway(t, Config{CacheAlign: time.Hour})
+	resp := putJSON(t, srv.URL+"/api/put", putBody(10, "obs.cache", "s1", 1488326400000))
+	resp.Body.Close()
+	waitIngested(t, g, 10)
+	gauges := func() (entries, bytes float64) {
+		p := parseExposition(t, scrape(t, srv.URL))
+		return p.values["ctt_query_cache_entries"], p.values["ctt_query_cache_bytes"]
+	}
+	if n, b := gauges(); n != 0 || b != 0 {
+		t.Fatalf("empty cache reports %v entries / %v bytes", n, b)
+	}
+
+	url := srv.URL + "/api/query?start=1488326000000&end=1488327000000&m=avg:obs.cache"
+	_, plain := rawGet(t, url, "", "identity")
+	if n, b := gauges(); n != 1 || b != float64(len(plain)) {
+		t.Fatalf("after the fill: %v entries / %v bytes, want 1 / %d", n, b, len(plain))
+	}
+	_, zipped := rawGet(t, url, "", "gzip")
+	if n, b := gauges(); n != 1 || b != float64(len(plain)+len(zipped)) {
+		t.Fatalf("after a gzip hit: %v entries / %v bytes, want 1 / %d", n, b, len(plain)+len(zipped))
+	}
+
+	resp = putJSON(t, srv.URL+"/api/put", putBody(1, "obs.cache", "s1", 1488326500000))
+	resp.Body.Close()
+	waitIngested(t, g, 11)
+	if n, b := gauges(); n != 0 || b != 0 {
+		t.Fatalf("after invalidation: %v entries / %v bytes, want 0 / 0", n, b)
+	}
+}
+
 // TestMetricsConcurrentScrape scrapes while ingest is running; under
 // -race this pins the snapshot-then-format exposition path, and every
 // scrape must still parse and stay bucket-monotonic mid-write.

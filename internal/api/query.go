@@ -13,7 +13,6 @@ package api
 // bucket cost one store read.
 
 import (
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -195,9 +194,10 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	ndjson := wantsNDJSON(r)
 	key := g.cacheKey(start, end, subs, ndjson)
-	if body, ok := g.cache.get(key); ok {
+	gz := acceptsGzip(r)
+	if body, ok := g.cache.get(key, gz); ok {
 		st.cacheStatus = "hit"
-		writeQueryBody(w, r, body, "hit", ndjson)
+		writeQueryBody(w, body, "hit", ndjson, gz)
 		return
 	}
 
@@ -219,7 +219,8 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer g.cache.endFill(fill)
 	scan := tr.StartSpan("scan")
 	serialize := tr.Stage("serialize")
-	enc := newStreamEncoder(w, r, "miss")
+	enc := newStreamEncoder(w, "miss", ndjson, gz)
+	defer enc.release()
 	var streamErr error
 	for _, q := range queries {
 		if streamErr = g.exec(q, func(rs tsdb.ResultSeries) error {
@@ -288,44 +289,19 @@ func toQueryResult(rs tsdb.ResultSeries) queryResult {
 	return queryResult{Metric: rs.Metric, Tags: rs.Tags, Points: rs.Points}
 }
 
-// writeQueryBody sends a fully cached query result, gzip-compressed
-// when the client advertises support (cached bodies are stored plain
-// and compressed per response, so one entry serves both kinds of
-// client).
-func writeQueryBody(w http.ResponseWriter, r *http.Request, body []byte, cacheStatus string, ndjson bool) {
-	ct := ctJSON
-	if ndjson {
-		ct = ctNDJSON
-	}
-	w.Header().Set("Content-Type", ct)
-	w.Header().Set("X-Cache", cacheStatus)
-	w.Header().Set("Vary", "Accept-Encoding, Accept")
-	if acceptsGzip(r) {
-		w.Header().Set("Content-Encoding", "gzip")
-		zw := gzip.NewWriter(w)
-		zw.Write(body)
-		zw.Close()
-		return
-	}
+// writeQueryBody sends a fully cached query result: body is the
+// cache's stored bytes, already in the encoding the client asked for
+// (gz says which), so either kind of hit is the headers and one Write.
+func writeQueryBody(w http.ResponseWriter, body []byte, cacheStatus string, ndjson, gz bool) {
+	setQueryHeaders(w.Header(), cacheStatus, ndjson, gz)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
 }
 
 // acceptsGzip reports whether the request's Accept-Encoding lists
-// gzip with a non-zero quality.
+// gzip (or the wildcard) with a non-zero quality.
 func acceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		enc, q, hasQ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.TrimSpace(enc) != "gzip" && strings.TrimSpace(enc) != "*" {
-			continue
-		}
-		if hasQ {
-			if v := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(q), "q=")); v == "0" || v == "0.0" {
-				return false
-			}
-		}
-		return true
-	}
-	return false
+	return accepts(r.Header.Get("Accept-Encoding"), "gzip", "*")
 }
 
 // toTSDB converts a subQuery to a store query.
