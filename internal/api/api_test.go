@@ -8,8 +8,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -554,6 +556,54 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q\n%s", want, body)
 		}
+	}
+}
+
+// TestSealedChunkMetrics: the share of chunks that fell back to XOR is
+// a scrape away, and the compression ratio is over sealed chunks only.
+func TestSealedChunkMetrics(t *testing.T) {
+	g, srv := newTestGateway(t, Config{})
+	for i := 0; i < 256; i++ { // one full head per series
+		ts := int64(1488326400000 + i*300000)
+		for _, dp := range []tsdb.DataPoint{
+			{Metric: "air.no2", Tags: map[string]string{"sensor": "n1"}, Point: tsdb.Point{Timestamp: ts, Value: float64(200+i%17) / 10}},
+			{Metric: "net.rssi", Tags: map[string]string{"sensor": "n1"}, Point: tsdb.Point{Timestamp: ts, Value: -100 + float64(i%17)/7}},
+		} {
+			if err := g.db.Put(dp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	res, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(res.Body)
+	body := buf.String()
+	for _, want := range []string{
+		`ctt_tsdb_chunks_sealed_total{encoding="decimal"} 1`,
+		`ctt_tsdb_chunks_sealed_total{encoding="xor"} 1`,
+		`ctt_tsdb_chunk_points_total{encoding="decimal"} 256`,
+		`ctt_tsdb_chunk_bytes_total{encoding="xor"} `,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q\n%s", want, body)
+		}
+	}
+	dec, xor := g.db.SealedChunks()
+	if dec.Bytes == 0 || dec.Bytes*3 > xor.Bytes {
+		t.Errorf("decimal chunk %d bytes, xor chunk %d: expected under a third", dec.Bytes, xor.Bytes)
+	}
+	var ratio float64
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, "ctt_tsdb_compression_ratio "); ok {
+			ratio, _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	if want := float64(512*16) / float64(dec.Bytes+xor.Bytes); math.Abs(ratio-want) > 0.01 {
+		t.Errorf("ctt_tsdb_compression_ratio = %v, want %v (512 sealed points over %d bytes)", ratio, want, dec.Bytes+xor.Bytes)
 	}
 }
 

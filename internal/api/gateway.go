@@ -315,13 +315,27 @@ func (g *Gateway) initObs() {
 	reg.Gauge("ctt_tsdb_points", func() float64 { return float64(g.db.PointCount()) })
 	reg.Gauge("ctt_tsdb_compressed_bytes", func() float64 { return float64(g.db.CompressedBytes()) })
 	reg.Gauge("ctt_wal_bytes", func() float64 { return float64(g.db.WALBytes()) })
+	// What this process has sealed, by the value encoding the data
+	// chose: the xor share is the part of the deployment whose values
+	// are not exact decimals and pay Gorilla's float cost.
+	for i, label := range []string{"decimal", "xor"} {
+		stats := func() tsdb.SealedStats {
+			d, x := g.db.SealedChunks()
+			return [2]tsdb.SealedStats{d, x}[i]
+		}
+		reg.Gauge(`ctt_tsdb_chunks_sealed_total{encoding="`+label+`"}`, func() float64 { return float64(stats().Chunks) })
+		reg.Gauge(`ctt_tsdb_chunk_points_total{encoding="`+label+`"}`, func() float64 { return float64(stats().Points) })
+		reg.Gauge(`ctt_tsdb_chunk_bytes_total{encoding="`+label+`"}`, func() float64 { return float64(stats().Bytes) })
+	}
 	reg.Gauge("ctt_tsdb_compression_ratio", func() float64 {
-		// Raw size baseline: 16 bytes/point (int64 ts + float64 value).
-		c := g.db.CompressedBytes()
-		if c == 0 {
+		// Over every chunk sealed so far, against 16 bytes/point raw
+		// (int64 ts + float64 value). Points still in a head, and chunks
+		// loaded from disk, are on neither side of the ratio.
+		d, x := g.db.SealedChunks()
+		if d.Bytes+x.Bytes == 0 {
 			return 0
 		}
-		return float64(g.db.PointCount()*16) / float64(c)
+		return float64((d.Points+x.Points)*16) / float64(d.Bytes+x.Bytes)
 	})
 	if g.db.DiskStats().Enabled {
 		reg.Gauge("ctt_disk_bytes", func() float64 { return float64(g.db.DiskStats().Bytes) })

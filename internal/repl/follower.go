@@ -140,7 +140,7 @@ func Bootstrap(cfg BootstrapConfig) (*BootstrapResult, error) {
 
 // handshake sends hello and reads welcome on an open connection.
 func handshake(conn net.Conn, br *bufio.Reader, timeout time.Duration, key string, pos tsdb.ReplPos, resumable bool) (epoch uint64, mode byte, err error) {
-	h := helloMsg{ver: protoVersion, key: key}
+	h := helloMsg{ver: helloVersion, key: key}
 	if resumable {
 		h.hasPos, h.epoch, h.gen, h.off = true, pos.Epoch, pos.Gen, pos.Off
 	}
@@ -724,7 +724,7 @@ func (d *recDecoder) apply(payload []byte) error {
 		return d.applySeries(payload[1:])
 	case 2: // points
 		return d.applyPoints(payload[1:])
-	case 3: // block marker: flush-local, never meaningful on a replica
+	case 3, 7: // sealed blocks: written by log rewrites only, never streamed
 		return errors.New("repl: unexpected block record in stream")
 	case 4, 5, 6: // flush marker, replpos, gen: primary-local bookkeeping
 		return nil

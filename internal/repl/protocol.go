@@ -12,8 +12,8 @@
 // len counts everything after itself (type + payload + crc); crc is
 // IEEE over type + payload. Frame types:
 //
-//	hello     (1) C→S: ver(1) | epoch(8) | hasPos(1) | gen(8) | off(8) | key(str)
-//	welcome   (2) S→C: ver(1) | epoch(8) | mode(1)           mode: 0 resume, 1 snapshot
+//	hello     (1) C→S: ver(1) | epoch(8) | hasPos(1) | gen(8) | off(8) | key(str)    ver: helloVersion
+//	welcome   (2) S→C: ver(1) | epoch(8) | mode(1)           ver: protoVersion; mode: 0 resume, 1 snapshot
 //	snapfile  (3) S→C: kind(1) | size(8) | name(str)         kind: 0 wal, 1 block, 2 aux
 //	snapdata  (4) S→C: raw file bytes
 //	snapend   (5) S→C: gen(8) | off(8)
@@ -41,7 +41,17 @@ import (
 )
 
 const (
-	protoVersion = 1
+	// protoVersion, stamped on the welcome, names the store format the
+	// primary ships in a snapshot: 2 since block files are CTTBLK2 and
+	// the WAL prefix may carry block2 records (tagged chunk payloads).
+	// A follower accepts any version up to its own — every build reads
+	// the older formats — and an older follower refuses a newer welcome
+	// before it has touched its data directory.
+	protoVersion = 2
+	// helloVersion is the hello frame's own layout, unchanged since 1:
+	// an upgraded follower must still be able to greet an old primary
+	// (replicas upgrade first).
+	helloVersion = 1
 
 	// maxFrame bounds one frame's post-length size; data chunks are
 	// far smaller (256 KiB), so anything near the cap is a protocol

@@ -377,3 +377,30 @@ func TestGenerationSwitchMidStream(t *testing.T) {
 	waitParity(t, pdb, rep.db, 5*time.Second)
 	assertSeriesEqual(t, pdb, rep.db, "m.gen", "a")
 }
+
+// TestVersionHandshake pins the upgrade order the formats allow: an
+// upgraded follower still greets with the hello an old primary
+// accepts and takes either primary's welcome, while a welcome from a
+// primary newer than the follower — whose snapshot it could not read
+// — is refused.
+func TestVersionHandshake(t *testing.T) {
+	if h, err := parseHello(encodeHello(helloMsg{ver: helloVersion})); err != nil || h.ver != 1 {
+		t.Fatalf("hello version %d (err %v): an old primary accepts only 1", h.ver, err)
+	}
+	w := helloWelcome(7, modeSnapshot)
+	if w[0] != protoVersion {
+		t.Fatalf("welcome stamped %d, want %d", w[0], protoVersion)
+	}
+	for ver := byte(1); ver <= protoVersion; ver++ {
+		w[0] = ver
+		if epoch, mode, err := parseWelcome(w); err != nil || epoch != 7 || mode != modeSnapshot {
+			t.Fatalf("welcome v%d refused: %v", ver, err)
+		}
+	}
+	for _, ver := range []byte{0, protoVersion + 1} {
+		w[0] = ver
+		if _, _, err := parseWelcome(w); err == nil {
+			t.Fatalf("welcome v%d accepted", ver)
+		}
+	}
+}

@@ -207,8 +207,8 @@ func (s *Server) session(conn net.Conn) {
 		sendError(conn, s.cfg.WriteTimeout, codeProto, err.Error())
 		return
 	}
-	if hello.ver != protoVersion {
-		sendError(conn, s.cfg.WriteTimeout, codeProto, fmt.Sprintf("protocol version %d unsupported", hello.ver))
+	if hello.ver != helloVersion {
+		sendError(conn, s.cfg.WriteTimeout, codeProto, fmt.Sprintf("hello version %d unsupported", hello.ver))
 		return
 	}
 	if s.cfg.Authorize != nil && !s.cfg.Authorize(hello.key) {
@@ -477,7 +477,7 @@ func parseWelcome(p []byte) (epoch uint64, mode byte, err error) {
 	if len(p) != 10 {
 		return 0, 0, errors.New("repl: short welcome")
 	}
-	if p[0] != protoVersion {
+	if p[0] == 0 || p[0] > protoVersion {
 		return 0, 0, fmt.Errorf("repl: protocol version %d unsupported", p[0])
 	}
 	return binary.LittleEndian.Uint64(p[1:]), p[9], nil

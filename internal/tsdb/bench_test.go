@@ -3,8 +3,11 @@ package tsdb
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/sensors"
 )
 
 // Benchmarks for the storage engine, including the ablation DESIGN.md
@@ -96,37 +99,143 @@ func BenchmarkQueryGroupBy(b *testing.B) {
 	}
 }
 
-// BenchmarkGorillaEncode/Decode isolate the compression ablation:
-// bytes-per-point is reported so the ~65% saving over raw 16 B/point
-// is visible next to the CPU cost.
-func BenchmarkGorillaEncode(b *testing.B) {
-	const n = 1000
-	b.ReportAllocs()
-	var bytesPerPoint float64
-	for i := 0; i < b.N; i++ {
-		enc := newBlockEncoder()
-		for j := 0; j < n; j++ {
-			enc.add(baseTS+int64(j)*300000, 410+10*math.Sin(float64(j)/50))
-		}
-		data, _ := enc.finish()
-		bytesPerPoint = float64(len(data)) / n
+// sensorClasses are the codec benches' inputs: readings shaped like
+// the ones this system stores. Every channel of the uplink payload is
+// a scaled int16 (internal/sensors/codec.go), so each class is a
+// smooth signal plus noise pushed through that codec; rssi is the
+// gateway's own float and never a decimal.
+var sensorClasses = []struct {
+	name  string
+	value func(i int, noise float64) float64
+}{
+	{"co2", func(i int, noise float64) float64 {
+		return quantised(sensors.Measurement{CO2: 410 + 10*math.Sin(float64(i)/50) + 2*noise}).CO2
+	}},
+	{"no2", func(i int, noise float64) float64 {
+		return quantised(sensors.Measurement{NO2: 25 + 8*math.Sin(float64(i)/40) + 1.5*noise}).NO2
+	}},
+	{"temperature", func(i int, noise float64) float64 {
+		return quantised(sensors.Measurement{TemperatureC: 4 + 6*math.Sin(float64(i)/288*2*math.Pi) + 0.3*noise}).TemperatureC
+	}},
+	{"battery", func(i int, noise float64) float64 {
+		return quantised(sensors.Measurement{BatteryPct: 90 - float64(i)/100 + 0.05*noise}).BatteryPct
+	}},
+	{"rssi", func(i int, noise float64) float64 { return -105 + 4*noise }},
+}
+
+func quantised(m sensors.Measurement) sensors.Measurement {
+	out, err := sensors.DecodeMeasurement(sensors.EncodeMeasurement(m))
+	if err != nil {
+		panic(err)
 	}
-	b.ReportMetric(bytesPerPoint, "bytes/point")
-	b.ReportMetric(16, "raw-bytes/point")
+	return out
+}
+
+// sensorChunks returns n full chunks of one class at the 5-minute
+// cadence, one uplink in sixteen arriving up to 2 s late.
+func sensorChunks(value func(i int, noise float64) float64, n int) [][]Point {
+	rng := rand.New(rand.NewSource(1))
+	chunks := make([][]Point, n)
+	for c := range chunks {
+		chunks[c] = make([]Point, headSealSize)
+		for j := range chunks[c] {
+			i := c*headSealSize + j
+			ts := baseTS + int64(i)*300000
+			if rng.Intn(16) == 0 {
+				ts += rng.Int63n(2000)
+			}
+			chunks[c][j] = Point{Timestamp: ts, Value: value(i, rng.NormFloat64())}
+		}
+	}
+	return chunks
+}
+
+// encodeXORForBench is the payload encodeBlock falls back to, forced:
+// the same points under the encoding the data did not choose.
+func encodeXORForBench(pts []Point) []byte {
+	w := bitWriter{buf: append(make([]byte, 0, 4096), tagXOR)}
+	w.writeXORPoints(pts)
+	return w.bytes()
+}
+
+// BenchmarkGorillaEncode/Decode measure the chunk codec on every
+// sensor class under both value encodings: <class>/decimal is what
+// encodeBlock chooses for the class (absent for rssi, which has no
+// decimal form), <class>/xor the Gorilla fallback on the same points.
+// bytes/point is the payload alone; ns/point makes the two encodings
+// comparable across classes.
+func BenchmarkGorillaEncode(b *testing.B) {
+	benchCodec(b, func(b *testing.B, chunks [][]Point, encode func([]Point) []byte) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, c := range chunks {
+				benchSink = encode(c)
+			}
+		}
+	})
 }
 
 func BenchmarkGorillaDecode(b *testing.B) {
-	const n = 1000
-	enc := newBlockEncoder()
-	for j := 0; j < n; j++ {
-		enc.add(baseTS+int64(j)*300000, 410+10*math.Sin(float64(j)/50))
-	}
-	data, cnt := enc.finish()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := decodeBlock(data, cnt)
-		if err != nil || len(pts) != n {
-			b.Fatal(err)
+	benchCodec(b, func(b *testing.B, chunks [][]Point, encode func([]Point) []byte) {
+		payloads := make([][]byte, len(chunks))
+		for i, c := range chunks {
+			payloads[i] = encode(c)
+		}
+		var cur blockCursor
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, data := range payloads {
+				cur.reset(data, headSealSize)
+				n := 0
+				for {
+					_, ok, err := cur.next()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					n++
+				}
+				if n != headSealSize {
+					b.Fatalf("decoded %d points", n)
+				}
+			}
+		}
+	})
+}
+
+var benchSink []byte
+
+// benchCodec runs body once per sensor class and value encoding and
+// reports the payload size and per-point time beside ns/op.
+func benchCodec(b *testing.B, body func(b *testing.B, chunks [][]Point, encode func([]Point) []byte)) {
+	const nChunks = 4
+	for _, class := range sensorClasses {
+		chunks := sensorChunks(class.value, nChunks)
+		_, chosen := encodeBlock(chunks[0])
+		encoders := []struct {
+			name   string
+			encode func([]Point) []byte
+		}{
+			{"xor", encodeXORForBench},
+			{"decimal", func(pts []Point) []byte { data, _ := encodeBlock(pts); return data }},
+		}
+		if chosen != encDecimal {
+			encoders = encoders[:1]
+		}
+		for _, e := range encoders {
+			b.Run(class.name+"/"+e.name, func(b *testing.B) {
+				size := 0
+				for _, c := range chunks {
+					size += len(e.encode(c))
+				}
+				b.ResetTimer()
+				body(b, chunks, e.encode)
+				points := float64(nChunks * headSealSize)
+				b.ReportMetric(float64(size)/points, "bytes/point")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/points, "ns/point")
+			})
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package tsdb
 
-// Block file format ("CTTBLK1"): the immutable on-disk unit the
+// Block file format ("CTTBLK2"): the immutable on-disk unit the
 // background flusher seals cold in-memory blocks into, and the
 // compactor merges. One file holds the chunks of one time partition;
-// chunks are Gorilla payloads (identical bits to the in-memory sealed
+// chunks are gorilla.go payloads (identical bits to the in-memory sealed
 // blocks) addressed by series identity through an index section at
 // the tail, so a reader seeks the footer, loads the index, and preads
 // individual chunk payloads on demand. Every chunk payload carries a
@@ -15,7 +15,7 @@ package tsdb
 //
 // Layout (all integers little-endian):
 //
-//	header(16)  = magic "CTTBLK1\n" | reserved(8, zero)
+//	header(16)  = magic "CTTBLK2\n" | reserved(8, zero)
 //	chunk*      = seriesIdx(4) | minTS(8) | maxTS(8) | count(4) |
 //	              dataLen(4) | data | crc32c(data)(4)
 //	index       = series table | chunk table
@@ -26,6 +26,11 @@ package tsdb
 // The chunk-record header fields duplicate the (CRC-protected) chunk
 // table so a sequential scan can recover a file with a destroyed
 // index; the index is the authoritative copy.
+//
+// "CTTBLK1" is the same layout with every payload untagged. Such
+// files load and compact like any other; the magic moved to 2 with
+// the payload tag so that a build without the tag quarantines a file
+// it would otherwise misread.
 import (
 	"encoding/binary"
 	"fmt"
@@ -35,7 +40,8 @@ import (
 )
 
 const (
-	blockMagic     = "CTTBLK1\n"
+	blockMagic     = "CTTBLK2\n"
+	blockMagicV1   = "CTTBLK1\n"
 	blockTailMagic = "CTTBLKE\n"
 
 	blockHeaderSize = 16
@@ -231,7 +237,7 @@ func parseBlockFile(f fsio.File) (*parsedBlock, error) {
 	if _, err := f.ReadAt(head[:], 0); err != nil {
 		return nil, err
 	}
-	if string(head[:len(blockMagic)]) != blockMagic {
+	if m := string(head[:len(blockMagic)]); m != blockMagic && m != blockMagicV1 {
 		return nil, fmt.Errorf("tsdb: block file bad magic")
 	}
 	var foot [blockFooterSize]byte

@@ -467,7 +467,7 @@ func TestBlockFileGoldenSpec(t *testing.T) {
 	castag := crc32.MakeTable(crc32.Castagnoli)
 
 	// Header: bytes [0,8) magic, [8,16) reserved zero.
-	if string(raw[0:8]) != "CTTBLK1\n" {
+	if string(raw[0:8]) != "CTTBLK2\n" {
 		t.Fatalf("header magic = %q", raw[0:8])
 	}
 	for i := 8; i < 16; i++ {

@@ -238,17 +238,17 @@ func (db *DB) extractCold(cutoffMS int64) []*diskChunk {
 					}
 					sort.Slice(pts, func(a, b int) bool { return pts[a].Timestamp < pts[b].Timestamp })
 					split := sort.Search(len(pts), func(i int) bool { return pts[i].Timestamp >= cutoffMS })
-					if c := encodeChunk(s.ref, pts[:split]); c != nil {
+					if c := db.encodeChunk(s.ref, pts[:split]); c != nil {
 						out = append(out, c)
 					}
-					if nb := encodeSealed(pts[split:]); nb.n > 0 {
+					if nb := db.encodeSealed(pts[split:]); nb.n > 0 {
 						keep = append(keep, nb)
 					}
 				}
 			}
 			lo := sort.Search(len(s.head), func(i int) bool { return s.head[i].Timestamp >= cutoffMS })
 			if lo > 0 {
-				if c := encodeChunk(s.ref, s.head[:lo]); c != nil {
+				if c := db.encodeChunk(s.ref, s.head[:lo]); c != nil {
 					out = append(out, c)
 				}
 				n := copy(s.head, s.head[lo:])
@@ -266,28 +266,15 @@ func (db *DB) extractCold(cutoffMS int64) []*diskChunk {
 }
 
 // encodeChunk seals sorted points into a pending disk chunk.
-func encodeChunk(ref *Ref, pts []Point) *diskChunk {
+func (db *DB) encodeChunk(ref *Ref, pts []Point) *diskChunk {
 	if len(pts) == 0 {
 		return nil
 	}
-	b := encodeSealed(pts)
+	b := db.encodeSealed(pts)
 	return &diskChunk{
 		ref: ref, data: b.data, dlen: uint32(len(b.data)), crc: crc32c(b.data),
 		minTS: b.minTS, maxTS: b.maxTS, n: b.n,
 	}
-}
-
-// encodeSealed compresses sorted points into a sealed block value.
-func encodeSealed(pts []Point) sealedBlock {
-	if len(pts) == 0 {
-		return sealedBlock{}
-	}
-	enc := newBlockEncoder()
-	for _, p := range pts {
-		enc.add(p.Timestamp, p.Value)
-	}
-	data, n := enc.finish()
-	return sealedBlock{minTS: pts[0].Timestamp, maxTS: pts[len(pts)-1].Timestamp, n: n, data: data}
 }
 
 // restoreStaged reinserts staged chunks' points into memory (the

@@ -1,18 +1,19 @@
 package tsdb
 
-// Round-trip fuzzing for the Gorilla codec: the word-buffered
-// production codec and the bit-at-a-time reference must emit
-// identical bytes for any in-order point stream, and each must decode
-// the other's output back to the original points. Run with
+// Fuzzing for the untagged Gorilla layout, which no build writes any
+// more but every build must keep reading: the bit-at-a-time reference
+// encoder (the layout as it was) produces the bytes, and both the
+// production cursor and the reference decoder must return the
+// original points bit for bit. Run with
 //
 //	go test -fuzz FuzzGorillaCodec ./internal/tsdb
 //
 // to search for divergence; the seed corpus runs in every plain
 // `go test`, covering the DoD buckets, the 64-bit escape paths, and
-// NaN/Inf value bit patterns.
+// NaN/Inf value bit patterns. FuzzChunkCodec (chunk_codec_test.go)
+// covers the tagged layouts the writer emits.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -72,46 +73,28 @@ func FuzzGorillaCodec(f *testing.F) {
 			return
 		}
 
-		enc := newBlockEncoder()
 		ref := newRefBlockEncoder()
 		for _, p := range pts {
-			enc.add(p.Timestamp, p.Value)
 			ref.add(p.Timestamp, p.Value)
 		}
-		got, gotN := enc.finish()
-		want, wantN := ref.finish()
-		if gotN != wantN || !bytes.Equal(got, want) {
-			t.Fatalf("encoder divergence: %d/%d points, %x vs %x", gotN, wantN, got, want)
-		}
-
-		// New decoder over reference bytes, reference decoder over new
-		// bytes: both must reproduce the input bit-exactly.
-		fromRef, err := decodeBlock(want, wantN)
+		legacy, n := ref.finish()
+		fromNew, err := decodeBlock(legacy, n)
 		if err != nil {
-			t.Fatalf("decode(ref bytes): %v", err)
+			t.Fatalf("decode: %v", err)
 		}
-		fromNew, err := refDecodeBlock(got, gotN)
+		fromRef, err := refDecodeBlock(legacy, n)
 		if err != nil {
-			t.Fatalf("refDecode(new bytes): %v", err)
+			t.Fatalf("refDecode: %v", err)
 		}
-		for i, p := range pts {
-			for _, d := range [...]struct {
-				name string
-				got  Point
-			}{{"decode", fromRef[i]}, {"refDecode", fromNew[i]}} {
-				if d.got.Timestamp != p.Timestamp || math.Float64bits(d.got.Value) != math.Float64bits(p.Value) {
-					t.Fatalf("%s point %d: got (%d, %x), want (%d, %x)",
-						d.name, i, d.got.Timestamp, math.Float64bits(d.got.Value),
-						p.Timestamp, math.Float64bits(p.Value))
-				}
-			}
-		}
+		samePoints(t, "decode", fromNew, pts)
+		samePoints(t, "refDecode", fromRef, pts)
 	})
 }
 
-// TestGorillaRefParity pins the production codec to the reference on
-// a deterministic mixed workload (regular cadence, duplicate
-// timestamps, value plateaus, big jumps) without needing the fuzzer.
+// TestGorillaRefParity pins the production cursor to the reference
+// layout on a deterministic mixed workload (regular cadence,
+// duplicate timestamps, value plateaus, big jumps) without needing
+// the fuzzer.
 func TestGorillaRefParity(t *testing.T) {
 	var pts []Point
 	ts := baseTS
@@ -131,24 +114,14 @@ func TestGorillaRefParity(t *testing.T) {
 		}
 		pts = append(pts, Point{Timestamp: ts, Value: vals[i%len(vals)]})
 	}
-	enc := newBlockEncoder()
 	ref := newRefBlockEncoder()
 	for _, p := range pts {
-		enc.add(p.Timestamp, p.Value)
 		ref.add(p.Timestamp, p.Value)
 	}
-	got, n := enc.finish()
-	want, _ := ref.finish()
-	if !bytes.Equal(got, want) {
-		t.Fatalf("byte stream diverged from reference codec")
-	}
-	dec, err := decodeBlock(got, n)
+	legacy, n := ref.finish()
+	dec, err := decodeBlock(legacy, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range pts {
-		if dec[i].Timestamp != pts[i].Timestamp || math.Float64bits(dec[i].Value) != math.Float64bits(pts[i].Value) {
-			t.Fatalf("point %d: got %v want %v", i, dec[i], pts[i])
-		}
-	}
+	samePoints(t, "decode", dec, pts)
 }

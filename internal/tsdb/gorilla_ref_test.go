@@ -1,11 +1,11 @@
 package tsdb
 
-// Reference Gorilla codec: the original bit-at-a-time implementation,
-// kept verbatim as a test oracle. The production codec buffers a
-// 64-bit word for speed but must emit and accept the exact same byte
-// stream; TestGorillaRefParity and FuzzGorillaCodec hold the two
-// implementations together, so blocks sealed by any prior build stay
-// readable.
+// Reference Gorilla codec: the original bit-at-a-time implementation
+// of the untagged layout, kept verbatim as a test oracle. The
+// production code no longer writes that layout but must accept its
+// exact byte stream; TestGorillaRefParity and FuzzGorillaCodec hold
+// the production cursor to it, so blocks sealed by any prior build
+// stay readable.
 
 import "math"
 
@@ -70,7 +70,8 @@ func (r *refBitReader) readBits(n uint) (uint64, error) {
 	return v, nil
 }
 
-// refBlockEncoder mirrors blockEncoder on the bit-at-a-time writer.
+// refBlockEncoder is the untagged layout's encoder on the bit-at-a-time
+// writer.
 type refBlockEncoder struct {
 	w         refBitWriter
 	n         int

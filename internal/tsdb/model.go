@@ -2,8 +2,9 @@
 // OpenTSDB deployment the paper uses as its cloud storage ("accesses
 // the data from the OpenTSDB time series database"). It stores
 // measurements as (metric, tags, timestamp, value) points, compresses
-// sealed blocks with Gorilla-style delta-of-delta timestamp and XOR
-// value encoding, answers tag-filtered queries with aggregation,
+// sealed blocks with Gorilla-style delta-of-delta timestamps and, per
+// block, decimal-scaled integer deltas or XOR for the values (see
+// gorilla.go), answers tag-filtered queries with aggregation,
 // downsampling and rate conversion, and optionally persists every
 // write through an append-only WAL for crash recovery.
 package tsdb

@@ -6,6 +6,8 @@ package tsdb
 // before the cutoff and filters head buffers — cheap, because sealed
 // blocks carry their time bounds.
 
+import "sort"
+
 // DeleteBefore removes all points with timestamps strictly before
 // cutoffMS. Sealed blocks that straddle the cutoff are decoded and
 // re-sealed. It returns the number of points removed.
@@ -61,24 +63,11 @@ func (db *DB) DeleteBeforeWhere(cutoffMS int64, match func(metric string, tags m
 						sh.mu.Unlock()
 						return removed, err
 					}
-					enc := newBlockEncoder()
-					kept := 0
-					var minTS, maxTS int64
-					for _, p := range pts {
-						if p.Timestamp < cutoffMS {
-							removed++
-							continue
-						}
-						if kept == 0 {
-							minTS = p.Timestamp
-						}
-						maxTS = p.Timestamp
-						enc.add(p.Timestamp, p.Value)
-						kept++
-					}
-					if kept > 0 {
-						data, n := enc.finish()
-						blocks = append(blocks, sealedBlock{minTS: minTS, maxTS: maxTS, n: n, data: data})
+					// Points are in timestamp order: the survivors are a suffix.
+					split := sort.Search(len(pts), func(i int) bool { return pts[i].Timestamp >= cutoffMS })
+					removed += split
+					if nb := db.encodeSealed(pts[split:]); nb.n > 0 {
+						blocks = append(blocks, nb)
 					}
 				}
 			}

@@ -74,6 +74,11 @@ type DB struct {
 	walAppendErrs  atomic.Uint64
 	walFsyncErrs   atomic.Uint64
 
+	// sealed counts the chunks this process has encoded, per value
+	// encoding (indexed by chunkEncoding) — the fallback share on
+	// /metrics.
+	sealed [2]struct{ chunks, points, bytes atomic.Int64 }
+
 	// loopStop/loopWG manage the background flush+compact goroutine.
 	loopStop chan struct{}
 	loopWG   sync.WaitGroup
@@ -376,31 +381,46 @@ func (db *DB) insertSeriesLocked(s *memSeries, p Point) {
 		s.head[i] = p
 	}
 	if len(s.head) >= headSealSize {
-		s.seal()
+		s.blocks = append(s.blocks, db.encodeSealed(s.head))
+		// Keep the head array: an actively-written series reuses its
+		// buffer every seal cycle instead of regrowing it from nil —
+		// readers only ever see copies of the in-range head, never the
+		// backing array.
+		s.head = s.head[:0]
 	}
 }
 
-// seal compresses the head into a block. Caller holds the shard lock.
-func (s *memSeries) seal() {
-	if len(s.head) == 0 {
-		return
+// encodeSealed compresses sorted points into a sealed block value —
+// the one place a chunk is encoded, whether by the head filling up, a
+// flush or retention splitting a block, or a flush sealing a cold
+// head.
+func (db *DB) encodeSealed(pts []Point) sealedBlock {
+	if len(pts) == 0 {
+		return sealedBlock{}
 	}
-	enc := newBlockEncoder()
-	for _, p := range s.head {
-		enc.add(p.Timestamp, p.Value)
+	data, enc := encodeBlock(pts)
+	st := &db.sealed[enc]
+	st.chunks.Add(1)
+	st.points.Add(int64(len(pts)))
+	st.bytes.Add(int64(len(data)))
+	return sealedBlock{minTS: pts[0].Timestamp, maxTS: pts[len(pts)-1].Timestamp, n: len(pts), data: data}
+}
+
+// SealedStats counts the chunks a process has sealed under one value
+// encoding since it started.
+type SealedStats struct {
+	Chunks, Points, Bytes int64
+}
+
+// SealedChunks reports what this process has sealed so far, split by
+// the value encoding the data chose: exact decimals as scaled
+// integers, everything else as Gorilla XOR.
+func (db *DB) SealedChunks() (decimal, xor SealedStats) {
+	load := func(enc chunkEncoding) SealedStats {
+		st := &db.sealed[enc]
+		return SealedStats{Chunks: st.chunks.Load(), Points: st.points.Load(), Bytes: st.bytes.Load()}
 	}
-	data, n := enc.finish()
-	s.blocks = append(s.blocks, sealedBlock{
-		minTS: s.head[0].Timestamp,
-		maxTS: s.head[len(s.head)-1].Timestamp,
-		n:     n,
-		data:  data,
-	})
-	// Keep the head array: an actively-written series reuses its
-	// buffer every seal cycle instead of regrowing it from nil —
-	// readers only ever see copies of the in-range head, never the
-	// backing array.
-	s.head = s.head[:0]
+	return load(encDecimal), load(encXOR)
 }
 
 // SeriesCount returns the number of distinct stored series.

@@ -63,14 +63,12 @@ func TestSeriesKeyCanonical(t *testing.T) {
 }
 
 func TestGorillaRoundTripRegularSeries(t *testing.T) {
-	enc := newBlockEncoder()
 	var want []Point
 	for i := 0; i < 300; i++ {
-		p := Point{Timestamp: baseTS + int64(i)*300000, Value: 410 + math.Sin(float64(i)/10)*5}
-		enc.add(p.Timestamp, p.Value)
-		want = append(want, p)
+		want = append(want, Point{Timestamp: baseTS + int64(i)*300000, Value: 410 + math.Sin(float64(i)/10)*5})
 	}
-	data, n := enc.finish()
+	data, _ := encodeBlock(want)
+	n := len(want)
 	got, err := decodeBlock(data, n)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +97,6 @@ func TestGorillaRoundTripProperty(t *testing.T) {
 		if n == 0 {
 			return true
 		}
-		enc := newBlockEncoder()
 		ts := baseTS
 		var want []Point
 		for i := 0; i < n; i++ {
@@ -108,11 +105,10 @@ func TestGorillaRoundTripProperty(t *testing.T) {
 			if math.IsNaN(v) {
 				v = 0 // NaN != NaN would break comparison; value space still exercised
 			}
-			enc.add(ts, v)
 			want = append(want, Point{Timestamp: ts, Value: v})
 		}
-		data, cnt := enc.finish()
-		got, err := decodeBlock(data, cnt)
+		data, _ := encodeBlock(want)
+		got, err := decodeBlock(data, len(want))
 		if err != nil || len(got) != len(want) {
 			return false
 		}
@@ -130,7 +126,6 @@ func TestGorillaRoundTripProperty(t *testing.T) {
 
 func TestGorillaLargeJumps(t *testing.T) {
 	// Exercise the 64-bit DoD escape path and big value changes.
-	enc := newBlockEncoder()
 	pts := []Point{
 		{Timestamp: baseTS, Value: 1},
 		{Timestamp: baseTS + 1, Value: -1e300},
@@ -138,11 +133,8 @@ func TestGorillaLargeJumps(t *testing.T) {
 		{Timestamp: baseTS + 100000001, Value: 0},
 		{Timestamp: baseTS + 100000001, Value: 42}, // zero delta
 	}
-	for _, p := range pts {
-		enc.add(p.Timestamp, p.Value)
-	}
-	data, n := enc.finish()
-	got, err := decodeBlock(data, n)
+	data, _ := encodeBlock(pts)
+	got, err := decodeBlock(data, len(pts))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,7 @@ import (
 //	series (1):  fileID(4) | metric(str) | nTags(2) | (key(str) value(str))*
 //	points (2):  count(2) | count × ( fileID(4) | ts(8) | value(8) )
 //	block  (3):  fileID(4) | minTS(8) | maxTS(8) | n(4) | dataLen(4) | data
+//	block2 (7):  as block; data is a tagged chunk payload (gorilla.go)
 //	flush  (4):  cutoffMS(8) | nFiles(2) | fileName(str)*
 //	replpos(5):  gen(8) | off(8) | epoch(8) | flags(1)
 //	gen    (6):  gen(8)
@@ -136,6 +137,10 @@ const (
 	walRecFlush   = 4
 	walRecReplPos = 5
 	walRecGen     = 6
+	// walRecBlock2 is walRecBlock carrying a tagged payload. It is a
+	// type of its own so a build that predates the tag stops at the
+	// record instead of decoding the payload as an untagged one.
+	walRecBlock2 = 7
 
 	// maxWALPointsPerRecord chunks huge batches so the 16-bit count
 	// always fits with slack.
@@ -256,7 +261,7 @@ func (db *DB) replayV2Locked(l *wal) error {
 				break
 			}
 			switch payload[0] {
-			case walRecSeries, walRecPoints, walRecBlock:
+			case walRecSeries, walRecPoints, walRecBlock, walRecBlock2:
 			case walRecFlush:
 				cutoff, files, ok := parseFlushMarker(payload[1:])
 				if !ok {
@@ -371,7 +376,7 @@ scan:
 			if !db.applyPointsRecord(payload[1:], refs, horizon) {
 				break scan
 			}
-		case walRecBlock:
+		case walRecBlock, walRecBlock2:
 			if !db.applyBlockRecord(payload[1:], refs, horizon) {
 				break scan
 			}
@@ -727,9 +732,16 @@ func parseFlushMarker(p []byte) (cutoffMS int64, files []string, ok bool) {
 	return cutoffMS, files, true
 }
 
+// encodeBlockRecord logs one sealed block verbatim. A block restored
+// from an older log keeps its untagged payload and its old record
+// type; everything this build seals is tagged.
 func encodeBlockRecord(buf []byte, fid uint32, b sealedBlock) []byte {
 	buf, off := beginWALRecord(buf)
-	buf = append(buf, walRecBlock)
+	if payloadTagged(b.data) {
+		buf = append(buf, walRecBlock2)
+	} else {
+		buf = append(buf, walRecBlock)
+	}
 	buf = binary.LittleEndian.AppendUint32(buf, fid)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.minTS))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.maxTS))
