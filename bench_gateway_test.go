@@ -208,21 +208,22 @@ func BenchmarkGatewayQueryRollup(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		var batch []tsdb.DataPoint
+		var batch []tsdb.RefPoint
 		for s := 0; s < sensors; s++ {
-			tags := map[string]string{"sensor": fmt.Sprintf("roll-%02d", s), "city": "bench"}
+			ref, err := db.Intern("air.co2", map[string]string{"sensor": fmt.Sprintf("roll-%02d", s), "city": "bench"})
+			if err != nil {
+				b.Fatal(err)
+			}
 			for ts := benchStart; ts.Before(endTS); ts = ts.Add(cadence) {
-				batch = append(batch, tsdb.DataPoint{
-					Metric: "air.co2", Tags: tags,
-					Point: tsdb.Point{Timestamp: ts.UnixMilli(), Value: 400 + float64(ts.Minute())},
-				})
+				batch = append(batch, tsdb.RefPoint{Ref: ref,
+					Point: tsdb.Point{Timestamp: ts.UnixMilli(), Value: 400 + float64(ts.Minute())}})
 				if len(batch) == 4096 {
-					db.AppendBatch(batch)
+					db.AppendRefs(batch)
 					batch = batch[:0]
 				}
 			}
 		}
-		db.AppendBatch(batch)
+		db.AppendRefs(batch)
 		if eng != nil {
 			eng.FlushAll()
 			b.Cleanup(func() { eng.Close() })

@@ -285,6 +285,12 @@ func main() {
 	logger.Info("fast-forward done",
 		"took", time.Since(t0).Round(time.Millisecond).String(),
 		"uplinks", sys.IngestCount(), "points", sys.DB.PointCount(), "series", sys.DB.SeriesCount())
+	if eng != nil {
+		// The engine's first clock tick, now instead of FlushEvery from
+		// process start: what is late to the tiers does not depend on
+		// how long the fast-forward took.
+		eng.Flush(sys.Now())
+	}
 
 	// Gateway over the pilot's store and monitoring state.
 	gw := api.New(sys.DB, sys.Dataport, api.Config{

@@ -61,7 +61,7 @@ type Config struct {
 	QueueSize int
 	// Workers is the number of batching writer goroutines. Default 4.
 	Workers int
-	// BatchSize caps points per tsdb.AppendBatch call. Default 256.
+	// BatchSize caps points per tsdb.AppendRefs call. Default 256.
 	BatchSize int
 	// RateLimit is the sustained per-client ingest budget in
 	// points/second; 0 disables rate limiting.

@@ -48,17 +48,18 @@ func newStreamTestGateway(t *testing.T, cfg Config) (*tsdb.DB, *Gateway, *httpte
 // store (validated shape, no HTTP round-trips).
 func seedWide(t *testing.T, db *tsdb.DB, sensors, points int) {
 	t.Helper()
-	var batch []tsdb.DataPoint
+	var batch []tsdb.RefPoint
 	for s := 0; s < sensors; s++ {
-		tags := map[string]string{"sensor": fmt.Sprintf("w%03d", s), "city": "t"}
+		ref, err := db.Intern("air.co2", map[string]string{"sensor": fmt.Sprintf("w%03d", s), "city": "t"})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < points; i++ {
-			batch = append(batch, tsdb.DataPoint{
-				Metric: "air.co2", Tags: tags,
-				Point: tsdb.Point{Timestamp: 1488326400000 + int64(i)*1000, Value: float64(400 + s + i%7)},
-			})
+			batch = append(batch, tsdb.RefPoint{Ref: ref,
+				Point: tsdb.Point{Timestamp: 1488326400000 + int64(i)*1000, Value: float64(400 + s + i%7)}})
 		}
 	}
-	if res := db.AppendBatch(batch); len(res.Errors) > 0 {
+	if res := db.AppendRefs(batch); len(res.Errors) > 0 {
 		t.Fatalf("seed errors: %v", res.Errors[0])
 	}
 }
@@ -572,18 +573,16 @@ func TestStreamBackfill(t *testing.T) {
 	// Five historical points 10 minutes back, plus one outside the
 	// backfill window.
 	hist := now.Add(-10 * time.Minute).UnixMilli()
-	var batch []tsdb.DataPoint
-	for i := 0; i < 5; i++ {
-		batch = append(batch, tsdb.DataPoint{
-			Metric: "air.co2", Tags: map[string]string{"sensor": "bf"},
-			Point: tsdb.Point{Timestamp: hist + int64(i)*1000, Value: float64(i)},
-		})
+	ref, err := db.Intern("air.co2", map[string]string{"sensor": "bf"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	batch = append(batch, tsdb.DataPoint{
-		Metric: "air.co2", Tags: map[string]string{"sensor": "bf"},
-		Point: tsdb.Point{Timestamp: now.Add(-3 * time.Hour).UnixMilli(), Value: 99},
-	})
-	if res := db.AppendBatch(batch); len(res.Errors) > 0 {
+	var batch []tsdb.RefPoint
+	for i := 0; i < 5; i++ {
+		batch = append(batch, tsdb.RefPoint{Ref: ref, Point: tsdb.Point{Timestamp: hist + int64(i)*1000, Value: float64(i)}})
+	}
+	batch = append(batch, tsdb.RefPoint{Ref: ref, Point: tsdb.Point{Timestamp: now.Add(-3 * time.Hour).UnixMilli(), Value: 99}})
+	if res := db.AppendRefs(batch); len(res.Errors) > 0 {
 		t.Fatal(res.Errors[0])
 	}
 

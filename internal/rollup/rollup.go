@@ -27,11 +27,20 @@
 // and each rollup tier age out on their own schedules, turning the
 // store into tiered storage — recent data at full resolution, months
 // of history at 1m/1h.
+//
+// The write-back is on every raw point's path, so it runs at store
+// speed: each tier of a series caches the interned refs of its eight
+// derived series, a window's statistics come from one pass and one
+// in-place sort, and everything an observed batch seals goes back
+// through one AppendRefs call, each series' windows oldest first.
 package rollup
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,8 +99,11 @@ type Config struct {
 	FS fsio.FS
 }
 
-// stats computed for every sealed window, in storage order.
-var windowStats = []struct {
+const numStats = 8
+
+// windowStats names the statistics of a sealed window, in storage order,
+// each with the aggregator sealStats matches bit for bit.
+var windowStats = [numStats]struct {
 	name string
 	agg  tsdb.Aggregator
 }{
@@ -115,6 +127,10 @@ type Engine struct {
 	tiers []tierSpec
 
 	shards [engineShards]engineShard
+
+	// clockSealed is the newest horizon Flush has sealed every known
+	// series to; a series first seen later starts sealed to it too.
+	clockSealed atomic.Int64
 
 	removeObs func()
 	stop      chan struct{}
@@ -170,12 +186,14 @@ type seriesState struct {
 }
 
 type tierState struct {
-	open        map[int64]*window // by window start (ms)
-	sealedUntil int64             // every window with start < sealedUntil is sealed
+	open        map[int64]*window   // by window start (ms)
+	sealedUntil int64               // every window with start < sealedUntil is sealed
+	refs        [numStats]*tsdb.Ref // derived series, windowStats order; interned at first seal, not in the state file
 }
 
 type window struct {
-	vals []float64 // arrival order; re-aggregated exactly at seal time
+	vals []float64  // arrival order until the seal sorts them in place
+	one  [1]float64 // backs vals until a second value arrives
 }
 
 // formatRes renders a resolution as the shortest of h/m/s units.
@@ -320,7 +338,7 @@ func (e *Engine) observeBatch(rps []tsdb.RefPoint) {
 	if h := e.obsHist.Load(); h != nil {
 		defer h.ObserveSince(time.Now())
 	}
-	var flush []tsdb.DataPoint
+	var flush []tsdb.RefPoint
 	for si := uint64(0); si < engineShards; si++ {
 		sh := &e.shards[si]
 		locked := false
@@ -345,7 +363,7 @@ func (e *Engine) observeBatch(rps []tsdb.RefPoint) {
 // observeOneLocked folds one point into every tier's open window of
 // its series and seals whatever the advancing watermark has passed.
 // Caller holds the shard lock.
-func (e *Engine) observeOneLocked(sh *engineShard, rp tsdb.RefPoint, flush []tsdb.DataPoint) []tsdb.DataPoint {
+func (e *Engine) observeOneLocked(sh *engineShard, rp tsdb.RefPoint, flush []tsdb.RefPoint) []tsdb.RefPoint {
 	st, ok := sh.series[rp.Ref.ID()]
 	if !ok {
 		st = e.newSeriesState(rp.Ref)
@@ -372,6 +390,7 @@ func (e *Engine) observeOneLocked(sh *engineShard, rp tsdb.RefPoint, flush []tsd
 		win := ts.open[w]
 		if win == nil {
 			win = &window{}
+			win.vals = win.one[:0]
 			ts.open[w] = win
 		}
 		win.vals = append(win.vals, rp.Value)
@@ -385,7 +404,9 @@ func (e *Engine) observeOneLocked(sh *engineShard, rp tsdb.RefPoint, flush []tsd
 // newSeriesState builds the tracking state for a first-seen series,
 // deciding once whether it is ever rolled up. Derived (rollup.*)
 // writes and series carrying the reserved stat tag keep a skip-only
-// state so the per-point path is a single map hit.
+// state so the per-point path is a single map hit. A series to roll up
+// starts as sealed as the last clock Flush left every known one, so
+// points behind the clock are late whenever their series first appears.
 func (e *Engine) newSeriesState(ref *tsdb.Ref) *seriesState {
 	metric, tags := ref.Metric(), ref.Tags()
 	st := &seriesState{ref: ref, metric: metric, tags: tags}
@@ -398,8 +419,10 @@ func (e *Engine) newSeriesState(ref *tsdb.Ref) *seriesState {
 		return st
 	}
 	st.tiers = make([]tierState, len(e.tiers))
+	horizon := e.clockSealed.Load()
 	for i := range st.tiers {
 		st.tiers[i].open = make(map[int64]*window)
+		st.tiers[i].sealedUntil = horizon - horizon%e.tiers[i].resMS
 	}
 	return st
 }
@@ -407,62 +430,109 @@ func (e *Engine) newSeriesState(ref *tsdb.Ref) *seriesState {
 // sealPassedLocked seals, for every tier of st, each open window that
 // ends at or before horizon, appending the derived points to out.
 // Caller holds the shard lock.
-func (e *Engine) sealPassedLocked(st *seriesState, horizon int64, out []tsdb.DataPoint) []tsdb.DataPoint {
+func (e *Engine) sealPassedLocked(st *seriesState, horizon int64, out []tsdb.RefPoint) []tsdb.RefPoint {
 	if st.skip || horizon <= 0 {
 		return out
 	}
 	for i := range e.tiers {
-		spec := &e.tiers[i]
 		ts := &st.tiers[i]
 		// hA: start of the window containing the horizon — every
 		// window strictly before it has fully elapsed.
-		hA := horizon - horizon%spec.resMS
+		hA := horizon - horizon%e.tiers[i].resMS
 		if hA <= ts.sealedUntil {
 			continue
 		}
-		for w, win := range ts.open {
-			if w < hA {
-				out = e.appendWindowPoints(out, st, spec, w, win)
-				delete(ts.open, w)
-			}
-		}
+		out = e.sealBeforeLocked(out, st, i, hA)
 		ts.sealedUntil = hA
 	}
 	return out
 }
 
+// sealBeforeLocked seals tier ti's open windows that start before
+// limit, oldest first — windows sealing together (idle Flush, restored
+// state, FlushAll, arrivals inside Grace) out of order would leave a
+// derived series overlapping blocks to decode and sort on every read —
+// and moves the sealed horizon past them. Caller holds the shard lock.
+func (e *Engine) sealBeforeLocked(out []tsdb.RefPoint, st *seriesState, ti int, limit int64) []tsdb.RefPoint {
+	ts := &st.tiers[ti]
+	starts := make([]int64, 0, 4)
+	for w := range ts.open {
+		if w < limit {
+			starts = append(starts, w)
+		}
+	}
+	slices.Sort(starts)
+	for _, w := range starts {
+		out = e.appendWindowPoints(out, st, ti, w, ts.open[w])
+		delete(ts.open, w)
+		ts.sealedUntil = max(ts.sealedUntil, w+e.tiers[ti].resMS)
+	}
+	return out
+}
+
 // appendWindowPoints renders one sealed window as its derived stat
-// points.
-func (e *Engine) appendWindowPoints(out []tsdb.DataPoint, st *seriesState, spec *tierSpec, start int64, win *window) []tsdb.DataPoint {
-	if len(win.vals) == 0 {
+// points, addressed to the tier's cached refs.
+func (e *Engine) appendWindowPoints(out []tsdb.RefPoint, st *seriesState, ti int, start int64, win *window) []tsdb.RefPoint {
+	refs := e.derivedRefs(st, ti)
+	if len(win.vals) == 0 || refs == nil {
 		return out
 	}
 	e.sealedN.Add(1)
-	metric := spec.metricPrefix + st.metric
-	for _, s := range windowStats {
-		tags := make(map[string]string, len(st.tags)+1)
-		for k, v := range st.tags {
-			tags[k] = v
-		}
-		tags[StatTag] = s.name
-		out = append(out, tsdb.DataPoint{
-			Metric: metric,
-			Tags:   tags,
-			Point:  tsdb.Point{Timestamp: start, Value: s.agg.Apply(win.vals)},
-		})
+	out = slices.Grow(out, numStats)
+	for i, v := range sealStats(win.vals) {
+		out = append(out, tsdb.RefPoint{Ref: refs[i], Point: tsdb.Point{Timestamp: start, Value: v}})
 	}
 	return out
+}
+
+// derivedRefs returns the handles of st's derived series on tier ti,
+// interning them on the first seal and again once retention has
+// removed one (AppendRefs re-interns a dead ref itself, on every write).
+func (e *Engine) derivedRefs(st *seriesState, ti int) *[numStats]*tsdb.Ref {
+	refs := &st.tiers[ti].refs
+	for i, ref := range refs {
+		if ref != nil && ref.Live() {
+			continue
+		}
+		tags := maps.Clone(st.tags)
+		tags[StatTag] = windowStats[i].name
+		var err error
+		if refs[i], err = e.db.Intern(e.tiers[ti].metricPrefix+st.metric, tags); err != nil {
+			return nil // unreachable: the raw name validated, the additions are valid
+		}
+	}
+	return refs
+}
+
+// sealStats reduces a sealed window to its statistics in windowStats
+// order, each bit-identical to its Aggregator.Apply: the arithmetic ones
+// in one pass over arrival order (float sums, and min/max over NaN or
+// signed zeros, depend on it), the percentiles from one in-place sort —
+// none for a one-value window, every 1m window at the pilots' cadence.
+func sealStats(vals []float64) [numStats]float64 {
+	sum, lo, hi := 0.0, vals[0], vals[0]
+	for _, v := range vals {
+		sum += v
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	n := float64(len(vals))
+	if len(vals) > 1 {
+		slices.Sort(vals) // what sort.Float64s, Apply's sort, calls
+	}
+	return [numStats]float64{n, sum, lo, hi, sum / n,
+		tsdb.PercentileSorted(vals, 0.50), tsdb.PercentileSorted(vals, 0.95), tsdb.PercentileSorted(vals, 0.99)}
 }
 
 // writeDerived stores sealed-window points. Runs outside the engine
 // shard locks: the store's observers (including this engine, which
 // skips the rollup namespace) fire synchronously on these writes.
-func (e *Engine) writeDerived(dps []tsdb.DataPoint) {
-	if len(dps) == 0 {
-		return
-	}
-	res := e.db.AppendBatchValidated(dps)
-	e.written.Add(uint64(res.Stored))
+func (e *Engine) writeDerived(rps []tsdb.RefPoint) {
+	e.written.Add(uint64(e.db.AppendRefs(rps).Stored))
 }
 
 // Flush seals every window that has fully elapsed by the given clock
@@ -470,9 +540,12 @@ func (e *Engine) writeDerived(dps []tsdb.DataPoint) {
 // writes advance their watermark.
 func (e *Engine) Flush(now time.Time) {
 	horizon := now.UnixMilli() - e.cfg.Grace.Milliseconds()
+	if horizon > e.clockSealed.Load() { // before the walk: a series created during it sees this
+		e.clockSealed.Store(horizon) // racing Flushes: the loser is at most a tick older
+	}
 	for i := range e.shards {
 		sh := &e.shards[i]
-		var flush []tsdb.DataPoint
+		var flush []tsdb.RefPoint
 		sh.mu.Lock()
 		for id, st := range sh.series {
 			flush = e.sealPassedLocked(st, horizon, flush)
@@ -505,22 +578,14 @@ func openWindowsLocked(st *seriesState) int {
 func (e *Engine) FlushAll() {
 	for i := range e.shards {
 		sh := &e.shards[i]
-		var flush []tsdb.DataPoint
+		var flush []tsdb.RefPoint
 		sh.mu.Lock()
 		for _, st := range sh.series {
 			if st.skip {
 				continue
 			}
 			for ti := range e.tiers {
-				spec := &e.tiers[ti]
-				ts := &st.tiers[ti]
-				for w, win := range ts.open {
-					flush = e.appendWindowPoints(flush, st, spec, w, win)
-					delete(ts.open, w)
-					if end := w + spec.resMS; end > ts.sealedUntil {
-						ts.sealedUntil = end
-					}
-				}
+				flush = e.sealBeforeLocked(flush, st, ti, math.MaxInt64)
 			}
 		}
 		sh.mu.Unlock()

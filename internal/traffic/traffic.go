@@ -114,7 +114,8 @@ func (c Closure) active(t time.Time) bool {
 
 // Network is a deterministic city traffic simulator.
 type Network struct {
-	Segments  []Segment
+	Segments  []Segment    // fixed once built: mids and byID index into it
+	mids      []geo.LatLon // Segments[i].Midpoint(), computed once
 	incidents []Incident
 	closures  []Closure
 	seed      int64
@@ -124,8 +125,10 @@ type Network struct {
 // NewNetwork builds a simulator over the given segments.
 func NewNetwork(segments []Segment, seed int64) *Network {
 	n := &Network{Segments: segments, seed: seed, byID: make(map[string]*Segment, len(segments))}
+	n.mids = make([]geo.LatLon, len(segments))
 	for i := range n.Segments {
 		s := &n.Segments[i]
+		n.mids[i] = s.Midpoint()
 		if s.FreeFlowKmh == 0 {
 			s.FreeFlowKmh = defaultFreeFlow(s.Class)
 		}
@@ -320,9 +323,8 @@ func (n *Network) CityJamFactor(t time.Time) float64 {
 func (n *Network) FlowNear(p geo.LatLon, radius float64, t time.Time) float64 {
 	var total float64
 	for i := range n.Segments {
-		s := &n.Segments[i]
-		if geo.Distance(s.Midpoint(), p) <= radius {
-			if obs, err := n.At(s.ID, t); err == nil {
+		if geo.Distance(n.mids[i], p) <= radius {
+			if obs, err := n.At(n.Segments[i].ID, t); err == nil {
 				total += obs.FlowVPH
 			}
 		}

@@ -1,8 +1,8 @@
 package tsdb
 
 // Batch ingestion: the HTTP gateway accepts whole JSON arrays of data
-// points per request, so the store offers an append path that
-// resolves every point to its interned series up front, commits the
+// points per request and resolves every point to its interned series
+// at the edge, so the store offers an append path that commits the
 // whole batch to the WAL with one lock acquisition and one buffered
 // write, groups inserts by shard so each shard lock is taken once,
 // and fans the stored batch out to observers with a single call.
@@ -22,51 +22,10 @@ func (e PointError) Error() string {
 	return fmt.Sprintf("tsdb: point %d: %v", e.Index, e.Err)
 }
 
-// BatchResult summarises an AppendBatch call.
+// BatchResult summarises an AppendRefs call.
 type BatchResult struct {
 	Stored int
 	Errors []PointError
-}
-
-// AppendBatch stores every valid point of the batch and reports the
-// invalid ones, OpenTSDB /api/put-style: one bad point does not reject
-// its neighbours.
-func (db *DB) AppendBatch(dps []DataPoint) BatchResult {
-	return db.appendBatch(dps, true)
-}
-
-// AppendBatchValidated is AppendBatch minus the per-point timestamp
-// check, for callers that already validated every point (the HTTP
-// gateway validates at the edge so it can answer synchronously).
-// Series-shaped validation still happens, once per new series, inside
-// Intern.
-func (db *DB) AppendBatchValidated(dps []DataPoint) BatchResult {
-	return db.appendBatch(dps, false)
-}
-
-func (db *DB) appendBatch(dps []DataPoint, validate bool) BatchResult {
-	var res BatchResult
-	rps := make([]RefPoint, 0, len(dps))
-	idxs := make([]int, 0, len(dps)) // original index per surviving point
-	for i := range dps {
-		if validate && (dps[i].Timestamp < minTS || dps[i].Timestamp > maxTS) {
-			res.Errors = append(res.Errors, PointError{Index: i, Err: fmt.Errorf("%w: %d", ErrBadTimestamp, dps[i].Timestamp)})
-			continue
-		}
-		ref, err := db.Intern(dps[i].Metric, dps[i].Tags)
-		if err != nil {
-			res.Errors = append(res.Errors, PointError{Index: i, Err: err})
-			continue
-		}
-		rps = append(rps, RefPoint{Ref: ref, Point: dps[i].Point})
-		idxs = append(idxs, i)
-	}
-	sub := db.AppendRefs(rps)
-	res.Stored = sub.Stored
-	for _, pe := range sub.Errors {
-		res.Errors = append(res.Errors, PointError{Index: idxs[pe.Index], Err: pe.Err})
-	}
-	return res
 }
 
 // AppendRefs stores a batch of points on interned series — the
@@ -225,21 +184,6 @@ func (db *DB) AddBatchObserver(fn func([]RefPoint)) (remove func()) {
 	}
 }
 
-// AddObserver registers a per-point callback for every point stored
-// through Put, PutBatch, AppendBatch or AppendRefs. It adapts onto the
-// batch feed: per-batch observers (AddBatchObserver) are the
-// efficient form; this one exists for subscribers that genuinely want
-// single points, like the SSE stream hub. The DataPoint's tag map is
-// the interned canonical map — read-only. It returns a function that
-// removes the registration.
-func (db *DB) AddObserver(fn func(DataPoint)) (remove func()) {
-	return db.AddBatchObserver(func(rps []RefPoint) {
-		for _, rp := range rps {
-			fn(DataPoint{Metric: rp.Ref.metric, Tags: rp.Ref.tags, Point: rp.Point})
-		}
-	})
-}
-
 func (db *DB) addEntryLocked(e *observerEntry) {
 	var cur []*observerEntry
 	if p := db.observers.Load(); p != nil {
@@ -267,26 +211,4 @@ func (db *DB) removeEntryLocked(e *observerEntry) {
 		return
 	}
 	db.observers.Store(&next)
-}
-
-// SetObserver installs fn in a dedicated single-observer slot,
-// replacing whatever that slot held; nil clears it. Kept for callers
-// that only ever need one observer — AddObserver is the general form
-// and the two compose.
-func (db *DB) SetObserver(fn func(DataPoint)) {
-	db.obsMu.Lock()
-	defer db.obsMu.Unlock()
-	if db.legacyObs != nil {
-		db.legacyObs()
-		db.legacyObs = nil
-	}
-	if fn != nil {
-		e := &observerEntry{fn: func(rps []RefPoint) {
-			for _, rp := range rps {
-				fn(DataPoint{Metric: rp.Ref.metric, Tags: rp.Ref.tags, Point: rp.Point})
-			}
-		}}
-		db.addEntryLocked(e)
-		db.legacyObs = func() { db.removeEntryLocked(e) }
-	}
 }

@@ -128,6 +128,12 @@ func percentile(vals []float64, p float64, sc *execScratch) float64 {
 		s = append([]float64(nil), vals...)
 	}
 	sort.Float64s(s)
+	return PercentileSorted(s, p)
+}
+
+// PercentileSorted is the linearly-interpolated p-quantile of a non-empty
+// ascending slice: the percentile aggregators minus their copy and sort.
+func PercentileSorted(s []float64, p float64) float64 {
 	if len(s) == 1 {
 		return s[0]
 	}

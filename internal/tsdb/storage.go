@@ -35,7 +35,6 @@ type DB struct {
 	// without taking a lock. obsMu serialises registration only.
 	obsMu     sync.Mutex
 	observers atomic.Pointer[[]*observerEntry]
-	legacyObs func() // remove func for the SetObserver slot
 
 	// planner, when installed, serves downsampled per-series reads
 	// from pre-aggregated rollup tiers instead of raw block scans.
@@ -338,16 +337,6 @@ func (db *DB) PutRef(rp RefPoint) error {
 	}
 	if db.observers.Load() != nil {
 		db.notifyObserversOne(rp)
-	}
-	return nil
-}
-
-// PutBatch stores multiple points, stopping at the first invalid one.
-func (db *DB) PutBatch(dps []DataPoint) error {
-	for _, dp := range dps {
-		if err := db.Put(dp); err != nil {
-			return err
-		}
 	}
 	return nil
 }

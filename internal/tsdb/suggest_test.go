@@ -54,7 +54,10 @@ func TestSuggestIndexes(t *testing.T) {
 	}
 }
 
-func TestAppendBatchPartial(t *testing.T) {
+// TestInternRejectsInvalidSeries: a batch is built by interning each
+// point's series, so one bad series costs its own points and nothing
+// else — no ref, no registered series, its neighbours stored.
+func TestInternRejectsInvalidSeries(t *testing.T) {
 	db, err := Open("")
 	if err != nil {
 		t.Fatal(err)
@@ -66,21 +69,22 @@ func TestAppendBatchPartial(t *testing.T) {
 		dp("air.co2", "node-01", 2000, 410),
 		{Metric: "bad metric!", Tags: map[string]string{"a": "b"}, Point: Point{Timestamp: 1002}},
 	}
-	res := db.AppendBatch(batch)
-	if res.Stored != 2 {
-		t.Errorf("Stored = %d, want 2", res.Stored)
+	wantErr := []error{nil, ErrEmptyMetric, nil, ErrBadMetricChar}
+	var rps []RefPoint
+	for i, p := range batch {
+		ref, err := db.Intern(p.Metric, p.Tags)
+		if !errors.Is(err, wantErr[i]) {
+			t.Errorf("point %d: Intern error %v, want %v", i, err, wantErr[i])
+		}
+		if err == nil {
+			rps = append(rps, RefPoint{Ref: ref, Point: p.Point})
+		}
 	}
-	if len(res.Errors) != 2 {
-		t.Fatalf("Errors = %v, want 2 entries", res.Errors)
+	if res := db.AppendRefs(rps); res.Stored != 2 || len(res.Errors) != 0 {
+		t.Errorf("AppendRefs = %+v, want 2 stored", res)
 	}
-	if res.Errors[0].Index != 1 || !errors.Is(res.Errors[0].Err, ErrEmptyMetric) {
-		t.Errorf("Errors[0] = %+v, want index 1 ErrEmptyMetric", res.Errors[0])
-	}
-	if res.Errors[1].Index != 3 || !errors.Is(res.Errors[1].Err, ErrBadMetricChar) {
-		t.Errorf("Errors[1] = %+v, want index 3 ErrBadMetricChar", res.Errors[1])
-	}
-	if got := db.PointCount(); got != 2 {
-		t.Errorf("PointCount = %d, want 2", got)
+	if got, series := db.PointCount(), db.SeriesCount(); got != 2 || series != 1 {
+		t.Errorf("PointCount = %d, SeriesCount = %d, want 2 and 1", got, series)
 	}
 }
 
@@ -90,16 +94,20 @@ func TestObserverSeesAllWritePaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	var seen []DataPoint
-	db.SetObserver(func(p DataPoint) { seen = append(seen, p) })
+	var seen []RefPoint
+	remove := db.AddBatchObserver(func(rps []RefPoint) { seen = append(seen, rps...) })
 	if err := db.Put(dp("air.co2", "node-01", 1000, 400)); err != nil {
 		t.Fatal(err)
 	}
-	db.AppendBatch([]DataPoint{dp("air.co2", "node-01", 2000, 410)})
+	ref, err := db.Intern("air.co2", dp("air.co2", "node-01", 0, 0).Tags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.AppendRefs([]RefPoint{{Ref: ref, Point: Point{Timestamp: 2000, Value: 410}}})
 	if len(seen) != 2 {
 		t.Fatalf("observer saw %d points, want 2", len(seen))
 	}
-	db.SetObserver(nil)
+	remove()
 	if err := db.Put(dp("air.co2", "node-01", 3000, 420)); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -565,15 +566,20 @@ func TestWALCorruptMiddleStopsCleanly(t *testing.T) {
 	}
 }
 
-func TestPutBatch(t *testing.T) {
+func TestPutRejectsInvalid(t *testing.T) {
 	db := mustOpen(t)
-	batch := []DataPoint{pt("m.b", "n1", 0, 1), pt("m.b", "n1", 1, 2)}
-	if err := db.PutBatch(batch); err != nil {
-		t.Fatal(err)
+	for _, dp := range []DataPoint{pt("m.b", "n1", 0, 1), pt("m.b", "n1", 1, 2)} {
+		if err := db.Put(dp); err != nil {
+			t.Fatal(err)
+		}
 	}
-	bad := []DataPoint{{Metric: "", Tags: map[string]string{"a": "b"}}}
-	if err := db.PutBatch(bad); err == nil {
-		t.Fatal("invalid batch should fail")
+	if err := db.Put(DataPoint{Metric: "", Tags: map[string]string{"a": "b"}}); !errors.Is(err, ErrEmptyMetric) {
+		t.Fatalf("empty metric: %v", err)
+	}
+	late := pt("m.b", "n1", 2, 3)
+	late.Timestamp = maxTS + 1
+	if err := db.Put(late); !errors.Is(err, ErrBadTimestamp) {
+		t.Fatalf("timestamp past range: %v", err)
 	}
 	if db.PointCount() != 2 {
 		t.Fatalf("PointCount = %d", db.PointCount())
