@@ -168,6 +168,9 @@ func BenchmarkGatewayQuery(b *testing.B) {
 		{"ColdGroupByDownsample", api.Config{CacheSize: -1}, groupByHourly},
 		{"Cached", api.Config{CacheSize: 128, CacheAlign: time.Hour}, groupByHourly},
 		{"ColdNetworkMean", api.Config{CacheSize: -1}, "/api/query?start=1d-ago&m=avg:air.no2"},
+		// No downsample: every stored reading of every sensor is decoded
+		// and encoded — the answer whose cost is the encoder's.
+		{"ColdRawGroupBy", api.Config{CacheSize: -1}, "/api/query?start=3d-ago&m=avg:air.co2{sensor=*}"},
 		// Server-side selection on the streamed path: only the 5 highest-
 		// mean sensors are serialized, however many the pilot deployed.
 		{"ColdTopK", api.Config{CacheSize: -1}, "/api/query?start=3d-ago&m=topk(5,avg:1h-avg:air.co2{sensor=*})"},

@@ -77,11 +77,15 @@
 // sealed blocks decode directly into the downsample fold and the
 // k-way interpolating cross-series merge, with one per-query scratch
 // buffer replacing per-bucket percentile sort copies. ExecuteStream
-// reduces result groups concurrently on a bounded worker pool while
-// delivering them in deterministic group-key order, and topk/bottomk
-// candidates are ranked by folding member cursors (served from rollup
-// tier statistics when a tier covers the range) so only the K winners
-// ever materialize. CI enforces a bench-regression gate: gateway,
+// reduces result groups one after another in deterministic group-key
+// order on the caller's goroutine, and topk/bottomk candidates are
+// ranked by folding member cursors (served from rollup tier
+// statistics when a tier covers the range and is shorter than the raw
+// series) so only the K winners ever materialize. The gateway appends
+// each result series to one pooled response buffer — three-decimal
+// readings without strconv's digit search — and pushes it to the
+// socket after the first series and then on a 32 KiB / 50 ms
+// threshold. CI enforces a bench-regression gate: gateway,
 // tsdb, lineproto and obs benchmark medians (ns/op and allocs/op) are
 // compared against ci/bench_baseline.json (see ci/benchcmp) and a
 // >30% slowdown fails the build; that baseline is the one committed
@@ -94,7 +98,7 @@
 // histograms in Prometheus exposition format) plus a pooled span
 // tracer threaded through both hot paths — query execution (parse →
 // series match → block decode / head scan → k-way merge → downsample
-// fold → parallel group reduce → serialize → flush) and ingest
+// fold → group reduce → serialize → wire → flush) and ingest
 // (decode → enqueue → WAL append/fsync → shard insert → observer
 // fan-out). The gateway surfaces it as /metrics stage histograms, a
 // structured slow-query log with the full span tree (-slow-query,

@@ -1,16 +1,18 @@
 package api
 
-// Streaming result encoding for /api/query: result series are written
-// to the client one at a time as the store yields them — chunked JSON
-// array by default, NDJSON (one series object per line) when the
-// client sends Accept: application/x-ndjson — with gzip composing on
-// top for clients that advertise it. The response is flushed after
-// every series, so the first bytes reach the client while the scan is
-// still running and no full result body is ever resident. While
-// streaming, the plain encoded bytes are teed into a bounded buffer;
-// a stream that completes under the cache's entry cap is inserted
-// into the query cache, so the next aligned poll is a plain cached
-// write.
+// Streaming result encoding for /api/query: result series are encoded
+// as the store yields them — JSON array by default, NDJSON (one series
+// object per line) when the client sends Accept: application/x-ndjson
+// — with gzip composing on top for clients that advertise it. Every
+// series is appended straight into one pooled buffer, which is pushed
+// to the client after the first series (so the first bytes reach the
+// wire while the scan is still running) and from then on whenever
+// flushBytes are pending or flushEvery has passed, not per series: a
+// push is a chunk write, a syscall and, under gzip, a deflate sync
+// flush. While the answer fits the cache's entry cap the buffer keeps
+// the whole plain body, and a stream that completes under it is copied
+// once into the query cache, so the next aligned poll is a plain cached
+// write; past the cap the buffer holds only what is pending.
 
 import (
 	"bytes"
@@ -22,6 +24,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // Media types the query path serves.
@@ -92,25 +97,64 @@ func gzipBytes(body []byte) []byte {
 	return buf.Bytes()
 }
 
+// The push policy: the first series goes out at once; after that the
+// encoder pushes at a series boundary once flushBytes are pending or
+// flushEvery has passed since the last push.
+const (
+	flushBytes = 32 << 10
+	flushEvery = 50 * time.Millisecond
+)
+
+// responseBuffers recycles the buffers answers are encoded into. One
+// grows to the largest body it has held — at most the cache's entry cap
+// plus one push, unless a single series is larger, and a buffer that
+// has held one of those is not kept. A plain sync.Pool, so the
+// collector reclaims idle ones.
+var responseBuffers = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBuffer = 2 * maxCacheBody
+
 // streamEncoder writes query results incrementally. It is not safe
 // for concurrent use; one request owns one encoder.
 type streamEncoder struct {
 	http  http.ResponseWriter
 	flush http.Flusher // nil when the writer cannot flush
 	gzip  *gzip.Writer // nil for identity responses
-	tee   *cappedBuffer
+
+	// buf is the buffer every series is appended into; pooled is the
+	// responseBuffers slot it came from and returns to. While keep
+	// holds, buf is the whole plain body so far — what the cache will
+	// store — and sent marks how much of it has been pushed; once the
+	// body has outgrown the cache's entry cap (or with the cache off)
+	// each push empties it.
+	buf      []byte
+	pooled   *[]byte
+	sent     int
+	keep     bool
+	lastPush time.Time
+
+	// serialize times encoding alone, wire the pushes (write + flush,
+	// gzip included); both are inert without a trace.
+	serialize, wire *obs.Stage
 
 	ndjson  bool
-	started bool // response headers + array opener written
-	n       int  // series written so far
+	started bool // bytes have reached the ResponseWriter
+	n       int  // series encoded so far
 }
 
-// newStreamEncoder builds an encoder for one request. Headers are not
-// written until the first series (or finish), so callers can still
-// answer 4xx for errors caught before any data is produced. The caller
-// must release the encoder on every exit path.
-func newStreamEncoder(w http.ResponseWriter, cacheStatus string, ndjson, gz bool) *streamEncoder {
-	e := &streamEncoder{http: w, ndjson: ndjson, tee: &cappedBuffer{cap: maxCacheBody}}
+// newStreamEncoder builds an encoder for one request. Nothing reaches
+// w until the first series (or finish), so callers can still answer
+// 4xx/5xx for errors caught before any data is produced. cacheable
+// says whether a completed body has a cache to go to. The caller must
+// release the encoder on every exit path.
+func newStreamEncoder(w http.ResponseWriter, tr *obs.Trace, cacheStatus string, ndjson, gz, cacheable bool) *streamEncoder {
+	e := &streamEncoder{http: w, ndjson: ndjson, keep: cacheable,
+		serialize: tr.Stage("serialize"), wire: tr.Stage("wire")}
+	e.pooled = responseBuffers.Get().(*[]byte)
+	e.buf = (*e.pooled)[:0]
+	if !ndjson {
+		e.buf = append(e.buf, '[')
+	}
 	setQueryHeaders(w.Header(), cacheStatus, ndjson, gz)
 	if f, ok := w.(http.Flusher); ok {
 		e.flush = f
@@ -135,76 +179,76 @@ func setQueryHeaders(h http.Header, cacheStatus string, ndjson, gz bool) {
 	}
 }
 
-// release gives the gzip writer back to the pool. The handler defers
-// it, so it runs after finish, abort, a mid-stream error and a panic
-// alike; the encoder must not be used afterwards.
+// release gives the gzip writer and the buffer back to their pools.
+// The handler defers it, so it runs after finish, abort, a mid-stream
+// error and a panic alike; the encoder must not be used afterwards.
 func (e *streamEncoder) release() {
 	if e.gzip != nil {
 		putGzipWriter(e.gzip)
 		e.gzip = nil
 	}
+	if e.pooled != nil {
+		if cap(e.buf) <= maxPooledBuffer {
+			*e.pooled = e.buf[:0]
+			responseBuffers.Put(e.pooled)
+		}
+		e.pooled, e.buf = nil, nil
+	}
 }
 
-// write sends bytes to the client and the cache tee.
-func (e *streamEncoder) write(p []byte) error {
-	e.tee.Write(p)
-	var err error
-	if e.gzip != nil {
-		_, err = e.gzip.Write(p)
-	} else {
-		_, err = e.http.Write(p)
+// series encodes one result series; now is the caller's clock reading
+// at the series boundary, which the push policy is checked against. A
+// series that cannot be encoded leaves no byte behind.
+func (e *streamEncoder) series(qr queryResult, now time.Time) error {
+	mark := len(e.buf)
+	if e.n > 0 && !e.ndjson {
+		e.buf = append(e.buf, ',')
 	}
-	return err
-}
-
-// begin writes the response preamble. JSON array framing opens the
-// array; NDJSON has no preamble.
-func (e *streamEncoder) begin() error {
-	if e.started {
-		return nil
-	}
-	e.started = true
-	if !e.ndjson {
-		return e.write([]byte{'['})
-	}
-	return nil
-}
-
-// series encodes one result series and flushes it to the client.
-func (e *streamEncoder) series(qr queryResult) error {
-	if err := e.begin(); err != nil {
-		return err
-	}
-	// Call the marshaler directly: json.Marshal would re-parse the
-	// output to compact it, doubling the encoding cost for nothing.
-	body, err := qr.MarshalJSON()
+	buf, err := qr.appendJSON(e.buf)
 	if err != nil {
+		e.buf = e.buf[:mark]
 		return err
 	}
 	if e.ndjson {
-		body = append(body, '\n')
-	} else if e.n > 0 {
-		if err := e.write([]byte{','}); err != nil {
-			return err
-		}
+		buf = append(buf, '\n')
 	}
-	if err := e.write(body); err != nil {
-		return err
-	}
+	e.buf = buf
 	e.n++
-	e.flushNow()
-	return nil
+	encoded := time.Now()
+	e.serialize.Add(encoded.Sub(now))
+	if e.n > 1 && len(e.buf)-e.sent < flushBytes && now.Sub(e.lastPush) < flushEvery {
+		return nil
+	}
+	e.lastPush = now
+	err = e.push(false)
+	e.wire.Add(time.Since(encoded))
+	return err
 }
 
-// flushNow pushes buffered bytes to the wire so the client sees the
-// series before the scan finishes.
-func (e *streamEncoder) flushNow() {
-	if e.gzip != nil {
-		e.gzip.Flush()
+// push sends the pending bytes to the client — through the gzip
+// stream, sync-flushed (closed, when final) so they are decodable on
+// arrival — and flushes the connection.
+func (e *streamEncoder) push(final bool) error {
+	var err error
+	if e.gzip == nil {
+		_, err = e.http.Write(e.buf[e.sent:])
+	} else if _, err = e.gzip.Write(e.buf[e.sent:]); err == nil {
+		if final {
+			err = e.gzip.Close()
+		} else {
+			err = e.gzip.Flush()
+		}
 	}
 	if e.flush != nil {
 		e.flush.Flush()
 	}
+	e.started = true
+	if e.keep = e.keep && len(e.buf) <= maxCacheBody; e.keep {
+		e.sent = len(e.buf)
+	} else {
+		e.buf, e.sent = e.buf[:0], 0
+	}
+	return err
 }
 
 // finish completes the stream. A non-nil streamErr means the store
@@ -212,9 +256,9 @@ func (e *streamEncoder) flushNow() {
 // the wire, so the encoder appends an explicit truncation marker —
 // a final {"error": ...} element (JSON array) or line (NDJSON) —
 // instead of ending cleanly, and the result is not cacheable. It
-// returns the plain encoded body and whether it may be cached.
+// returns the plain encoded body, an exact-size copy the caller owns,
+// when it may be cached.
 func (e *streamEncoder) finish(streamErr error) (body []byte, cacheable bool) {
-	e.begin()
 	if streamErr != nil {
 		marker, _ := json.Marshal(map[string]any{
 			"error": map[string]any{
@@ -222,52 +266,34 @@ func (e *streamEncoder) finish(streamErr error) (body []byte, cacheable bool) {
 				"message": fmt.Sprintf("result truncated: %v", streamErr),
 			},
 		})
-		if e.ndjson {
-			marker = append(marker, '\n')
-		} else if e.n > 0 {
-			e.write([]byte{','})
+		if e.n > 0 && !e.ndjson {
+			e.buf = append(e.buf, ',')
 		}
-		e.write(marker)
+		e.buf = append(e.buf, marker...)
+		if e.ndjson {
+			e.buf = append(e.buf, '\n')
+		}
 	}
 	if !e.ndjson {
-		e.write([]byte{']'})
+		e.buf = append(e.buf, ']')
 	}
-	if e.gzip != nil {
-		e.gzip.Close()
+	t0 := time.Now()
+	e.push(true)
+	e.wire.Add(time.Since(t0))
+	if streamErr != nil || !e.keep {
+		return nil, false
 	}
-	e.flushNow()
-	return e.tee.Bytes(), streamErr == nil && !e.tee.overflowed
+	body = make([]byte, len(e.buf))
+	copy(body, e.buf)
+	return body, true
 }
 
-// abort cancels a stream no byte of which has been written, clearing
-// the streaming headers so the caller can still send a plain error
-// response. Must not be called after the first series.
+// abort cancels a stream no byte of which has reached the client,
+// clearing the streaming headers so the caller can still send a plain
+// error response. Must not be called once started is set.
 func (e *streamEncoder) abort() {
 	h := e.http.Header()
 	h.Del("Content-Encoding")
 	h.Del("X-Cache")
 	h.Del("Content-Type")
 }
-
-// cappedBuffer accumulates writes up to cap bytes; one byte more and
-// it discards everything and stops buffering — the stream stays
-// cheap, the entry just isn't cached.
-type cappedBuffer struct {
-	cap        int
-	buf        []byte
-	overflowed bool
-}
-
-func (b *cappedBuffer) Write(p []byte) (int, error) {
-	if !b.overflowed {
-		if len(b.buf)+len(p) > b.cap {
-			b.overflowed = true
-			b.buf = nil
-		} else {
-			b.buf = append(b.buf, p...)
-		}
-	}
-	return len(p), nil
-}
-
-func (b *cappedBuffer) Bytes() []byte { return b.buf }

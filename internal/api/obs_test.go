@@ -401,7 +401,7 @@ func TestSlowQueryLog(t *testing.T) {
 	// The span tree must name the pipeline stages end to end.
 	for _, stage := range []string{
 		"parse", "scan", "match_series", "member_prime",
-		"group_reduce", "serialize",
+		"group_reduce", "serialize", "wire",
 	} {
 		if !strings.Contains(line, stage) {
 			t.Errorf("slow-query line missing stage %q: %s", stage, line)

@@ -18,10 +18,12 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/obs"
 	"repro/internal/tsdb"
@@ -60,27 +62,36 @@ type queryResult struct {
 	Points []tsdb.Point
 }
 
-// MarshalJSON renders the OpenTSDB wire shape. Duplicate timestamps
-// keep the last value, matching the old map semantics.
+// MarshalJSON renders the OpenTSDB wire shape; the streaming encoder
+// calls appendJSON directly.
 func (qr queryResult) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 64+len(qr.Points)*24)
+	return qr.appendJSON(make([]byte, 0, 64+len(qr.Points)*24))
+}
+
+// appendJSON appends the OpenTSDB wire shape to b, byte for byte what
+// encoding/json renders for the equivalent struct of string, sorted
+// map and timestamp-keyed object: {"metric":…,"tags":{…},"dps":{…}}.
+// Duplicate timestamps keep the last value, matching the old map
+// semantics. It allocates nothing once b has room.
+func (qr queryResult) appendJSON(b []byte) ([]byte, error) {
 	b = append(b, `{"metric":`...)
-	mb, err := json.Marshal(qr.Metric)
-	if err != nil {
-		return nil, err
+	b = appendJSONString(b, qr.Metric)
+	b = append(b, `,"tags":{`...)
+	var arr [8]string
+	keys := arr[:0]
+	for k := range qr.Tags {
+		keys = append(keys, k)
 	}
-	b = append(b, mb...)
-	b = append(b, `,"tags":`...)
-	tags := qr.Tags
-	if tags == nil {
-		tags = map[string]string{}
+	slices.Sort(keys)
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, k)
+		b = append(b, ':')
+		b = appendJSONString(b, qr.Tags[k])
 	}
-	tb, err := json.Marshal(tags)
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, tb...)
-	b = append(b, `,"dps":{`...)
+	b = append(b, `},"dps":{`...)
 	first := true
 	for i, p := range qr.Points {
 		if i+1 < len(qr.Points) && qr.Points[i+1].Timestamp == p.Timestamp {
@@ -93,24 +104,62 @@ func (qr queryResult) MarshalJSON() ([]byte, error) {
 		b = append(b, '"')
 		b = strconv.AppendInt(b, p.Timestamp, 10)
 		b = append(b, '"', ':')
-		b, err = appendJSONFloat(b, p.Value)
-		if err != nil {
+		var err error
+		if b, err = appendJSONFloat(b, p.Value); err != nil {
 			return nil, err
 		}
 	}
-	b = append(b, '}', '}')
-	return b, nil
+	return append(b, '}', '}'), nil
+}
+
+// appendJSONString appends s as encoding/json renders a string. Series
+// names are validated at ingest to a plain ASCII alphabet, which is
+// quoted as is; anything that needs escaping takes the library's path.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // appendJSONFloat appends a float the way encoding/json renders
-// float64 values ('f' format, switching to exponent form outside
-// [1e-6, 1e21) and trimming the two-digit exponent's leading zero),
-// so streamed bodies stay byte-compatible with reflective marshaling.
+// float64 values (shortest round-trip digits in 'f' format, switching
+// to exponent form outside [1e-6, 1e21) and trimming the two-digit
+// exponent's leading zero), so streamed bodies stay byte-compatible
+// with reflective marshaling.
+//
+// Sensor readings are decimals of at most three places, and for those
+// the shortest form needs no search: when f is exactly the double
+// nearest r/1000 for an integer r below 1e15, the at most 15
+// significant digits of r/1000 are the only decimal that short to
+// round-trip to f, hence what strconv's shortest formatter prints —
+// r with a point three from the right, trailing zeros cut. Everything
+// else (−0, which prints its sign; values under 1e-3, whose digits sit
+// further right) goes through strconv.
 func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return nil, fmt.Errorf("unsupported value: %v", f)
 	}
 	abs := math.Abs(f)
+	if r := math.Round(abs * 1000); r < 1e15 && r/1000 == abs && (abs >= 1e-3 || (f == 0 && !math.Signbit(f))) {
+		if f < 0 {
+			b = append(b, '-')
+		}
+		u := uint64(r)
+		b = strconv.AppendUint(b, u/1000, 10)
+		if frac := u % 1000; frac != 0 {
+			b = append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+			for b[len(b)-1] == '0' {
+				b = b[:len(b)-1]
+			}
+		}
+		return b, nil
+	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -202,9 +251,10 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Cache miss: stream series to the client as the store yields
-	// them. The encoder flushes after every series, tees the plain
-	// bytes for the cache, and — if the store fails mid-scan, after a
-	// 200 is already on the wire — ends the stream with an explicit
+	// them. The encoder pushes the first series at once and the rest on
+	// a byte or time threshold, keeps the plain body for the cache
+	// while it fits an entry, and — if the store fails mid-scan, after
+	// a 200 is already on the wire — ends the stream with an explicit
 	// truncation marker instead of a silently short result.
 	//
 	// Register the fill before the first store read: a write landing
@@ -218,18 +268,14 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	fill := g.cache.beginFill(start, end, metrics)
 	defer g.cache.endFill(fill)
 	scan := tr.StartSpan("scan")
-	serialize := tr.Stage("serialize")
-	enc := newStreamEncoder(w, "miss", ndjson, gz)
+	enc := newStreamEncoder(w, tr, "miss", ndjson, gz, fill != nil)
 	defer enc.release()
 	var streamErr error
 	for _, q := range queries {
 		if streamErr = g.exec(q, func(rs tsdb.ResultSeries) error {
 			st.series++
 			st.points += len(rs.Points)
-			t0 := time.Now()
-			err := enc.series(toQueryResult(rs))
-			serialize.Add(time.Since(t0))
-			return err
+			return enc.series(toQueryResult(rs), time.Now())
 		}); streamErr != nil {
 			break
 		}
@@ -238,8 +284,9 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if streamErr != nil {
 		g.queryErrs.Add(1)
 		if !enc.started {
-			// Nothing on the wire yet: a clean error status is still
-			// possible.
+			// Nothing has reached the client yet (the scan failed, or
+			// the first series could not be encoded): a clean error
+			// status is still possible.
 			enc.abort()
 			httpError(w, http.StatusInternalServerError, "%v", streamErr)
 			return

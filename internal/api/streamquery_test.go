@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -232,7 +233,7 @@ func TestQueryNDJSONGzip(t *testing.T) {
 }
 
 // flushRecorder records the body length at every Flush — how the
-// first-byte test observes bytes reaching the wire mid-scan.
+// push-policy test observes bytes reaching the wire mid-scan.
 type flushRecorder struct {
 	*httptest.ResponseRecorder
 	flushLens []int
@@ -240,66 +241,113 @@ type flushRecorder struct {
 
 func (f *flushRecorder) Flush() { f.flushLens = append(f.flushLens, f.Body.Len()) }
 
-// TestQueryStreamsBeforeScanCompletes: with a store scan that keeps
-// yielding after the first series, the response writer must already
-// have flushed the first series' bytes — first byte beats scan end.
+// TestQueryStreamsBeforeScanCompletes pins the push policy: the first
+// series is on the wire before the scan produces the second — first
+// byte beats scan end — and after that the encoder pushes on a byte or
+// time threshold, not per series.
 func TestQueryStreamsBeforeScanCompletes(t *testing.T) {
 	_, g, _ := newStreamTestGateway(t, Config{CacheSize: -1})
 
-	mkSeries := func(i int) tsdb.ResultSeries {
-		return tsdb.ResultSeries{
-			Metric: "air.co2",
-			Tags:   map[string]string{"sensor": fmt.Sprintf("f%d", i)},
-			Points: []tsdb.Point{{Timestamp: int64(i) * 1000, Value: float64(i)}},
+	mkSeries := func(i, points int) tsdb.ResultSeries {
+		rs := tsdb.ResultSeries{Metric: "air.co2", Tags: map[string]string{"sensor": fmt.Sprintf("f%d", i)}}
+		for j := 0; j < points; j++ {
+			rs.Points = append(rs.Points, tsdb.Point{Timestamp: int64(i*points+j) * 1000, Value: float64(i) + 0.125})
 		}
+		return rs
 	}
-	// flushedAtYield[i] = bytes already flushed to the recorder when
-	// series i was produced by the (still running) scan.
-	var flushedAtYield []int
-	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
-	g.exec = func(q tsdb.Query, yield func(tsdb.ResultSeries) error) error {
-		for i := 0; i < 3; i++ {
-			flushed := 0
-			if n := len(rec.flushLens); n > 0 {
-				flushed = rec.flushLens[n-1]
+	// run answers one query whose scan yields n series of the given
+	// size; flushedAtYield[i] is how many bytes had been flushed to the
+	// recorder when series i was produced by the (still running) scan.
+	run := func(n, points int) (rec *flushRecorder, flushedAtYield []int) {
+		t.Helper()
+		rec = &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+		g.exec = func(q tsdb.Query, yield func(tsdb.ResultSeries) error) error {
+			for i := 0; i < n; i++ {
+				flushed := 0
+				if k := len(rec.flushLens); k > 0 {
+					flushed = rec.flushLens[k-1]
+				}
+				flushedAtYield = append(flushedAtYield, flushed)
+				if err := yield(mkSeries(i, points)); err != nil {
+					return err
+				}
 			}
-			flushedAtYield = append(flushedAtYield, flushed)
-			if err := yield(mkSeries(i)); err != nil {
-				return err
-			}
+			return nil
 		}
-		return nil
+		g.handleQuery(rec, httptest.NewRequest(http.MethodGet, wideQuery, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d", rec.Code)
+		}
+		var out []wireResult
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || len(out) != n {
+			t.Fatalf("final body invalid: %v (%d series, want %d)", err, len(out), n)
+		}
+		return rec, flushedAtYield
 	}
 
-	req := httptest.NewRequest(http.MethodGet, wideQuery, nil)
-	g.handleQuery(rec, req)
+	// Three tiny series: the first is flushed, alone, before the second
+	// is produced; the other two ride out with the end of the stream.
+	rec, at := run(3, 1)
+	if at[1] == 0 || at[1] >= rec.Body.Len() {
+		t.Fatalf("second yield saw %d flushed bytes of %d total; first series not on the wire first", at[1], rec.Body.Len())
+	}
+	if at[2] != at[1] {
+		t.Fatalf("a tiny second series was pushed on its own: flushed %v", at)
+	}
+	if len(rec.flushLens) >= 3 {
+		t.Fatalf("%d pushes for 3 tiny series, want fewer than one a series", len(rec.flushLens))
+	}
 
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
+	// A body well past flushBytes: more than one push before the end,
+	// each but the first carrying at least the threshold, and still
+	// fewer pushes than series.
+	const n = 60
+	rec, _ = run(n, 150)
+	if rec.Body.Len() < 4*flushBytes {
+		t.Fatalf("test body only %d bytes; raise the series size", rec.Body.Len())
 	}
-	total := rec.Body.Len()
-	if len(rec.flushLens) < 3 {
-		t.Fatalf("only %d flushes for 3 series", len(rec.flushLens))
+	mid := rec.flushLens[:len(rec.flushLens)-1]
+	if len(mid) < 3 || len(rec.flushLens) >= n {
+		t.Fatalf("%d pushes for %d series over %d bytes; want several, fewer than one a series", len(rec.flushLens), n, rec.Body.Len())
 	}
-	// When the scan produced series 2 and 3, earlier series' bytes
-	// must already have been flushed — and be strictly less than the
-	// final body, i.e. the response was genuinely incremental.
-	if flushedAtYield[1] == 0 || flushedAtYield[1] >= total {
-		t.Fatalf("second yield saw %d flushed bytes of %d total; stream not incremental", flushedAtYield[1], total)
+	for i := 1; i < len(mid); i++ {
+		if d := mid[i] - mid[i-1]; d < flushBytes {
+			t.Fatalf("push %d carried %d bytes, under the %d-byte threshold: %v", i, d, flushBytes, rec.flushLens)
+		}
 	}
-	if flushedAtYield[2] <= flushedAtYield[1] {
-		t.Fatalf("flushed bytes did not grow per series: %v", flushedAtYield)
-	}
-	var out []wireResult
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || len(out) != 3 {
-		t.Fatalf("final body invalid: %v (%d series)", err, len(out))
+
+	// A slow scan: small series trickling in are pushed once flushEvery
+	// has passed since the last push, however few bytes are pending.
+	// The clock is the one series takes as an argument.
+	rec = &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+	enc := newStreamEncoder(rec, nil, "miss", false, false, false)
+	defer enc.release()
+	clock := time.Unix(1488326400, 0)
+	for i, step := range []struct {
+		after  time.Duration
+		pushes int
+	}{
+		{0, 1},                      // the first series, at once
+		{flushEvery / 2, 1},         // nothing is due
+		{flushEvery/2 - 1, 1},       // a nanosecond short of the threshold
+		{1, 2},                      // flushEvery since the first push
+		{flushEvery - 1, 2},         // the threshold counts from the last push
+		{flushEvery + time.Hour, 3}, // a stalled scan
+	} {
+		clock = clock.Add(step.after)
+		if err := enc.series(toQueryResult(mkSeries(i, 1)), clock); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.flushLens) != step.pushes {
+			t.Fatalf("step %d (+%v): %d pushes, want %d", i, step.after, len(rec.flushLens), step.pushes)
+		}
 	}
 }
 
-// TestQueryMidStreamError: a store failure after series are on the
-// wire must end the stream with an explicit truncation marker (and
-// never cache the partial body); a failure before the first byte is
-// still a clean 500.
+// TestQueryMidStreamError: a failure — of the store, or of encoding a
+// series — after bytes have reached the client must end the stream
+// with an explicit truncation marker (and never cache the partial
+// body); a failure before the first push is still a clean 500.
 func TestQueryMidStreamError(t *testing.T) {
 	_, g, srv := newStreamTestGateway(t, Config{CacheAlign: time.Hour})
 
@@ -371,6 +419,53 @@ func TestQueryMidStreamError(t *testing.T) {
 	var eb errorBody
 	if err := json.Unmarshal([]byte(body3), &eb); err != nil || eb.Error.Code != 500 {
 		t.Fatalf("500 body not structured: %s", body3)
+	}
+
+	// A series that cannot be encoded (JSON has no NaN) fails the same
+	// two ways. As the first series nothing has reached the client —
+	// output is buffered until the first push — so it is a clean 500,
+	// in either encoding, with no half-written series in the body.
+	okSeries := func(sensor string) tsdb.ResultSeries {
+		return tsdb.ResultSeries{Metric: "air.co2", Tags: map[string]string{"sensor": sensor},
+			Points: []tsdb.Point{{Timestamp: 1000, Value: 1}}}
+	}
+	nanSeries := tsdb.ResultSeries{Metric: "air.co2", Tags: map[string]string{"sensor": "nan"},
+		Points: []tsdb.Point{{Timestamp: 1000, Value: 1}, {Timestamp: 2000, Value: math.NaN()}}}
+	g.exec = func(q tsdb.Query, yield func(tsdb.ResultSeries) error) error { return yield(nanSeries) }
+	for _, accept := range []string{"", ctNDJSON} {
+		resp4, body4 := get(accept)
+		if resp4.StatusCode != http.StatusInternalServerError || resp4.Header.Get("X-Cache") != "" {
+			t.Fatalf("unencodable first series (Accept %q): status %d, X-Cache %q; want a clean 500",
+				accept, resp4.StatusCode, resp4.Header.Get("X-Cache"))
+		}
+		if err := json.Unmarshal([]byte(body4), &eb); err != nil || !strings.Contains(eb.Error.Message, "unsupported value") {
+			t.Fatalf("500 body for an unencodable series: %s", body4)
+		}
+	}
+	// After a push the status is committed: the stream ends with the
+	// marker, the series encoded before it intact — including one still
+	// pending in the buffer — and nothing of the broken one.
+	g.exec = func(q tsdb.Query, yield func(tsdb.ResultSeries) error) error {
+		for _, rs := range []tsdb.ResultSeries{okSeries("a"), okSeries("b"), nanSeries} {
+			if err := yield(rs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	resp5, body5 := get("")
+	if resp5.StatusCode != http.StatusOK {
+		t.Fatalf("unencodable third series: status %d, want the committed 200", resp5.StatusCode)
+	}
+	raw = nil
+	if err := json.Unmarshal([]byte(body5), &raw); err != nil || len(raw) != 3 {
+		t.Fatalf("want two series and a marker, got %d elements (%v):\n%s", len(raw), err, body5)
+	}
+	if err := json.Unmarshal(raw[2], &marker); err != nil || !strings.Contains(marker.Error.Message, "unsupported value") || strings.Contains(body5, "nan") {
+		t.Fatalf("stream did not end in a clean truncation marker:\n%s", body5)
+	}
+	if resp6, _ := get(""); resp6.Header.Get("X-Cache") != "miss" {
+		t.Fatal("a truncated body was cached")
 	}
 }
 

@@ -38,7 +38,6 @@ package rollup
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -99,22 +98,33 @@ type Config struct {
 	FS fsio.FS
 }
 
-const numStats = 8
+// The statistics of a sealed window, in storage order.
+const (
+	statCount = iota
+	statSum
+	statMin
+	statMax
+	statMean
+	statP50
+	statP95
+	statP99
+	numStats
+)
 
-// windowStats names the statistics of a sealed window, in storage order,
-// each with the aggregator sealStats matches bit for bit.
+// windowStats names the statistics, each with the aggregator sealStats
+// matches bit for bit.
 var windowStats = [numStats]struct {
 	name string
 	agg  tsdb.Aggregator
 }{
-	{"count", tsdb.AggCount},
-	{"sum", tsdb.AggSum},
-	{"min", tsdb.AggMin},
-	{"max", tsdb.AggMax},
-	{"mean", tsdb.AggAvg},
-	{"p50", tsdb.AggP50},
-	{"p95", tsdb.AggP95},
-	{"p99", tsdb.AggP99},
+	statCount: {"count", tsdb.AggCount},
+	statSum:   {"sum", tsdb.AggSum},
+	statMin:   {"min", tsdb.AggMin},
+	statMax:   {"max", tsdb.AggMax},
+	statMean:  {"mean", tsdb.AggAvg},
+	statP50:   {"p50", tsdb.AggP50},
+	statP95:   {"p95", tsdb.AggP95},
+	statP99:   {"p99", tsdb.AggP99},
 }
 
 const engineShards = 16
@@ -494,10 +504,8 @@ func (e *Engine) derivedRefs(st *seriesState, ti int) *[numStats]*tsdb.Ref {
 		if ref != nil && ref.Live() {
 			continue
 		}
-		tags := maps.Clone(st.tags)
-		tags[StatTag] = windowStats[i].name
 		var err error
-		if refs[i], err = e.db.Intern(e.tiers[ti].metricPrefix+st.metric, tags); err != nil {
+		if refs[i], err = e.db.Intern(e.derivedName(st, ti, i)); err != nil {
 			return nil // unreachable: the raw name validated, the additions are valid
 		}
 	}

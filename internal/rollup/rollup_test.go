@@ -208,6 +208,169 @@ func TestExecuteParity(t *testing.T) {
 	}
 }
 
+// TestPlannerParityBits holds the planner to the planner-off answer
+// bit for bit, over seeded random ranges aligned to nothing, every
+// aggregator, intervals on and off each tier's resolution, and a series
+// either side of the cost rule: a dense one (1 Hz — a tier is 60 or
+// 3,600 times shorter than the raw series) and a sparse one (the
+// pilots' five minutes — the 1m tier is as long as the raw series and
+// declined, the 1h tier twelve times shorter and used). Readings are
+// multiples of 1/8 in arrival order: sums of sums associate differently
+// from one sum, so only values that add exactly can agree to the bit
+// (TestExecuteParity covers arbitrary floats and out-of-order arrival
+// to a tolerance). It then reruns with the cached derived refs dropped,
+// as a restart leaves them, and after retention has killed the 1m
+// tier's derived series and later seals have brought them back.
+func TestPlannerParityBits(t *testing.T) {
+	clock := t0
+	db, eng := openEngine(t, Config{
+		Tiers: []Tier{{Resolution: time.Minute, Retention: 12 * time.Hour}, {Resolution: time.Hour}},
+		Now:   func() time.Time { return clock },
+	})
+	rng := rand.New(rand.NewSource(18))
+	series := []struct {
+		name    string
+		cadence time.Duration
+		ref     *tsdb.Ref
+	}{{name: "dense", cadence: time.Second}, {name: "sparse", cadence: 5 * time.Minute}}
+	// load appends [from, to) of both series and moves the clock to to.
+	load := func(from, to time.Duration) {
+		t.Helper()
+		for i := range series {
+			s := &series[i]
+			if s.ref == nil {
+				var err error
+				if s.ref, err = db.Intern("air.pm", map[string]string{"sensor": s.name}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var batch []tsdb.RefPoint
+			for off := from; off < to; off += s.cadence {
+				batch = append(batch, tsdb.RefPoint{Ref: s.ref, Point: tsdb.Point{
+					Timestamp: t0.Add(off).UnixMilli() + int64(rng.Intn(900)), Value: float64(rng.Intn(8000)-2000) / 8}})
+			}
+			if res := db.AppendRefs(batch); len(res.Errors) > 0 {
+				t.Fatal(res.Errors[0])
+			}
+		}
+		clock = t0.Add(to)
+		eng.Flush(clock)
+	}
+	aggs := []tsdb.Aggregator{tsdb.AggSum, tsdb.AggAvg, tsdb.AggMin, tsdb.AggMax, tsdb.AggCount, tsdb.AggP50, tsdb.AggP95, tsdb.AggP99, tsdb.AggDev}
+	intervals := []time.Duration{time.Minute, 7 * time.Minute, time.Hour, 3 * time.Hour}
+	// check runs one query with the planner off and on and returns what
+	// the planner did with it.
+	check := func(label, sensor string, start, end int64, iv time.Duration, fn tsdb.Aggregator) (hits, fallbacks uint64) {
+		t.Helper()
+		q := tsdb.Query{Metric: "air.pm", Tags: map[string]string{"sensor": sensor}, Start: start, End: end,
+			Aggregator: tsdb.AggAvg, Downsample: iv, DownsampleFn: fn}
+		db.SetRollupPlanner(nil)
+		want, err := db.Execute(q)
+		db.SetRollupPlanner(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := eng.Stats()
+		got, err := db.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label = fmt.Sprintf("%s: %s %s-%s [%d, %d]", label, sensor, iv, fn, start, end)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d series, planner off %d", label, len(got), len(want))
+		}
+		for i := range got {
+			if len(got[i].Points) != len(want[i].Points) {
+				t.Fatalf("%s: %d buckets, planner off %d", label, len(got[i].Points), len(want[i].Points))
+			}
+			for j, p := range got[i].Points {
+				if w := want[i].Points[j]; p.Timestamp != w.Timestamp || math.Float64bits(p.Value) != math.Float64bits(w.Value) {
+					t.Fatalf("%s: bucket %d is %v (%#x), planner off %v (%#x)", label, j, p, math.Float64bits(p.Value), w, math.Float64bits(w.Value))
+				}
+			}
+		}
+		after := eng.Stats()
+		return after.QueryHits - before.QueryHits, after.QueryFallbacks - before.QueryFallbacks
+	}
+	// sweep checks trials random ranges inside [0, span) × everything.
+	sweep := func(label string, trials int, span time.Duration) (hits uint64) {
+		t.Helper()
+		for trial := 0; trial < trials; trial++ {
+			a, b := rng.Int63n(span.Milliseconds()), rng.Int63n(span.Milliseconds())
+			if a > b {
+				a, b = b, a
+			}
+			for _, s := range series {
+				for _, iv := range intervals {
+					for _, fn := range aggs {
+						h, _ := check(label, s.name, t0.UnixMilli()+a, t0.UnixMilli()+b, iv, fn)
+						hits += h
+					}
+				}
+			}
+		}
+		return hits
+	}
+
+	load(0, 8*time.Hour)
+	if hits := sweep("sealed", 8, 8*time.Hour+10*time.Minute); hits == 0 {
+		t.Fatal("no query of the sweep was served from a tier")
+	}
+
+	// Each side of the cost rule, on ranges a tier could cover whole.
+	from, to := t0.Add(time.Hour).UnixMilli(), t0.Add(7*time.Hour).UnixMilli()-1
+	for _, c := range []struct {
+		sensor string
+		iv     time.Duration
+		fn     tsdb.Aggregator
+		served bool
+	}{
+		{"dense", 7 * time.Minute, tsdb.AggAvg, true},   // two 1m statistics, each 60× shorter than raw
+		{"dense", time.Minute, tsdb.AggP95, true},       // one, at its own resolution
+		{"sparse", 7 * time.Minute, tsdb.AggAvg, false}, // two, each as long as raw: twice the scan
+		{"sparse", time.Minute, tsdb.AggMax, false},     // one as long as raw: no cheaper
+		{"sparse", time.Hour, tsdb.AggAvg, true},        // the 1h tier is 12× shorter
+		{"sparse", 3 * time.Hour, tsdb.AggAvg, true},    // two of them still 6×
+	} {
+		hits, fallbacks := check("cost rule", c.sensor, from, to, c.iv, c.fn)
+		if served := hits == 1 && fallbacks == 0; served != c.served || hits+fallbacks != 1 {
+			t.Errorf("cost rule: %s %s-%s: %d hits, %d fallbacks; want served=%v", c.sensor, c.iv, c.fn, hits, fallbacks, c.served)
+		}
+	}
+
+	// A restart restores horizons, not refs: drop the cached ones and
+	// the planner must find the derived series by name, once.
+	for i := range eng.shards {
+		for _, st := range eng.shards[i].series {
+			for ti := range st.tiers {
+				st.tiers[ti].refs = [numStats]*tsdb.Ref{}
+			}
+		}
+	}
+	if hits := sweep("refs dropped", 2, 8*time.Hour); hits == 0 {
+		t.Fatal("no query was served from a tier through looked-up refs")
+	}
+
+	// Half a day on, retention removes every 1m-tier point there is —
+	// the cached refs die with their series — and the series resume:
+	// the next seals re-intern what the planner then reads.
+	clock = t0.Add(21 * time.Hour)
+	cached := eng.shards[uint64(series[0].ref.ID())%engineShards].series[series[0].ref.ID()].tiers[0].refs[statSum]
+	if n, err := eng.ApplyRetention(clock); err != nil || n == 0 || cached == nil || cached.Live() {
+		t.Fatalf("retention removed %d points (%v); the dense series' cached 1m sum ref must be dead", n, err)
+	}
+	if hits, fallbacks := check("1m tier aged out", "dense", from, to, 7*time.Minute, tsdb.AggAvg); hits != 0 || fallbacks != 1 {
+		t.Fatalf("a range behind the tier's retention: %d hits, %d fallbacks; want the raw scan", hits, fallbacks)
+	}
+	load(21*time.Hour, 23*time.Hour)
+	if hits := sweep("after retention", 6, 23*time.Hour+10*time.Minute); hits == 0 {
+		t.Fatal("no query was served from a tier after retention")
+	}
+	if hits, _ := check("re-interned", "dense", t0.Add(21*time.Hour).UnixMilli(), t0.Add(23*time.Hour).UnixMilli()-1, 7*time.Minute, tsdb.AggAvg); hits != 1 {
+		t.Fatal("the resumed dense series is not served from its re-interned 1m tier")
+	}
+}
+
 // TestUnsealedTailFallback: before any window seals nothing can be
 // served from tiers, and results still match a raw scan exactly.
 func TestUnsealedTailFallback(t *testing.T) {

@@ -352,8 +352,12 @@ func TestNewSeriesStartsAtClockHorizon(t *testing.T) {
 		t.Fatalf("behind the horizon: late %d of %d observed, skipped %d, open %d; want 9 of 9, 0, 0",
 			st.Late, st.Observed, st.Skipped, st.Tiers[0].OpenWindows)
 	}
-	for i := 59; i < 65; i++ { // catches up to the clock and passes it
+	// Catches up to the clock and passes it, two readings a window: one
+	// would leave the tier as long as the raw series, no cheaper to read,
+	// and the planner would decline it.
+	for i := 59; i < 65; i++ {
 		putAt(t, db, "air.co2", tags, at(i), float64(i))
+		putAt(t, db, "air.co2", tags, at(i).Add(30*time.Second), float64(i))
 	}
 	eng.Flush(t0.Add(time.Hour + 10*time.Minute))
 	got := statPoints(t, db, "rollup.1m.air.co2", tags, "mean")

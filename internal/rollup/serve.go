@@ -4,13 +4,17 @@ package rollup
 // ExecuteStream hands it every downsampled per-series read. The
 // planner picks the coarsest tier whose resolution divides the
 // requested interval and whose statistics can reproduce the requested
-// aggregator exactly, reads the derived stat series (no raw block
-// decode), and re-buckets them to the query interval — streaming each
-// finished bucket to the caller's yield instead of materializing the
-// window. Three ranges fall back to the raw scan so served buckets
-// match a raw scan bucket for bucket: the partial bucket at the range
-// start, the partial bucket at the range end, and everything at or
-// after the series' sealed horizon (the unsealed tail).
+// aggregator exactly, reads the derived stat series through the refs
+// the seal path cached (no lookup, no raw block decode), and folds
+// them to the query interval inside the store's own cursor —
+// streaming each finished bucket to the caller's yield instead of
+// materializing the window. Three ranges fall back to the raw scan so
+// served buckets match a raw scan bucket for bucket: the partial
+// bucket at the range start, the partial bucket at the range end, and
+// everything at or after the series' sealed horizon (the unsealed
+// tail). A tier that holds no fewer stored points than the raw series
+// over the served buckets is declined: reading it would cost what the
+// scan costs, or twice that.
 //
 // The same ServeDownsample path also ranks topk/bottomk selection:
 // the query engine folds a candidate series' score straight off the
@@ -19,7 +23,7 @@ package rollup
 // member block.
 
 import (
-	"math"
+	"maps"
 	"strings"
 	"time"
 
@@ -29,20 +33,19 @@ import (
 // ServeDownsample implements tsdb.RollupPlanner. The ok=false
 // decisions all precede the first yield, as the interface requires.
 func (e *Engine) ServeDownsample(series *tsdb.Ref, start, end int64, interval time.Duration, fn tsdb.Aggregator, yield func(tsdb.Point) error) (bool, error) {
-	metric, tags := series.Metric(), series.Tags()
-	if strings.HasPrefix(metric, MetricPrefix) {
+	if strings.HasPrefix(series.Metric(), MetricPrefix) {
 		return false, nil // direct reads of derived series stay raw
 	}
 	iMS := interval.Milliseconds()
 	if iMS <= 0 || start < 0 {
 		return false, nil
 	}
-	ti := e.pickTier(iMS, fn)
+	ti, rd := e.pickTier(iMS, fn)
 	if ti < 0 {
 		e.fallbacks.Add(1)
 		return false, nil
 	}
-	sealedUntil, known := e.sealedHorizon(series.ID(), ti)
+	sealedUntil, stat, count, known := e.sealedHorizon(series.ID(), ti, rd)
 	if !known {
 		e.fallbacks.Add(1)
 		return false, nil
@@ -80,17 +83,38 @@ func (e *Engine) ServeDownsample(series *tsdb.Ref, start, end int64, interval ti
 		e.fallbacks.Add(1)
 		return false, nil
 	}
+	// The cost rule: a tier earns the read only by holding fewer stored
+	// points than the raw series over the same buckets. A derived
+	// series has a point per non-empty window, so at a cadence no finer
+	// than the tier's resolution it is as long as the raw one — and an
+	// average across windows reads two of them.
+	stored := 0 // points of one derived series over the served buckets
+	if stat != nil {
+		stored = e.db.PointEstimate(stat, bLo, cut-1)
+		cost := stored
+		if rd.avg {
+			cost *= 2
+		}
+		if cost > 0 && cost >= e.db.PointEstimate(series, bLo, cut-1) {
+			e.fallbacks.Add(1)
+			return false, nil
+		}
+	}
 
 	if bLo > start { // partial head bucket from raw
-		if err := e.yieldRaw(metric, tags, start, bLo-1, interval, fn, yield); err != nil {
+		if err := e.db.ReadRef(series, start, bLo-1, interval, fn, yield); err != nil {
 			return false, err
 		}
 	}
-	if err := e.yieldTier(ti, metric, tags, fn, bLo, cut, iMS, yield); err != nil {
+	fold := interval
+	if iMS == e.tiers[ti].resMS {
+		fold = 0 // every stored window is one query bucket already
+	}
+	if err := e.yieldTier(rd, stat, count, bLo, cut, fold, stored, yield); err != nil {
 		return false, err
 	}
 	if cut <= end { // unsealed tail (and partial end bucket) from raw
-		if err := e.yieldRaw(metric, tags, cut, end, interval, fn, yield); err != nil {
+		if err := e.db.ReadRef(series, cut, end, interval, fn, yield); err != nil {
 			return false, err
 		}
 	}
@@ -98,181 +122,125 @@ func (e *Engine) ServeDownsample(series *tsdb.Ref, start, end int64, interval ti
 	return true, nil
 }
 
-// yieldRaw downsamples a raw window and streams its buckets.
-func (e *Engine) yieldRaw(metric string, tags map[string]string, start, end int64, interval time.Duration, fn tsdb.Aggregator, yield func(tsdb.Point) error) error {
-	raw, err := e.db.SeriesWindowExact(metric, tags, start, end)
-	if err != nil {
-		return err
-	}
-	for _, p := range tsdb.Downsample(raw, interval, fn) {
-		if err := yield(p); err != nil {
-			return err
-		}
-	}
-	return nil
+// tierRead is how a tier reproduces one downsample: the derived
+// statistic to read and the aggregator that folds its windows into
+// coarser query buckets. avg reads the count statistic beside it and
+// divides per bucket — an average across windows is sum over count.
+type tierRead struct {
+	stat int // windowStats index
+	fold tsdb.Aggregator
+	avg  bool
 }
 
 // pickTier returns the index of the coarsest tier that can serve a
-// downsample of interval iMS with aggregator fn exactly, or -1.
-func (e *Engine) pickTier(iMS int64, fn tsdb.Aggregator) int {
+// downsample of interval iMS with aggregator fn exactly, and the read
+// that does it; -1 when none can.
+func (e *Engine) pickTier(iMS int64, fn tsdb.Aggregator) (int, tierRead) {
 	for i := len(e.tiers) - 1; i >= 0; i-- {
 		r := e.tiers[i].resMS
 		if r > iMS || iMS%r != 0 {
 			continue
 		}
 		switch fn {
-		case tsdb.AggSum, tsdb.AggCount, tsdb.AggMin, tsdb.AggMax, tsdb.AggAvg:
-			return i // composable across windows
+		case tsdb.AggSum, tsdb.AggMin, tsdb.AggMax: // composable across windows
+			return i, tierRead{stat: statOf(fn), fold: fn}
+		case tsdb.AggCount:
+			return i, tierRead{stat: statCount, fold: tsdb.AggSum}
+		case tsdb.AggAvg:
+			if iMS == r {
+				return i, tierRead{stat: statMean}
+			}
+			return i, tierRead{stat: statSum, fold: tsdb.AggSum, avg: true}
 		case tsdb.AggP50, tsdb.AggP95, tsdb.AggP99:
 			// Percentiles don't compose; only an exact-resolution tier
 			// stores them directly.
 			if iMS == r {
-				return i
+				return i, tierRead{stat: statOf(fn)}
 			}
 		}
 		// AggDev and unknown aggregators: raw scan.
 	}
-	return -1
+	return -1, tierRead{}
 }
 
-// sealedHorizon reads the series' sealed boundary for one tier.
-func (e *Engine) sealedHorizon(id tsdb.SeriesID, ti int) (int64, bool) {
+// statOf returns the windowStats index of the statistic fn computes.
+func statOf(fn tsdb.Aggregator) int {
+	for i := range windowStats {
+		if windowStats[i].agg == fn {
+			return i
+		}
+	}
+	panic("rollup: no window statistic for aggregator " + string(fn))
+}
+
+// sealedHorizon reads the series' sealed boundary for one tier and
+// the refs of the derived series rd reads (count only when rd
+// averages). A ref the seal path has not cached — restored state, a
+// series retention removed and a later seal brought back — is looked
+// up and cached here; it stays nil while the derived series does not
+// exist, and reads as empty.
+func (e *Engine) sealedHorizon(id tsdb.SeriesID, ti int, rd tierRead) (horizon int64, stat, count *tsdb.Ref, known bool) {
 	sh := &e.shards[uint64(id)%engineShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st, ok := sh.series[id]
 	if !ok || st.skip {
-		return 0, false
+		return 0, nil, nil, false
 	}
-	return st.tiers[ti].sealedUntil, true
+	stat = e.cachedRefLocked(st, ti, rd.stat)
+	if rd.avg {
+		count = e.cachedRefLocked(st, ti, statCount)
+	}
+	return st.tiers[ti].sealedUntil, stat, count, true
 }
 
-// yieldTier reads derived stat series over [bLo, cut), re-buckets
-// them to the query interval, and streams the buckets.
-func (e *Engine) yieldTier(ti int, metric string, tags map[string]string, fn tsdb.Aggregator, bLo, cut, iMS int64, yield func(tsdb.Point) error) error {
-	spec := &e.tiers[ti]
-	derived := spec.metricPrefix + metric
-	read := func(stat string) ([]tsdb.Point, error) {
-		st := make(map[string]string, len(tags)+1)
-		for k, v := range tags {
-			st[k] = v
-		}
-		st[StatTag] = stat
-		return e.db.SeriesWindowExact(derived, st, bLo, cut-1)
+// cachedRefLocked returns the live handle of one derived series of st,
+// or nil when the store holds no such series. Caller holds the shard
+// lock.
+func (e *Engine) cachedRefLocked(st *seriesState, ti, stat int) *tsdb.Ref {
+	refs := &st.tiers[ti].refs
+	if ref := refs[stat]; ref == nil || !ref.Live() {
+		refs[stat] = e.db.Lookup(e.derivedName(st, ti, stat))
 	}
-
-	exact := iMS == spec.resMS
-	switch fn {
-	case tsdb.AggAvg:
-		if exact {
-			pts, err := read("mean")
-			return yieldAll(pts, err, yield)
-		}
-		sums, err := read("sum")
-		if err != nil {
-			return err
-		}
-		counts, err := read("count")
-		if err != nil {
-			return err
-		}
-		return combineAvg(sums, counts, iMS, yield)
-	case tsdb.AggSum:
-		pts, err := read("sum")
-		if err != nil {
-			return err
-		}
-		return rebucket(pts, iMS, func(a, b float64) float64 { return a + b }, yield)
-	case tsdb.AggCount:
-		pts, err := read("count")
-		if err != nil {
-			return err
-		}
-		return rebucket(pts, iMS, func(a, b float64) float64 { return a + b }, yield)
-	case tsdb.AggMin:
-		pts, err := read("min")
-		if err != nil {
-			return err
-		}
-		return rebucket(pts, iMS, math.Min, yield)
-	case tsdb.AggMax:
-		pts, err := read("max")
-		if err != nil {
-			return err
-		}
-		return rebucket(pts, iMS, math.Max, yield)
-	case tsdb.AggP50, tsdb.AggP95, tsdb.AggP99:
-		// exact by pickTier: each window is one query bucket already.
-		pts, err := read(string(fn))
-		return yieldAll(pts, err, yield)
-	}
-	return nil
+	return refs[stat]
 }
 
-// yieldAll streams a read result, propagating the read error first.
-func yieldAll(pts []tsdb.Point, err error, yield func(tsdb.Point) error) error {
-	if err != nil {
-		return err
-	}
-	for _, p := range pts {
-		if err := yield(p); err != nil {
-			return err
-		}
-	}
-	return nil
+// derivedName is the name of one derived series of st.
+func (e *Engine) derivedName(st *seriesState, ti, stat int) (string, map[string]string) {
+	tags := maps.Clone(st.tags)
+	tags[StatTag] = windowStats[stat].name
+	return e.tiers[ti].metricPrefix + st.metric, tags
 }
 
-// rebucket folds window points into coarser buckets with op,
-// streaming each bucket as soon as its boundary passes. With iMS
-// equal to the window resolution every bucket holds exactly one point
-// and the fold is the identity.
-func rebucket(pts []tsdb.Point, iMS int64, op func(a, b float64) float64, yield func(tsdb.Point) error) error {
-	if len(pts) == 0 {
+// yieldTier streams the buckets of [bLo, cut) out of the derived
+// series: stored windows as they are when interval is 0, otherwise
+// folded to interval by rd.fold. stored bounds the windows either
+// series holds there.
+func (e *Engine) yieldTier(rd tierRead, stat, count *tsdb.Ref, bLo, cut int64, interval time.Duration, stored int, yield func(tsdb.Point) error) error {
+	if stat == nil || (rd.avg && count == nil) {
 		return nil
 	}
-	cur := tsdb.Point{Timestamp: math.MinInt64}
-	for _, p := range pts {
-		b := p.Timestamp - p.Timestamp%iMS
-		if b != cur.Timestamp {
-			if cur.Timestamp != math.MinInt64 {
-				if err := yield(cur); err != nil {
-					return err
-				}
-			}
-			cur = tsdb.Point{Timestamp: b, Value: p.Value}
-			continue
-		}
-		cur.Value = op(cur.Value, p.Value)
+	if !rd.avg {
+		return e.db.ReadRef(stat, bLo, cut-1, interval, rd.fold, yield)
 	}
-	return yield(cur)
-}
-
-// combineAvg merges per-window sums and counts into per-bucket means,
-// streamed in timestamp order. The two series are written atomically
-// per window, so they align; buckets missing a count (or with a zero
-// count) are skipped rather than divided by zero. Both rebucketed
-// series are in timestamp order already, so the pairing is a merge
-// join — no timestamp map.
-func combineAvg(sums, counts []tsdb.Point, iMS int64, yield func(tsdb.Point) error) error {
-	var s, c []tsdb.Point
-	if err := rebucket(sums, iMS, func(a, b float64) float64 { return a + b },
-		func(p tsdb.Point) error { s = append(s, p); return nil }); err != nil {
+	// The two series are written atomically per window, so their
+	// buckets align; both arrive in timestamp order, so pairing them
+	// is a merge join. A bucket missing its count (or with a zero one)
+	// is skipped rather than divided by zero.
+	counts := make([]tsdb.Point, 0, min((cut-bLo)/interval.Milliseconds()+2, int64(stored)))
+	if err := e.db.ReadRef(count, bLo, cut-1, interval, rd.fold, func(p tsdb.Point) error {
+		counts = append(counts, p)
+		return nil
+	}); err != nil {
 		return err
 	}
-	if err := rebucket(counts, iMS, func(a, b float64) float64 { return a + b },
-		func(p tsdb.Point) error { c = append(c, p); return nil }); err != nil {
-		return err
-	}
-	ci := 0
-	for _, p := range s {
-		for ci < len(c) && c[ci].Timestamp < p.Timestamp {
-			ci++
+	return e.db.ReadRef(stat, bLo, cut-1, interval, rd.fold, func(sum tsdb.Point) error {
+		for len(counts) > 0 && counts[0].Timestamp < sum.Timestamp {
+			counts = counts[1:]
 		}
-		if ci < len(c) && c[ci].Timestamp == p.Timestamp && c[ci].Value > 0 {
-			if err := yield(tsdb.Point{Timestamp: p.Timestamp, Value: p.Value / c[ci].Value}); err != nil {
-				return err
-			}
+		if len(counts) == 0 || counts[0].Timestamp != sum.Timestamp || !(counts[0].Value > 0) {
+			return nil
 		}
-	}
-	return nil
+		return yield(tsdb.Point{Timestamp: sum.Timestamp, Value: sum.Value / counts[0].Value})
+	})
 }

@@ -251,8 +251,6 @@ func BenchmarkColdGroupQuery(b *testing.B) {
 	for _, p := range benchPoints(12 * 288 * 7) {
 		db.Put(p)
 	}
-	db.SetScanParallelism(1) // isolate the single-thread decode cost
-	defer db.SetScanParallelism(0)
 	for _, fn := range []Aggregator{AggAvg, AggP95} {
 		b.Run(string(fn), func(b *testing.B) {
 			q := Query{
@@ -270,46 +268,6 @@ func BenchmarkColdGroupQuery(b *testing.B) {
 				n := 0
 				err := db.ExecuteStream(q, func(rs ResultSeries) error { n++; return nil })
 				if err != nil || n != 12 {
-					b.Fatalf("n=%d err=%v", n, err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelScan measures how the bounded worker pool scales
-// the same 48-series cold scan from one worker to eight.
-func BenchmarkParallelScan(b *testing.B) {
-	db, _ := Open("")
-	defer db.Close()
-	for i := 0; i < 48*288*2; i++ {
-		db.Put(DataPoint{
-			Metric: "air.co2",
-			Tags:   map[string]string{"sensor": fmt.Sprintf("n%02d", i%48), "city": "trondheim"},
-			Point: Point{
-				Timestamp: baseTS + int64(i/48)*300000,
-				Value:     410 + 10*math.Sin(float64(i)/50),
-			},
-		})
-	}
-	q := Query{
-		Metric:     "air.co2",
-		Tags:       map[string]string{"sensor": "*"},
-		Start:      baseTS,
-		End:        baseTS + 2*24*3600*1000,
-		Aggregator: AggP95,
-		Downsample: time.Hour,
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			db.SetScanParallelism(workers)
-			defer db.SetScanParallelism(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				err := db.ExecuteStream(q, func(rs ResultSeries) error { n++; return nil })
-				if err != nil || n != 48 {
 					b.Fatalf("n=%d err=%v", n, err)
 				}
 			}
@@ -353,8 +311,6 @@ func BenchmarkTopKRollup(b *testing.B) {
 			},
 		})
 	}
-	db.SetScanParallelism(1)
-	defer db.SetScanParallelism(0)
 	q := Query{
 		Metric:      "air.co2",
 		Tags:        map[string]string{"sensor": "*"},
@@ -381,7 +337,7 @@ func BenchmarkTopKRollup(b *testing.B) {
 		// hold (setup cost, not measured).
 		planner := &benchPlanner{buckets: map[string][]Point{}}
 		err := db.ScanSeries("air.co2", nil, q.Start, q.End, func(metric string, tags map[string]string, pts []Point) error {
-			planner.buckets[tags["sensor"]] = Downsample(pts, time.Hour, AggAvg)
+			planner.buckets[tags["sensor"]] = downsample(pts, time.Hour, AggAvg)
 			return nil
 		})
 		if err != nil {

@@ -326,16 +326,40 @@ func (db *DB) seriesSource(s *memSeries, sh *shard, start, end int64, tr *obs.Tr
 	return src, est, nil
 }
 
+// PointEstimate bounds from above the points a read of ref's series
+// over [start, end] decodes, from index metadata alone: every sealed
+// block and disk chunk overlapping the range counts whole (a cursor
+// decodes a chunk from its first point), the head by the points inside
+// the range. What a rollup planner weighs a tier read against the raw
+// scan with.
+func (db *DB) PointEstimate(ref *Ref, start, end int64) int {
+	s, sh := ref.s, &db.shards[ref.shard]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	n := sort.Search(len(s.head), func(i int) bool { return s.head[i].Timestamp > end }) -
+		sort.Search(len(s.head), func(i int) bool { return s.head[i].Timestamp >= start })
+	for _, b := range s.blocks {
+		if b.maxTS >= start && b.minTS <= end {
+			n += b.n
+		}
+	}
+	if db.disk != nil {
+		n += db.disk.pointsIn(ref.id, start, end)
+	}
+	return n
+}
+
 // downsampleSource folds a raw source into fixed epoch-aligned
-// buckets reduced by fn, holding one bucket's values at a time. The
-// value buffer is reused across buckets; percentile sorting borrows
-// the shared per-worker scratch.
+// buckets reduced by fn, one bucket resident at a time. sum, avg, min,
+// max and count fold in registers in arrival order — bit for bit what
+// applyWith computes over the same values; percentiles and dev need
+// the bucket's values side by side and gather them in the shared
+// scratch.
 type downsampleSource struct {
 	src  pointSource
 	ms   int64
 	fn   Aggregator
 	sc   *execScratch
-	vals []float64
 	pend Point
 	pOK  bool
 	done bool
@@ -345,24 +369,27 @@ func (d *downsampleSource) next() (Point, bool, error) {
 	if d.done {
 		return Point{}, false, nil
 	}
-	d.vals = d.vals[:0]
-	var bucket int64
-	if d.pOK {
-		bucket = d.pend.Timestamp - d.pend.Timestamp%d.ms
-		d.vals = append(d.vals, d.pend.Value)
-		d.pOK = false
-	} else {
-		p, ok, err := d.src.next()
-		if err != nil {
+	p := d.pend
+	if !d.pOK {
+		var ok bool
+		var err error
+		if p, ok, err = d.src.next(); err != nil {
 			return Point{}, false, err
-		}
-		if !ok {
+		} else if !ok {
 			d.done = true
 			return Point{}, false, nil
 		}
-		bucket = p.Timestamp - p.Timestamp%d.ms
-		d.vals = append(d.vals, p.Value)
 	}
+	d.pOK = false
+	bucket := p.Timestamp - p.Timestamp%d.ms
+	gather := false
+	switch d.fn {
+	case AggSum, AggAvg, AggMin, AggMax, AggCount:
+	default:
+		gather = true
+		d.sc.bucket = append(d.sc.bucket[:0], p.Value)
+	}
+	sum, lo, hi, n := 0.0+p.Value, p.Value, p.Value, 1
 	for {
 		p, ok, err := d.src.next()
 		if err != nil {
@@ -376,9 +403,52 @@ func (d *downsampleSource) next() (Point, bool, error) {
 			d.pend, d.pOK = p, true
 			break
 		}
-		d.vals = append(d.vals, p.Value)
+		if gather {
+			d.sc.bucket = append(d.sc.bucket, p.Value)
+			continue
+		}
+		sum += p.Value
+		if p.Value < lo {
+			lo = p.Value
+		}
+		if p.Value > hi {
+			hi = p.Value
+		}
+		n++
 	}
-	return Point{Timestamp: bucket, Value: d.fn.applyWith(d.vals, d.sc)}, true, nil
+	var v float64
+	switch d.fn {
+	case AggSum:
+		v = sum
+	case AggAvg:
+		v = sum / float64(n)
+	case AggMin:
+		v = lo
+	case AggMax:
+		v = hi
+	case AggCount:
+		v = float64(n)
+	default:
+		v = d.fn.applyWith(d.sc.bucket, d.sc)
+	}
+	return Point{Timestamp: bucket, Value: v}, true, nil
+}
+
+// eachPoint streams everything a source yields to each; an error from
+// each aborts and is returned unchanged.
+func eachPoint(src pointSource, each func(Point) error) error {
+	for {
+		p, ok, err := src.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return nil
+		}
+		if err := each(p); err != nil {
+			return err
+		}
+	}
 }
 
 // drainSource appends everything a source yields to out.

@@ -321,6 +321,20 @@ func (ds *diskStore) chunksFor(id SeriesID, start, end int64) []*diskChunk {
 	return out
 }
 
+// pointsIn sums the point counts of the series' chunks overlapping
+// [start, end].
+func (ds *diskStore) pointsIn(id SeriesID, start, end int64) int {
+	ds.mu.RLock()
+	defer ds.mu.RUnlock()
+	n := 0
+	for _, c := range ds.bySeries[id] {
+		if c.maxTS >= start && c.minTS <= end {
+			n += c.n
+		}
+	}
+	return n
+}
+
 // hasChunks reports whether any disk chunk still references the
 // series — retention must not drop a series' identity while its
 // history lives on disk.

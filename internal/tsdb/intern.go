@@ -179,6 +179,16 @@ const maxInlineTags = 8
 // pairs. The caller keeps ownership of tags: the registry copies it
 // when (and only when) the series is new.
 func (db *DB) Intern(metric string, tags map[string]string) (*Ref, error) {
+	if ref := db.Lookup(metric, tags); ref != nil {
+		return ref, nil
+	}
+	return db.internSlow(metric, tags)
+}
+
+// Lookup is Intern's hit path alone: the live handle of a series that
+// exists, nil for one that does not — a read must not create the
+// series it asks about.
+func (db *DB) Lookup(metric string, tags map[string]string) *Ref {
 	// Hash and capture in one pass so equality below never re-probes
 	// the candidate map.
 	var kvs [2 * maxInlineTags]string
@@ -201,6 +211,7 @@ func (db *DB) Intern(metric string, tags map[string]string) (*Ref, error) {
 
 	rs := &db.reg.shards[h&(regShardCount-1)]
 	rs.mu.RLock()
+	defer rs.mu.RUnlock()
 	for _, ref := range rs.byHash[h] {
 		// A dead ref (series removed by retention, not yet swept from
 		// the bucket) must not be handed out: resolving it again would
@@ -210,16 +221,13 @@ func (db *DB) Intern(metric string, tags map[string]string) (*Ref, error) {
 		}
 		if small {
 			if equalKVStrings(ref.pairs, kvs[:n]) {
-				rs.mu.RUnlock()
-				return ref, nil
+				return ref
 			}
 		} else if tagsEqualMap(ref.tags, tags) {
-			rs.mu.RUnlock()
-			return ref, nil
+			return ref
 		}
 	}
-	rs.mu.RUnlock()
-	return db.internSlow(metric, tags)
+	return nil
 }
 
 // InternBytes is Intern over raw byte fields — metric plus

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -52,15 +53,20 @@ func (a Aggregator) apply(vals []float64) float64 {
 	return a.applyWith(vals, nil)
 }
 
-// execScratch holds the reusable buffers one query worker carries
-// through a scan: percentile reductions sort into sorted instead of
-// allocating and copying per bucket, and the cross-series merge
-// collects each timestamp's contributions into vals. One scratch
-// serves one goroutine at a time.
+// execScratch holds the reusable buffers one query carries through a
+// scan: percentile reductions sort into sorted instead of allocating
+// and copying per bucket, the cross-series merge collects each
+// timestamp's contributions into vals, and a downsample fold that
+// needs its bucket's values side by side (percentiles, dev) gathers
+// them in bucket. One scratch serves one goroutine at a time.
 type execScratch struct {
 	sorted []float64
 	vals   []float64
+	bucket []float64
 }
+
+// scratchPool recycles scratch buffers across scans.
+var scratchPool = sync.Pool{New: func() any { return new(execScratch) }}
 
 // applyWith reduces a non-empty value slice, borrowing sc (when
 // non-nil) for reductions that need working memory.
@@ -174,9 +180,9 @@ type Query struct {
 	LimitLowest bool
 	// Trace, when non-nil, receives per-stage timings for this
 	// execution (series matching, member priming, k-way merge, group
-	// reduction, scheduling and ordered-delivery waits, rollup serving;
-	// with Trace.Detailed also per-point block-decode/head-scan/
-	// downsample-fold attribution). Nil costs nothing.
+	// reduction, rollup serving; with Trace.Detailed also per-point
+	// block-decode/head-scan/downsample-fold attribution). Nil costs
+	// nothing.
 	Trace *obs.Trace
 }
 
@@ -239,31 +245,58 @@ func (db *DB) Execute(q Query) ([]ResultSeries, error) {
 
 // ExecuteStream runs the query, yielding result series one at a time
 // in deterministic order (group key order; with SeriesLimit, rank
-// order). Groups are reduced concurrently on a bounded worker pool
-// (see SetScanParallelism) but always delivered in key order, so
-// output is identical to a serial scan. Only the groups currently in
-// flight have points materialized — with SeriesLimit additionally the
-// K retained series — so a wide query's memory is bounded by a few
-// groups, not the whole result. A non-nil error from yield aborts the
-// scan and is returned unchanged.
+// order). Groups are reduced one after another on the caller's
+// goroutine, so only the group being reduced has points materialized
+// — with SeriesLimit additionally the K retained series — and a wide
+// query's memory is bounded by one group, not the whole result. A
+// non-nil error from yield aborts the scan and is returned unchanged.
 func (db *DB) ExecuteStream(q Query, yield func(ResultSeries) error) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
-
-	// Collect matching series grouped by group-by tag values. Only
-	// series pointers are gathered here; point data is read lazily,
-	// group by group.
-	groups := map[string][]matched{}
-	groupTags := map[string]map[string]string{}
-	var groupKeys []string
 
 	tr := q.Trace
 	var tMatch time.Time
 	if tr != nil {
 		tMatch = time.Now()
 	}
+	groups := db.matchGroups(q)
+	if tr != nil {
+		tr.Stage("match_series").Add(time.Since(tMatch))
+	}
 
+	sc := scratchPool.Get().(*execScratch)
+	defer scratchPool.Put(sc)
+	if q.SeriesLimit > 0 {
+		return db.streamLimited(q, groups, sc, yield)
+	}
+	for _, g := range groups {
+		rs, ok, err := db.timedGroupSeries(q, g, sc)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		if err := yield(rs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanGroup is one result group of a query: the series sharing one
+// combination of group-by tag values.
+type scanGroup struct {
+	key     string
+	tags    map[string]string // the group-by tags
+	members []matched
+}
+
+// matchGroups collects the series matching q, grouped by group-by tag
+// values and sorted by group key. Only series pointers are gathered;
+// point data is read lazily, group by group.
+func (db *DB) matchGroups(q Query) []*scanGroup {
 	var groupBy []string
 	for k, v := range q.Tags {
 		if v == "*" {
@@ -272,6 +305,9 @@ func (db *DB) ExecuteStream(q Query, yield func(ResultSeries) error) error {
 	}
 	sort.Strings(groupBy)
 
+	byKey := map[string]*scanGroup{}
+	var groups []*scanGroup
+	var gk []byte
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
@@ -279,50 +315,44 @@ func (db *DB) ExecuteStream(q Query, yield func(ResultSeries) error) error {
 			if s.metric != q.Metric || !tagsMatch(q.Tags, s.tags) {
 				continue
 			}
-			gk := ""
-			gt := map[string]string{}
+			gk = gk[:0]
 			for _, k := range groupBy {
-				gk += k + "=" + s.tags[k] + ";"
-				gt[k] = s.tags[k]
+				gk = append(append(append(append(gk, k...), '='), s.tags[k]...), ';')
 			}
-			if _, ok := groups[gk]; !ok {
-				groupKeys = append(groupKeys, gk)
-				groupTags[gk] = gt
+			g := byKey[string(gk)]
+			if g == nil {
+				g = &scanGroup{key: string(gk), tags: make(map[string]string, len(groupBy))}
+				for _, k := range groupBy {
+					g.tags[k] = s.tags[k]
+				}
+				byKey[g.key] = g
+				groups = append(groups, g)
 			}
-			groups[gk] = append(groups[gk], matched{s, sh, key})
+			g.members = append(g.members, matched{s, sh, key})
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Strings(groupKeys)
+	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
 	// Deterministic member order (shard map iteration is not): the
 	// cross-series reduction then applies floating-point operations in
-	// a stable order, so repeated and parallel runs agree bitwise.
-	for _, ms := range groups {
+	// a stable order, so repeated runs agree bitwise.
+	for _, g := range groups {
+		ms := g.members
 		sort.Slice(ms, func(i, j int) bool { return ms[i].key < ms[j].key })
 	}
-	if tr != nil {
-		tr.Stage("match_series").Add(time.Since(tMatch))
-	}
+	return groups
+}
 
-	if q.SeriesLimit > 0 {
-		return db.streamLimited(q, groups, groupTags, groupKeys, yield)
+// timedGroupSeries is groupSeries credited to the trace's group_reduce
+// stage.
+func (db *DB) timedGroupSeries(q Query, g *scanGroup, sc *execScratch) (ResultSeries, bool, error) {
+	if q.Trace == nil {
+		return db.groupSeries(q, g.members, g.tags, sc)
 	}
-	type groupOut struct {
-		rs ResultSeries
-		ok bool
-	}
-	return scanOrdered(db.scanWorkers(len(groupKeys)), len(groupKeys), tr,
-		func(i int, sc *execScratch) (groupOut, error) {
-			gk := groupKeys[i]
-			rs, ok, err := db.groupSeries(q, groups[gk], groupTags[gk], sc)
-			return groupOut{rs, ok}, err
-		},
-		func(i int, g groupOut) error {
-			if !g.ok {
-				return nil
-			}
-			return yield(g.rs)
-		})
+	t0 := time.Now()
+	rs, ok, err := db.groupSeries(q, g.members, g.tags, sc)
+	q.Trace.Stage("group_reduce").Add(time.Since(t0))
+	return rs, ok, err
 }
 
 // groupSeries reduces one group's member series to its result series,
@@ -368,12 +398,8 @@ func (db *DB) groupSeries(q Query, members []matched, gt map[string]string, sc *
 		return ResultSeries{}, false, nil
 	}
 
-	// Preallocate the merged result from the cursor estimate (capped:
-	// it is a guess, not a commitment).
-	if maxEst > 1<<14 {
-		maxEst = 1 << 14
-	}
-	merged := make([]Point, 0, maxEst)
+	// Preallocate the merged result from the cursor estimate.
+	merged := make([]Point, 0, min(maxEst, maxPrealloc))
 	var err error
 	if len(live) == 1 {
 		merged = append(merged, live[0].head)
@@ -402,6 +428,10 @@ func (db *DB) groupSeries(q Query, members []matched, gt map[string]string, sc *
 	}
 	return ResultSeries{Metric: q.Metric, Tags: tags, Points: merged}, true, nil
 }
+
+// maxPrealloc caps what a point-count estimate may allocate up front:
+// it is a guess, not a commitment.
+const maxPrealloc = 1 << 14
 
 // matched pairs a series with its shard for later lock-free reads.
 type matched struct {
@@ -477,7 +507,15 @@ func (db *DB) memberPlan(m matched, q Query, each func(Point) error) (fn Aggrega
 // preallocation.
 func (db *DB) memberSource(m matched, q Query, sc *execScratch) (pointSource, int, error) {
 	var pts []Point
-	fn, ds, served, err := db.memberPlan(m, q, func(p Point) error { pts = append(pts, p); return nil })
+	fn, ds, served, err := db.memberPlan(m, q, func(p Point) error {
+		if pts == nil {
+			// One allocation for a served member: its bucket count, capped
+			// like every estimate (the range may run far past the data).
+			pts = make([]Point, 0, min((q.End-q.Start)/q.Downsample.Milliseconds()+2, maxPrealloc))
+		}
+		pts = append(pts, p)
+		return nil
+	})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -523,26 +561,29 @@ func (db *DB) memberEach(m matched, q Query, sc *execScratch, each func(Point) e
 			src = &timedSource{src: src, st: tr.Stage("downsample_fold")}
 		}
 	}
-	for {
-		p, ok, err := src.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := each(p); err != nil {
-			return err
-		}
-	}
+	return eachPoint(src, each)
 }
 
-// Downsample buckets points into fixed epoch-aligned intervals
-// reduced by fn — the exported form of the query engine's downsample
-// step, used by the rollup engine for raw edge windows so served and
-// scanned buckets agree exactly.
-func Downsample(pts []Point, interval time.Duration, fn Aggregator) []Point {
-	return downsample(pts, interval, fn)
+// ReadRef streams the points of ref's series within [start, end] to
+// yield in timestamp order: as stored when interval is 0, otherwise
+// folded into epoch-aligned buckets by fn through the cursor a query's
+// raw scan uses, so the buckets a rollup planner reads for a range's
+// raw edges (and re-buckets out of its own derived series) are the
+// scan's own, bit for bit. Nothing is looked up, keyed or
+// materialized. A handle retention has killed reads as empty; callers
+// that cache handles check Live first. A non-nil error from yield
+// aborts the read and is returned unchanged.
+func (db *DB) ReadRef(ref *Ref, start, end int64, interval time.Duration, fn Aggregator, yield func(Point) error) error {
+	src, _, err := db.seriesSource(ref.s, &db.shards[ref.shard], start, end, nil)
+	if err != nil {
+		return err
+	}
+	if ms := interval.Milliseconds(); ms > 0 {
+		sc := scratchPool.Get().(*execScratch)
+		defer scratchPool.Put(sc)
+		src = &downsampleSource{src: src, ms: ms, fn: fn, sc: sc}
+	}
+	return eachPoint(src, yield)
 }
 
 func commonTags(first map[string]string, members []matched) map[string]string {
@@ -575,36 +616,6 @@ func tagsMatch(filter, tags map[string]string) bool {
 		}
 	}
 	return true
-}
-
-// downsample buckets points into fixed intervals aligned to the epoch.
-func downsample(pts []Point, interval time.Duration, fn Aggregator) []Point {
-	if len(pts) == 0 {
-		return pts
-	}
-	ms := interval.Milliseconds()
-	if ms <= 0 {
-		return pts
-	}
-	var out []Point
-	var bucketStart int64 = math.MinInt64
-	var vals []float64
-	flush := func() {
-		if len(vals) > 0 {
-			out = append(out, Point{Timestamp: bucketStart, Value: fn.apply(vals)})
-			vals = vals[:0]
-		}
-	}
-	for _, p := range pts {
-		bs := p.Timestamp - (p.Timestamp % ms)
-		if bs != bucketStart {
-			flush()
-			bucketStart = bs
-		}
-		vals = append(vals, p.Value)
-	}
-	flush()
-	return out
 }
 
 // memberCursor is one member's window into the k-way merge: prev is

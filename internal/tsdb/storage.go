@@ -40,9 +40,6 @@ type DB struct {
 	// from pre-aggregated rollup tiers instead of raw block scans.
 	planner atomic.Pointer[RollupPlanner]
 
-	// scanPar bounds the parallel group scan; ≤0 means GOMAXPROCS.
-	scanPar atomic.Int32
-
 	// instr, when installed, receives per-stage ingest timings (see
 	// instrument.go). Nil costs one atomic load on the batch path.
 	instr atomic.Pointer[Instrumentation]
@@ -508,8 +505,9 @@ func (db *DB) TagValues(metric, tagKey string) []string {
 // identified by (metric, tags) — no filter semantics, the tag set
 // must match the stored series key — within [start, end]. A missing
 // series yields a nil slice, not an error. This is the low-level read
-// the rollup engine uses to fetch derived stat series and raw edge
-// windows without paying Execute's matching and aggregation machinery.
+// for callers that hold a series' name rather than its handle (ReadRef
+// is the read by handle) and want none of Execute's matching and
+// aggregation machinery.
 func (db *DB) SeriesWindowExact(metric string, tags map[string]string, start, end int64) ([]Point, error) {
 	key := seriesKey(metric, tags)
 	sh := &db.shards[shardFor(key)]

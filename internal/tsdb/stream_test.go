@@ -4,14 +4,15 @@ package tsdb
 // (decode → downsample → k-way interpolating merge) must reproduce
 // the classic materializing pipeline bit for bit across ragged
 // timestamps, gaps, sealed/head mixes and every aggregator; the
-// parallel group scan must yield in deterministic order with results
-// identical to a serial scan; and the per-query scratch must keep
-// percentile downsampling from allocating per bucket.
+// ordered scan must yield the same bits in the same order on every
+// run; and the per-query scratch must keep percentile downsampling
+// from allocating per bucket.
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"sync/atomic"
@@ -77,6 +78,35 @@ func refValueAt(s []Point, cursor int, ts int64) (float64, bool) {
 	next := s[cursor+1]
 	frac := float64(ts-p.Timestamp) / float64(next.Timestamp-p.Timestamp)
 	return p.Value + frac*(next.Value-p.Value), true
+}
+
+// downsample is the original materializing downsample step — collect a
+// bucket's values, then reduce them — kept as the reference the fused
+// downsampleSource fold is checked against.
+func downsample(pts []Point, interval time.Duration, fn Aggregator) []Point {
+	ms := interval.Milliseconds()
+	if len(pts) == 0 || ms <= 0 {
+		return pts
+	}
+	var out []Point
+	var bucketStart int64 = math.MinInt64
+	var vals []float64
+	flush := func() {
+		if len(vals) > 0 {
+			out = append(out, Point{Timestamp: bucketStart, Value: fn.apply(vals)})
+			vals = vals[:0]
+		}
+	}
+	for _, p := range pts {
+		bs := p.Timestamp - (p.Timestamp % ms)
+		if bs != bucketStart {
+			flush()
+			bucketStart = bs
+		}
+		vals = append(vals, p.Value)
+	}
+	flush()
+	return out
 }
 
 // refExecute is the original materializing query pipeline (raw scan →
@@ -252,16 +282,15 @@ func TestStreamingParity(t *testing.T) {
 	}
 }
 
-// TestParallelScanDeterministic: the parallel scan must yield the
-// same series, in the same order, with the same bits, as a serial
-// scan — on every run.
-func TestParallelScanDeterministic(t *testing.T) {
+// TestScanDeterministic: the ordered scan must yield the same series,
+// in the same order, with the same bits, on every run — shard map
+// iteration order must never reach the output.
+func TestScanDeterministic(t *testing.T) {
 	db := mustOpen(t)
 	seedRagged(t, db)
 	q := Query{Metric: "par.m", Tags: map[string]string{"sensor": "*"},
 		Start: baseTS, End: baseTS + 12*3600*1000, Aggregator: AggP95, Downsample: 5 * time.Minute}
 
-	db.SetScanParallelism(1)
 	golden, err := db.Execute(q)
 	if err != nil {
 		t.Fatal(err)
@@ -269,67 +298,79 @@ func TestParallelScanDeterministic(t *testing.T) {
 	if len(golden) != 10 {
 		t.Fatalf("want 10 series, got %d", len(golden))
 	}
-	db.SetScanParallelism(8)
-	defer db.SetScanParallelism(0)
 	for run := 0; run < 20; run++ {
 		got, err := db.Execute(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, golden) {
-			t.Fatalf("run %d: parallel scan diverged from serial scan", run)
+			t.Fatalf("run %d diverged from the first scan", run)
 		}
 	}
 }
 
-// TestParallelScanYieldError: an error returned by yield mid-scan
-// aborts the parallel scan and comes back unchanged, without leaking
-// goroutine results into later calls.
-func TestParallelScanYieldError(t *testing.T) {
+// TestScanYieldError: an error returned by yield mid-scan aborts the
+// scan and comes back unchanged — plain, ranked and traced alike — and
+// the trace can be released the moment ExecuteStream returns.
+func TestScanYieldError(t *testing.T) {
 	db := mustOpen(t)
 	seedRagged(t, db)
-	db.SetScanParallelism(4)
-	defer db.SetScanParallelism(0)
 	sentinel := errors.New("stop here")
-	q := Query{Metric: "par.m", Tags: map[string]string{"sensor": "*"},
-		Start: baseTS, End: baseTS + 12*3600*1000, Aggregator: AggAvg}
-	n := 0
-	err := db.ExecuteStream(q, func(rs ResultSeries) error {
-		n++
-		if n == 2 {
-			return sentinel
+	for _, limit := range []int{0, 3} {
+		tr := obs.NewTrace("query", "yield-error")
+		q := Query{Metric: "par.m", Tags: map[string]string{"sensor": "*"},
+			Start: baseTS, End: baseTS + 12*3600*1000, Aggregator: AggAvg, SeriesLimit: limit, Trace: tr}
+		n := 0
+		err := db.ExecuteStream(q, func(rs ResultSeries) error {
+			n++
+			if n == 2 {
+				return sentinel
+			}
+			return nil
+		})
+		tr.Release()
+		if err != sentinel {
+			t.Fatalf("limit %d: want the sentinel error unchanged, got %v", limit, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("want sentinel error, got %v", err)
-	}
-	if n != 2 {
-		t.Fatalf("yield ran %d times, want 2", n)
+		if n != 2 {
+			t.Fatalf("limit %d: yield ran %d times, want 2", limit, n)
+		}
 	}
 }
 
-// TestParallelScanAbortDrainsWorkers: an aborted scan must not return
-// while pool workers are still crediting the query's trace. The API
-// handler releases the trace to its pool as soon as ExecuteStream
-// returns, so a straggling worker would write into a reset (or
-// already-reused) trace — a data race this test exposes under -race
-// by releasing immediately after each aborted scan.
-func TestParallelScanAbortDrainsWorkers(t *testing.T) {
-	db := mustOpen(t)
-	seedRagged(t, db)
-	db.SetScanParallelism(4)
-	defer db.SetScanParallelism(0)
-	sentinel := errors.New("client went away")
-	for run := 0; run < 20; run++ {
-		tr := obs.NewTrace("query", "abort-drain")
-		q := Query{Metric: "par.m", Tags: map[string]string{"sensor": "*"},
-			Start: baseTS, End: baseTS + 12*3600*1000, Aggregator: AggAvg, Trace: tr}
-		err := db.ExecuteStream(q, func(rs ResultSeries) error { return sentinel })
-		if !errors.Is(err, sentinel) {
-			t.Fatalf("run %d: want sentinel error, got %v", run, err)
+// TestDownsampleFoldMatchesApply: the register fold inside
+// downsampleSource must produce the bits Aggregator.apply produces
+// over each bucket's values in arrival order — signed zeros and NaN
+// included, where "the same number" is not enough.
+func TestDownsampleFoldMatchesApply(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{negZero, negZero, 0, negZero, 0.1, 0.2, 0.30000000000000004, -17.25,
+		math.NaN(), 3, 2, math.NaN(), 1e300, 1e300, -1e300, 412.5, negZero, 5e-324}
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 400; i++ {
+		vals = append(vals, math.Round(rng.NormFloat64()*1e4)/1e3)
+	}
+	pts := make([]Point, len(vals))
+	for i, v := range vals {
+		pts[i] = Point{Timestamp: baseTS + int64(i)*1000, Value: v}
+	}
+	for _, fn := range []Aggregator{AggSum, AggAvg, AggMin, AggMax, AggCount, AggP50, AggP95, AggP99, AggDev} {
+		for _, iv := range []time.Duration{time.Second, 2 * time.Second, 3 * time.Second, 7 * time.Second, time.Hour} {
+			want := downsample(pts, iv, fn)
+			got, err := drainSource(&downsampleSource{src: &sliceSource{pts: pts}, ms: iv.Milliseconds(), fn: fn, sc: new(execScratch)}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s/%s: %d buckets, want %d", fn, iv, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Timestamp != want[i].Timestamp || math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+					t.Fatalf("%s/%s bucket %d: %v (%#x), want %v (%#x)", fn, iv, i,
+						got[i], math.Float64bits(got[i].Value), want[i], math.Float64bits(want[i].Value))
+				}
+			}
 		}
-		tr.Release()
 	}
 }
 
@@ -348,8 +389,6 @@ func TestPercentileScratchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.SetScanParallelism(1)
-	defer db.SetScanParallelism(0)
 	run := func(days int64) float64 {
 		q := Query{Metric: "alloc.m", Start: baseTS, End: baseTS + days*24*3600*1000,
 			Aggregator: AggAvg, Downsample: time.Hour, DownsampleFn: AggP95}
@@ -382,7 +421,7 @@ func (p *countingPlanner) ServeDownsample(series *Ref, start, end int64, interva
 	if err != nil {
 		return false, err
 	}
-	for _, pt := range Downsample(raw, interval, fn) {
+	for _, pt := range downsample(raw, interval, fn) {
 		if err := yield(pt); err != nil {
 			return false, err
 		}

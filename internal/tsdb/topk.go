@@ -8,14 +8,14 @@ package tsdb
 // winning groups are ever materialized into result series. Groups
 // that need cross-series aggregation or rate conversion fall back to
 // a full reduction for scoring. Selection runs on a bounded heap, so
-// retention is O(K); peak residency adds the scan pool's in-flight
-// window (at most scanWorkers full reductions awaiting in-order
-// consumption), never the whole fan-out.
+// retention is O(K); peak residency adds the one group being scored,
+// never the whole fan-out.
 
 import (
 	"container/heap"
 	"math"
 	"sort"
+	"time"
 )
 
 // SeriesScore ranks a result series for topk/bottomk selection: the
@@ -38,10 +38,10 @@ func SeriesScore(pts []Point) float64 {
 // scoring required a full reduction (full=true); cheaply-scored
 // winners materialize after selection.
 type scoredGroup struct {
+	g     *scanGroup // its key is the deterministic tie-break
 	rs    ResultSeries
 	full  bool
 	score float64
-	gk    string // group key: the deterministic tie-break
 }
 
 // limitHeap is a bounded heap of the K best groups seen so far. The
@@ -70,7 +70,7 @@ func (h *limitHeap) worse(a, b scoredGroup) bool {
 		}
 		return a.score < b.score
 	}
-	return a.gk > b.gk
+	return a.g.key > b.g.key
 }
 
 func (h *limitHeap) Swap(i, j int) { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
@@ -84,67 +84,43 @@ func (h *limitHeap) Pop() any {
 }
 
 // streamLimited runs topk/bottomk selection over the grouped matches
-// and yields the K winners best-first. Scoring runs on the same
-// bounded parallel scan as a plain query, with candidates considered
-// in group-key order so selection is deterministic.
-func (db *DB) streamLimited(q Query, groups map[string][]matched, groupTags map[string]map[string]string, groupKeys []string, yield func(ResultSeries) error) error {
+// and yields the K winners best-first. Candidates are scored in
+// group-key order, so selection is deterministic.
+func (db *DB) streamLimited(q Query, groups []*scanGroup, sc *execScratch, yield func(ResultSeries) error) error {
 	h := &limitHeap{lowest: q.LimitLowest}
-	err := scanOrdered(db.scanWorkers(len(groupKeys)), len(groupKeys), q.Trace,
-		func(i int, sc *execScratch) (scoredGroup, error) {
-			gk := groupKeys[i]
-			members := groups[gk]
-			if len(members) == 1 && !q.Rate {
-				// Single-member, non-rate group: the result series is the
-				// member's post-downsample stream unchanged, so its score
-				// folds straight off the cursor — rollup tier statistics
-				// when the planner covers the range, the fused decode
-				// path otherwise. Nothing is materialized.
-				sum, n := 0.0, 0
-				err := db.memberEach(members[0], q, sc, func(p Point) error {
-					sum += p.Value
-					n++
-					return nil
-				})
-				if err != nil || n == 0 {
-					return scoredGroup{score: math.NaN(), gk: gk}, err
-				}
-				return scoredGroup{score: sum / float64(n), gk: gk}, nil
-			}
-			rs, ok, err := db.groupSeries(q, members, groupTags[gk], sc)
-			if err != nil || !ok {
-				return scoredGroup{score: math.NaN(), gk: gk}, err
-			}
-			return scoredGroup{rs: rs, full: true, score: SeriesScore(rs.Points), gk: gk}, nil
-		},
-		func(i int, cand scoredGroup) error {
-			if math.IsNaN(cand.score) {
-				return nil // empty series (e.g. rate over one point) never rank
-			}
-			if h.Len() < q.SeriesLimit {
-				heap.Push(h, cand)
-				return nil
-			}
-			if h.worse(h.entries[0], cand) {
-				h.entries[0] = cand
-				heap.Fix(h, 0)
-			}
-			return nil
-		})
-	if err != nil {
-		return err
+	for _, g := range groups {
+		var t0 time.Time
+		if q.Trace != nil {
+			t0 = time.Now()
+		}
+		cand, err := db.scoreGroup(q, g, sc)
+		if q.Trace != nil {
+			q.Trace.Stage("group_reduce").Add(time.Since(t0))
+		}
+		if err != nil {
+			return err
+		}
+		if math.IsNaN(cand.score) {
+			continue // empty series (e.g. rate over one point) never rank
+		}
+		if h.Len() < q.SeriesLimit {
+			heap.Push(h, cand)
+		} else if h.worse(h.entries[0], cand) {
+			h.entries[0] = cand
+			heap.Fix(h, 0)
+		}
 	}
 	// Yield best-first: sort the survivors by rank (best = what worse()
 	// orders last), materializing the lazily-scored winners now — only
 	// K reductions, each typically rollup-served.
 	winners := h.entries
 	sort.Slice(winners, func(i, j int) bool { return h.worse(winners[j], winners[i]) })
-	sc := scratchPool.Get().(*execScratch)
-	defer scratchPool.Put(sc)
 	for _, w := range winners {
 		rs := w.rs
 		if !w.full {
 			var ok bool
-			rs, ok, err = db.groupSeries(q, groups[w.gk], groupTags[w.gk], sc)
+			var err error
+			rs, ok, err = db.timedGroupSeries(q, w.g, sc)
 			if err != nil {
 				return err
 			}
@@ -157,4 +133,30 @@ func (db *DB) streamLimited(q Query, groups map[string][]matched, groupTags map[
 		}
 	}
 	return nil
+}
+
+// scoreGroup ranks one candidate group; an empty one scores NaN.
+func (db *DB) scoreGroup(q Query, g *scanGroup, sc *execScratch) (scoredGroup, error) {
+	if len(g.members) == 1 && !q.Rate {
+		// Single-member, non-rate group: the result series is the
+		// member's post-downsample stream unchanged, so its score
+		// folds straight off the cursor — rollup tier statistics
+		// when the planner covers the range, the fused decode
+		// path otherwise. Nothing is materialized.
+		sum, n := 0.0, 0
+		err := db.memberEach(g.members[0], q, sc, func(p Point) error {
+			sum += p.Value
+			n++
+			return nil
+		})
+		if err != nil || n == 0 {
+			return scoredGroup{g: g, score: math.NaN()}, err
+		}
+		return scoredGroup{g: g, score: sum / float64(n)}, nil
+	}
+	rs, ok, err := db.groupSeries(q, g.members, g.tags, sc)
+	if err != nil || !ok {
+		return scoredGroup{g: g, score: math.NaN()}, err
+	}
+	return scoredGroup{g: g, rs: rs, full: true, score: SeriesScore(rs.Points)}, nil
 }
