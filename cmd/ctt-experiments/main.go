@@ -2,7 +2,7 @@
 // (Figures 1–8, Table 1, and the §3 deployment facts) from the
 // simulated CTT system, writing SVG/GML/GeoJSON artifacts into -out
 // and printing a quantitative summary of each experiment. The printed
-// numbers are the ones recorded in EXPERIMENTS.md.
+// summary is the record: no file keeps a copy of its numbers.
 //
 // Usage:
 //

@@ -5,9 +5,10 @@
 //
 // The implementation lives under internal/ (one package per
 // subsystem), runnable examples under examples/, and executables under
-// cmd/. See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// the paper-vs-measured record of every figure and table. The
-// bench_test.go file in this directory holds one benchmark per paper
+// cmd/. README.md is the system inventory and docs/ARCHITECTURE.md the
+// walk through the write and read paths; cmd/ctt-experiments
+// regenerates every figure and table of the paper and prints its
+// numbers. The bench_test.go file in this directory holds one benchmark per paper
 // artifact (Figures 1–8, Table 1, §3 deployments); bench_gateway_test.go
 // tracks the HTTP gateway's ingest throughput and query latency.
 //

@@ -15,9 +15,13 @@
 // downsample interval is a multiple of a tier resolution (and whose
 // aggregator the tier can reproduce exactly) is served from the
 // coarsest satisfying tier, skipping raw block decodes entirely. The
-// unsealed tail window — and the partial buckets at the range edges —
-// transparently fall back to the raw scan, so served results match a
-// full raw scan bucket for bucket.
+// bucket straddling that tier's sealed horizon is, for a composable
+// aggregate, combined from the finest tier dividing the interval — its
+// sealed windows, then the raw points after them — unless that tier
+// dropped a late point there; the partial head bucket and whatever no
+// tier has sealed fall back to the raw scan, so served results match a
+// full raw scan bucket for bucket (to float association where a window
+// holds several readings).
 //
 // Windows seal on a watermark: once a series' newest-seen timestamp
 // (minus a configurable grace allowance for out-of-order arrivals)
@@ -155,6 +159,7 @@ type Engine struct {
 	written   atomic.Uint64 // derived points written back
 	hits      atomic.Uint64 // per-series downsamples served from tiers
 	fallbacks atomic.Uint64 // per-series downsamples that fell back to raw
+	tailHits  atomic.Uint64 // hits whose bucket at the chosen tier's horizon came from windows finer than the interval
 	retained  atomic.Uint64 // points removed by retention
 	retErrs   atomic.Uint64 // background retention/compaction passes that failed
 	stateErrs atomic.Uint64 // state-file saves/loads that failed (state discarded)
@@ -192,13 +197,21 @@ type seriesState struct {
 	skip      bool              // derived series / reserved stat tag: never rolled up
 	countSkip bool              // reserved stat tag: count on the skipped counter
 	watermark int64             // newest event timestamp seen (ms)
+	pending   int               // write-backs of sealed windows not yet returned
 	tiers     []tierState
 }
 
 type tierState struct {
-	open        map[int64]*window   // by window start (ms)
-	sealedUntil int64               // every window with start < sealedUntil is sealed
-	refs        [numStats]*tsdb.Ref // derived series, windowStats order; interned at first seal, not in the state file
+	open        map[int64]*window // by window start (ms)
+	sealedUntil int64             // every window with start < sealedUntil is sealed
+	// readUntil is the horizon queries read: sealedUntil as of the last
+	// moment no write-back of the series was in flight, so every window
+	// before it is stored.
+	readUntil int64
+	// lateUntil: a window starting before it may lack a point the tier
+	// dropped as late (the end of the newest such window; 0 when none).
+	lateUntil int64
+	refs      [numStats]*tsdb.Ref // derived series, windowStats order; interned at first seal, not in the state file
 }
 
 type window struct {
@@ -348,7 +361,7 @@ func (e *Engine) observeBatch(rps []tsdb.RefPoint) {
 	if h := e.obsHist.Load(); h != nil {
 		defer h.ObserveSince(time.Now())
 	}
-	var flush []tsdb.RefPoint
+	var wb writeBack
 	for si := uint64(0); si < engineShards; si++ {
 		sh := &e.shards[si]
 		locked := false
@@ -361,19 +374,19 @@ func (e *Engine) observeBatch(rps []tsdb.RefPoint) {
 				sh.mu.Lock()
 				locked = true
 			}
-			flush = e.observeOneLocked(sh, rps[i], flush)
+			e.observeOneLocked(sh, rps[i], &wb)
 		}
 		if locked {
 			sh.mu.Unlock()
 		}
 	}
-	e.writeDerived(flush)
+	e.writeDerived(&wb)
 }
 
 // observeOneLocked folds one point into every tier's open window of
 // its series and seals whatever the advancing watermark has passed.
 // Caller holds the shard lock.
-func (e *Engine) observeOneLocked(sh *engineShard, rp tsdb.RefPoint, flush []tsdb.RefPoint) []tsdb.RefPoint {
+func (e *Engine) observeOneLocked(sh *engineShard, rp tsdb.RefPoint, wb *writeBack) {
 	st, ok := sh.series[rp.Ref.ID()]
 	if !ok {
 		st = e.newSeriesState(rp.Ref)
@@ -383,7 +396,7 @@ func (e *Engine) observeOneLocked(sh *engineShard, rp tsdb.RefPoint, flush []tsd
 		if st.countSkip {
 			e.skipped.Add(1)
 		}
-		return flush
+		return
 	}
 	e.observed.Add(1)
 	if rp.Timestamp > st.watermark {
@@ -395,6 +408,7 @@ func (e *Engine) observeOneLocked(sh *engineShard, rp tsdb.RefPoint, flush []tsd
 		w := rp.Timestamp - rp.Timestamp%e.tiers[i].resMS
 		if w < ts.sealedUntil {
 			lateAny = true
+			ts.lateUntil = max(ts.lateUntil, w+e.tiers[i].resMS)
 			continue
 		}
 		win := ts.open[w]
@@ -408,7 +422,7 @@ func (e *Engine) observeOneLocked(sh *engineShard, rp tsdb.RefPoint, flush []tsd
 	if lateAny {
 		e.late.Add(1)
 	}
-	return e.sealPassedLocked(st, st.watermark-e.cfg.Grace.Milliseconds(), flush)
+	e.sealPassedLocked(st, st.watermark-e.cfg.Grace.Milliseconds(), wb)
 }
 
 // newSeriesState builds the tracking state for a first-seen series,
@@ -433,17 +447,18 @@ func (e *Engine) newSeriesState(ref *tsdb.Ref) *seriesState {
 	for i := range st.tiers {
 		st.tiers[i].open = make(map[int64]*window)
 		st.tiers[i].sealedUntil = horizon - horizon%e.tiers[i].resMS
+		st.tiers[i].readUntil = st.tiers[i].sealedUntil
 	}
 	return st
 }
 
 // sealPassedLocked seals, for every tier of st, each open window that
-// ends at or before horizon, appending the derived points to out.
-// Caller holds the shard lock.
-func (e *Engine) sealPassedLocked(st *seriesState, horizon int64, out []tsdb.RefPoint) []tsdb.RefPoint {
+// ends at or before horizon into wb. Caller holds the shard lock.
+func (e *Engine) sealPassedLocked(st *seriesState, horizon int64, wb *writeBack) {
 	if st.skip || horizon <= 0 {
-		return out
+		return
 	}
+	n := len(wb.pts)
 	for i := range e.tiers {
 		ts := &st.tiers[i]
 		// hA: start of the window containing the horizon — every
@@ -452,10 +467,49 @@ func (e *Engine) sealPassedLocked(st *seriesState, horizon int64, out []tsdb.Ref
 		if hA <= ts.sealedUntil {
 			continue
 		}
-		out = e.sealBeforeLocked(out, st, i, hA)
+		wb.pts = e.sealBeforeLocked(wb.pts, st, i, hA)
 		ts.sealedUntil = hA
 	}
-	return out
+	wb.track(st, n)
+}
+
+// writeBack is what one locked pass seals: the derived points, and the
+// series they came from, whose horizons reach queries only once the
+// points are stored.
+type writeBack struct {
+	pts    []tsdb.RefPoint
+	series *[]*seriesState // from sealLists; nil until a series seals
+}
+
+// sealLists recycles writeBack.series, so listing the sealed series
+// costs a seal no allocation.
+var sealLists = sync.Pool{New: func() any { return new([]*seriesState) }}
+
+// track ends a seal of st begun when pts held n points: a series that
+// rendered windows waits for their write-back; one that rendered none
+// publishes its horizons now, unless an earlier write-back of it is
+// still in flight. Caller holds the shard lock.
+func (wb *writeBack) track(st *seriesState, n int) {
+	if len(wb.pts) == n {
+		st.publishLocked()
+		return
+	}
+	st.pending++
+	if wb.series == nil {
+		wb.series = sealLists.Get().(*[]*seriesState)
+	}
+	*wb.series = append(*wb.series, st)
+}
+
+// publishLocked moves st's read horizons up to its sealed ones once no
+// write-back of it is in flight. Caller holds the shard lock.
+func (st *seriesState) publishLocked() {
+	if st.pending > 0 {
+		return
+	}
+	for i := range st.tiers {
+		st.tiers[i].readUntil = st.tiers[i].sealedUntil
+	}
 }
 
 // sealBeforeLocked seals tier ti's open windows that start before
@@ -536,11 +590,32 @@ func sealStats(vals []float64) [numStats]float64 {
 		tsdb.PercentileSorted(vals, 0.50), tsdb.PercentileSorted(vals, 0.95), tsdb.PercentileSorted(vals, 0.99)}
 }
 
-// writeDerived stores sealed-window points. Runs outside the engine
-// shard locks: the store's observers (including this engine, which
-// skips the rollup namespace) fire synchronously on these writes.
-func (e *Engine) writeDerived(rps []tsdb.RefPoint) {
-	e.written.Add(uint64(e.db.AppendRefs(rps).Stored))
+// writeDerived stores what a pass sealed, then publishes the horizons
+// of the series it came from, one lock per run of a shard's series.
+// Runs outside the engine shard locks: the store's observers (including
+// this engine, which skips the rollup namespace) fire synchronously on
+// these writes.
+func (e *Engine) writeDerived(wb *writeBack) {
+	e.written.Add(uint64(e.db.AppendRefs(wb.pts).Stored))
+	if wb.series == nil {
+		return
+	}
+	var locked *engineShard
+	for _, st := range *wb.series {
+		if sh := &e.shards[uint64(st.ref.ID())%engineShards]; sh != locked {
+			if locked != nil {
+				locked.mu.Unlock()
+			}
+			locked = sh
+			sh.mu.Lock()
+		}
+		st.pending--
+		st.publishLocked()
+	}
+	locked.mu.Unlock()
+	clear(*wb.series)
+	*wb.series = (*wb.series)[:0]
+	sealLists.Put(wb.series)
 }
 
 // Flush seals every window that has fully elapsed by the given clock
@@ -553,10 +628,10 @@ func (e *Engine) Flush(now time.Time) {
 	}
 	for i := range e.shards {
 		sh := &e.shards[i]
-		var flush []tsdb.RefPoint
+		var wb writeBack
 		sh.mu.Lock()
 		for id, st := range sh.series {
-			flush = e.sealPassedLocked(st, horizon, flush)
+			e.sealPassedLocked(st, horizon, &wb)
 			// A series retention removed gets a fresh SeriesID if it
 			// ever returns; once this state has nothing left to seal,
 			// drop it so dead IDs don't accumulate forever.
@@ -565,7 +640,7 @@ func (e *Engine) Flush(now time.Time) {
 			}
 		}
 		sh.mu.Unlock()
-		e.writeDerived(flush)
+		e.writeDerived(&wb)
 	}
 }
 
@@ -586,18 +661,20 @@ func openWindowsLocked(st *seriesState) int {
 func (e *Engine) FlushAll() {
 	for i := range e.shards {
 		sh := &e.shards[i]
-		var flush []tsdb.RefPoint
+		var wb writeBack
 		sh.mu.Lock()
 		for _, st := range sh.series {
 			if st.skip {
 				continue
 			}
+			n := len(wb.pts)
 			for ti := range e.tiers {
-				flush = e.sealBeforeLocked(flush, st, ti, math.MaxInt64)
+				wb.pts = e.sealBeforeLocked(wb.pts, st, ti, math.MaxInt64)
 			}
+			wb.track(st, n)
 		}
 		sh.mu.Unlock()
-		e.writeDerived(flush)
+		e.writeDerived(&wb)
 	}
 }
 
@@ -668,6 +745,7 @@ type Stats struct {
 	PointsWritten    uint64
 	QueryHits        uint64
 	QueryFallbacks   uint64
+	TailServed       uint64 // QueryHits whose bucket at the chosen tier's horizon came from windows finer than the interval
 	RetentionDeleted uint64
 	RetentionErrors  uint64
 	StateErrors      uint64
@@ -684,6 +762,7 @@ func (e *Engine) Stats() Stats {
 		PointsWritten:    e.written.Load(),
 		QueryHits:        e.hits.Load(),
 		QueryFallbacks:   e.fallbacks.Load(),
+		TailServed:       e.tailHits.Load(),
 		RetentionDeleted: e.retained.Load(),
 		RetentionErrors:  e.retErrs.Load(),
 		StateErrors:      e.stateErrs.Load(),
@@ -720,6 +799,7 @@ func (e *Engine) EmitMetrics(emit func(name string, v any)) {
 	emit("ctt_rollup_points_written_total", st.PointsWritten)
 	emit("ctt_rollup_query_hits_total", st.QueryHits)
 	emit("ctt_rollup_query_fallbacks_total", st.QueryFallbacks)
+	emit("ctt_rollup_query_tail_served_total", st.TailServed)
 	emit("ctt_rollup_retention_deleted_total", st.RetentionDeleted)
 	emit("ctt_rollup_retention_errors_total", st.RetentionErrors)
 	emit("ctt_rollup_state_errors_total", st.StateErrors)

@@ -219,8 +219,10 @@ func TestExecuteParity(t *testing.T) {
 // from one sum, so only values that add exactly can agree to the bit
 // (TestExecuteParity covers arbitrary floats and out-of-order arrival
 // to a tolerance). It then reruns with the cached derived refs dropped,
-// as a restart leaves them, and after retention has killed the 1m
-// tier's derived series and later seals have brought them back.
+// as a restart leaves them; live, with the series reporting past the
+// last Flush so the 1m tier seals by watermark while the 1h tier's
+// bucket stays open; and after retention has killed the 1m tier's
+// derived series and later seals have brought them back.
 func TestPlannerParityBits(t *testing.T) {
 	clock := t0
 	db, eng := openEngine(t, Config{
@@ -233,8 +235,8 @@ func TestPlannerParityBits(t *testing.T) {
 		cadence time.Duration
 		ref     *tsdb.Ref
 	}{{name: "dense", cadence: time.Second}, {name: "sparse", cadence: 5 * time.Minute}}
-	// load appends [from, to) of both series and moves the clock to to.
-	load := func(from, to time.Duration) {
+	// write appends the readings of both series due in [from, to).
+	write := func(from, to time.Duration) {
 		t.Helper()
 		for i := range series {
 			s := &series[i]
@@ -245,7 +247,7 @@ func TestPlannerParityBits(t *testing.T) {
 				}
 			}
 			var batch []tsdb.RefPoint
-			for off := from; off < to; off += s.cadence {
+			for off := (from + s.cadence - 1).Truncate(s.cadence); off < to; off += s.cadence {
 				batch = append(batch, tsdb.RefPoint{Ref: s.ref, Point: tsdb.Point{
 					Timestamp: t0.Add(off).UnixMilli() + int64(rng.Intn(900)), Value: float64(rng.Intn(8000)-2000) / 8}})
 			}
@@ -253,14 +255,22 @@ func TestPlannerParityBits(t *testing.T) {
 				t.Fatal(res.Errors[0])
 			}
 		}
+	}
+	// load appends [from, to) of both series and moves the clock to to.
+	load := func(from, to time.Duration) {
+		t.Helper()
+		write(from, to)
 		clock = t0.Add(to)
 		eng.Flush(clock)
 	}
 	aggs := []tsdb.Aggregator{tsdb.AggSum, tsdb.AggAvg, tsdb.AggMin, tsdb.AggMax, tsdb.AggCount, tsdb.AggP50, tsdb.AggP95, tsdb.AggP99, tsdb.AggDev}
-	intervals := []time.Duration{time.Minute, 7 * time.Minute, time.Hour, 3 * time.Hour}
+	intervals := []time.Duration{time.Minute, 7 * time.Minute, 30 * time.Minute, time.Hour, 3 * time.Hour}
+	// served is what the planner did with one or more queries: hits,
+	// fallbacks, and the hits whose open bucket came from the 1m tier.
+	type served struct{ hits, fallbacks, tails uint64 }
 	// check runs one query with the planner off and on and returns what
 	// the planner did with it.
-	check := func(label, sensor string, start, end int64, iv time.Duration, fn tsdb.Aggregator) (hits, fallbacks uint64) {
+	check := func(label, sensor string, start, end int64, iv time.Duration, fn tsdb.Aggregator) served {
 		t.Helper()
 		q := tsdb.Query{Metric: "air.pm", Tags: map[string]string{"sensor": sensor}, Start: start, End: end,
 			Aggregator: tsdb.AggAvg, Downsample: iv, DownsampleFn: fn}
@@ -290,30 +300,39 @@ func TestPlannerParityBits(t *testing.T) {
 			}
 		}
 		after := eng.Stats()
-		return after.QueryHits - before.QueryHits, after.QueryFallbacks - before.QueryFallbacks
+		return served{after.QueryHits - before.QueryHits, after.QueryFallbacks - before.QueryFallbacks, after.TailServed - before.TailServed}
 	}
-	// sweep checks trials random ranges inside [0, span) × everything.
-	sweep := func(label string, trials int, span time.Duration) (hits uint64) {
+	// expect runs check on a range given as offsets from t0 and holds the
+	// planner to one decision.
+	expect := func(label, sensor string, from, to time.Duration, iv time.Duration, fn tsdb.Aggregator, want served) {
+		t.Helper()
+		if got := check(label, sensor, t0.Add(from).UnixMilli(), t0.Add(to).UnixMilli(), iv, fn); got != want {
+			t.Errorf("%s: %s %s-%s over [%s, %s]: %+v, want %+v", label, sensor, iv, fn, from, to, got, want)
+		}
+	}
+	// sweep checks trials random ranges inside [lo, hi) × everything.
+	sweep := func(label string, trials int, lo, hi time.Duration) (total served) {
 		t.Helper()
 		for trial := 0; trial < trials; trial++ {
-			a, b := rng.Int63n(span.Milliseconds()), rng.Int63n(span.Milliseconds())
+			a, b := lo.Milliseconds()+rng.Int63n((hi-lo).Milliseconds()), lo.Milliseconds()+rng.Int63n((hi-lo).Milliseconds())
 			if a > b {
 				a, b = b, a
 			}
 			for _, s := range series {
 				for _, iv := range intervals {
 					for _, fn := range aggs {
-						h, _ := check(label, s.name, t0.UnixMilli()+a, t0.UnixMilli()+b, iv, fn)
-						hits += h
+						got := check(label, s.name, t0.UnixMilli()+a, t0.UnixMilli()+b, iv, fn)
+						total.hits += got.hits
+						total.tails += got.tails
 					}
 				}
 			}
 		}
-		return hits
+		return total
 	}
 
 	load(0, 8*time.Hour)
-	if hits := sweep("sealed", 8, 8*time.Hour+10*time.Minute); hits == 0 {
+	if got := sweep("sealed", 8, 0, 8*time.Hour+10*time.Minute); got.hits == 0 {
 		t.Fatal("no query of the sweep was served from a tier")
 	}
 
@@ -332,9 +351,9 @@ func TestPlannerParityBits(t *testing.T) {
 		{"sparse", time.Hour, tsdb.AggAvg, true},        // the 1h tier is 12× shorter
 		{"sparse", 3 * time.Hour, tsdb.AggAvg, true},    // two of them still 6×
 	} {
-		hits, fallbacks := check("cost rule", c.sensor, from, to, c.iv, c.fn)
-		if served := hits == 1 && fallbacks == 0; served != c.served || hits+fallbacks != 1 {
-			t.Errorf("cost rule: %s %s-%s: %d hits, %d fallbacks; want served=%v", c.sensor, c.iv, c.fn, hits, fallbacks, c.served)
+		got := check("cost rule", c.sensor, from, to, c.iv, c.fn)
+		if served := got.hits == 1 && got.fallbacks == 0; served != c.served || got.hits+got.fallbacks != 1 {
+			t.Errorf("cost rule: %s %s-%s: %+v; want served=%v", c.sensor, c.iv, c.fn, got, c.served)
 		}
 	}
 
@@ -347,9 +366,41 @@ func TestPlannerParityBits(t *testing.T) {
 			}
 		}
 	}
-	if hits := sweep("refs dropped", 2, 8*time.Hour); hits == 0 {
+	if got := sweep("refs dropped", 2, 0, 8*time.Hour); got.hits == 0 {
 		t.Fatal("no query was served from a tier through looked-up refs")
 	}
+
+	// goLive writes forty minutes past open, a minute a batch, with no
+	// Flush: only the watermarks seal — the dense series' 1m tier to
+	// open+39m and the sparse one's to open+35m, while both 1h tiers stay
+	// sealed to open.
+	goLive := func(open time.Duration) {
+		for off := open; off < open+40*time.Minute; off += time.Minute {
+			write(off, off+time.Minute)
+		}
+	}
+	open := 8 * time.Hour
+	goLive(open)
+	if got := sweep("live", 8, 6*time.Hour, 8*time.Hour+45*time.Minute); got.tails == 0 {
+		t.Fatal("no query of the live sweep read its open bucket from the 1m tier")
+	}
+	hit, tail, fallback := served{hits: 1}, served{hits: 1, tails: 1}, served{fallbacks: 1}
+	composable := []tsdb.Aggregator{tsdb.AggAvg, tsdb.AggSum, tsdb.AggMin, tsdb.AggMax, tsdb.AggCount}
+	for _, fn := range composable {
+		// Wholly inside the open hour: no 1h window to read, so the raw
+		// scan once; sealed minutes plus the last one raw now.
+		expect("inside the open hour", "dense", open, open+35*time.Minute+17*time.Second, time.Hour, fn, tail)
+		// The range ends inside a sealed 1m window: the windows before it,
+		// then that minute raw.
+		expect("end in a sealed minute", "dense", open-90*time.Minute, open+20*time.Minute+30*time.Second, time.Hour, fn, tail)
+		expect("3h bucket", "dense", open-5*time.Hour, open+45*time.Minute, 3*time.Hour, fn, tail)
+		expect("30m buckets", "dense", open-2*time.Hour+7*time.Minute, open+45*time.Minute, 30*time.Minute, fn, tail)
+		// Five-minute readings: the 1m tier is as long as raw.
+		expect("sparse declines", "sparse", open-2*time.Hour, open+45*time.Minute, time.Hour, fn, hit)
+	}
+	// Percentiles and dev do not compose: the tail stays raw.
+	expect("p95 raw tail", "dense", open-3*time.Hour, open+45*time.Minute, time.Hour, tsdb.AggP95, hit)
+	expect("dev", "dense", open-3*time.Hour, open+45*time.Minute, time.Hour, tsdb.AggDev, fallback)
 
 	// Half a day on, retention removes every 1m-tier point there is —
 	// the cached refs die with their series — and the series resume:
@@ -359,15 +410,77 @@ func TestPlannerParityBits(t *testing.T) {
 	if n, err := eng.ApplyRetention(clock); err != nil || n == 0 || cached == nil || cached.Live() {
 		t.Fatalf("retention removed %d points (%v); the dense series' cached 1m sum ref must be dead", n, err)
 	}
-	if hits, fallbacks := check("1m tier aged out", "dense", from, to, 7*time.Minute, tsdb.AggAvg); hits != 0 || fallbacks != 1 {
-		t.Fatalf("a range behind the tier's retention: %d hits, %d fallbacks; want the raw scan", hits, fallbacks)
+	if got := check("1m tier aged out", "dense", from, to, 7*time.Minute, tsdb.AggAvg); got != fallback {
+		t.Fatalf("a range behind the tier's retention: %+v; want the raw scan", got)
 	}
+	// The open hour's 1m windows are gone: its tail is raw again.
+	expect("1m refs killed", "dense", open-2*time.Hour, open+40*time.Minute, time.Hour, tsdb.AggAvg, hit)
 	load(21*time.Hour, 23*time.Hour)
-	if hits := sweep("after retention", 6, 23*time.Hour+10*time.Minute); hits == 0 {
+	if got := sweep("after retention", 6, 0, 23*time.Hour+10*time.Minute); got.hits == 0 {
 		t.Fatal("no query was served from a tier after retention")
 	}
-	if hits, _ := check("re-interned", "dense", t0.Add(21*time.Hour).UnixMilli(), t0.Add(23*time.Hour).UnixMilli()-1, 7*time.Minute, tsdb.AggAvg); hits != 1 {
+	if got := check("re-interned", "dense", t0.Add(21*time.Hour).UnixMilli(), t0.Add(23*time.Hour).UnixMilli()-1, 7*time.Minute, tsdb.AggAvg); got.hits != 1 {
 		t.Fatal("the resumed dense series is not served from its re-interned 1m tier")
+	}
+
+	// Live again, then late: a dense reading more than Grace behind the
+	// watermark, inside the open hour. Its minute is sealed, so the 1m
+	// tier drops it while the open 1h window keeps it: the 1h buckets
+	// from that minute on scan raw until the 1h tier seals, as they did
+	// before the 1m tier served them. (Intervals the 1m tier itself
+	// serves leave the reading out, as late readings always were.)
+	open = 23 * time.Hour
+	goLive(open)
+	late := tsdb.RefPoint{Ref: series[0].ref, Point: tsdb.Point{Timestamp: t0.Add(open+10*time.Minute).UnixMilli() + 950, Value: 3}}
+	if res := db.AppendRefs([]tsdb.RefPoint{late}); len(res.Errors) > 0 {
+		t.Fatal(res.Errors[0])
+	}
+	for _, fn := range composable {
+		expect("late: inside the open hour", "dense", open, open+35*time.Minute+17*time.Second, time.Hour, fn, fallback)
+		expect("late: open hour", "dense", open-2*time.Hour, open+45*time.Minute, time.Hour, fn, hit)
+		expect("late: 30m bucket after it", "dense", open+30*time.Minute, open+45*time.Minute, 30*time.Minute, fn, tail)
+	}
+
+	// A series first seen behind the clock horizon: after a Flush at
+	// open+20m its 1m tier starts sealed to there and its 1h tier to
+	// open, so its minutes before open+20m are late for the one and not
+	// the other. It then catches up to live at 1 Hz.
+	clock = t0.Add(open + 20*time.Minute)
+	eng.Flush(clock)
+	backfill, err := db.Intern("air.pm", map[string]string{"sensor": "backfill"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := open + 5*time.Minute; off < open+40*time.Minute; off += time.Minute {
+		var batch []tsdb.RefPoint
+		for s := off; s < off+time.Minute; s += time.Second {
+			batch = append(batch, tsdb.RefPoint{Ref: backfill, Point: tsdb.Point{
+				Timestamp: t0.Add(s).UnixMilli() + int64(rng.Intn(900)), Value: float64(rng.Intn(8000)-2000) / 8}})
+		}
+		if res := db.AppendRefs(batch); len(res.Errors) > 0 {
+			t.Fatal(res.Errors[0])
+		}
+	}
+	for _, fn := range composable {
+		expect("behind the clock", "backfill", open, open+38*time.Minute+5*time.Second, time.Hour, fn, fallback)
+		expect("behind the clock: 30m bucket after it", "backfill", open+7*time.Minute, open+45*time.Minute, 30*time.Minute, fn, tail)
+	}
+	// Random ranges over both, at the intervals the 1h tier serves.
+	for trial := 0; trial < 6; trial++ {
+		lo, span := t0.Add(open-2*time.Hour).UnixMilli(), (2*time.Hour + 45*time.Minute).Milliseconds()
+		a, b := lo+rng.Int63n(span), lo+rng.Int63n(span)
+		if a > b {
+			a, b = b, a
+		}
+		for _, sensor := range []string{"dense", "backfill"} {
+			for _, iv := range []time.Duration{time.Hour, 3 * time.Hour} {
+				for _, fn := range aggs {
+					if got := check("late", sensor, a, b, iv, fn); got.tails != 0 {
+						t.Errorf("late: %s %s-%s [%d, %d] read its open bucket from the 1m tier", sensor, iv, fn, a, b)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -4,17 +4,34 @@ package rollup
 // ExecuteStream hands it every downsampled per-series read. The
 // planner picks the coarsest tier whose resolution divides the
 // requested interval and whose statistics can reproduce the requested
-// aggregator exactly, reads the derived stat series through the refs
-// the seal path cached (no lookup, no raw block decode), and folds
-// them to the query interval inside the store's own cursor —
-// streaming each finished bucket to the caller's yield instead of
-// materializing the window. Three ranges fall back to the raw scan so
-// served buckets match a raw scan bucket for bucket: the partial
-// bucket at the range start, the partial bucket at the range end, and
-// everything at or after the series' sealed horizon (the unsealed
-// tail). A tier that holds no fewer stored points than the raw series
-// over the served buckets is declined: reading it would cost what the
-// scan costs, or twice that.
+// aggregator, reads the derived stat series through the refs the seal
+// path cached (no lookup, no raw block decode), and folds them to the
+// query interval inside the store's own cursor — streaming each
+// finished bucket to the caller's yield instead of materializing the
+// window. The partial bucket at the range start is scanned raw, since
+// its tier windows hold points before the range. The bucket just past
+// the last one that tier covers (its sealed horizon, or the range end)
+// comes from the finest tier whose resolution divides the interval,
+// when the aggregator composes across windows (avg, sum, min, max,
+// count): that tier's sealed windows, then the raw points after them,
+// fold into one value (avg as Σsum ÷ Σcount), and only what lies past
+// that bucket is scanned raw. A live series reporting faster than that
+// tier's resolution so reads its open hour as sealed minutes plus the
+// last minute raw, instead of point by point. Percentiles and dev scan
+// everything past the horizon raw, and so does a bucket in which the
+// finer tier dropped a point as late: its windows would miss it.
+//
+// Horizons are read as published after the write-back of the windows
+// behind them returned, so a read never meets a sealed window that is
+// not yet stored.
+//
+// Served buckets match a raw scan bucket for bucket: bit for bit where
+// every window holds one reading, to float association where windows
+// sum several. A tier that holds no fewer stored points than the raw
+// series over the range it would serve is not read: reading it would
+// cost what the scan costs, or twice that. Declining the coarse tier
+// sends the whole series to the raw scan; declining the finer one
+// leaves its part raw.
 //
 // The same ServeDownsample path also ranks topk/bottomk selection:
 // the query engine folds a candidate series' score straight off the
@@ -45,60 +62,35 @@ func (e *Engine) ServeDownsample(series *tsdb.Ref, start, end int64, interval ti
 		e.fallbacks.Add(1)
 		return false, nil
 	}
-	sealedUntil, stat, count, known := e.sealedHorizon(series.ID(), ti, rd)
-	if !known {
+	coarse, fine := tierView{ti: ti, rd: rd}, tierView{}
+	fine.ti, fine.rd = e.pickFiner(iMS, fn)
+	if !e.sealedViews(series.ID(), &coarse, &fine) {
 		e.fallbacks.Add(1)
 		return false, nil
 	}
 
-	// bLo: first bucket boundary at or after start; buckets before it
-	// would cover pre-range points the query must exclude.
-	bLo := start
-	if rem := start % iMS; rem != 0 {
-		bLo += iMS - rem
-	}
-	// A tier with finite retention has nothing before its cutoff even
-	// when raw points are kept longer: clamp the tier-served range and
-	// let the head raw scan cover the older buckets.
-	if ret := e.tiers[ti].retention; ret > 0 {
-		if retLo := e.cfg.Now().UnixMilli() - ret.Milliseconds(); retLo > 0 {
-			if rem := retLo % iMS; rem != 0 {
-				retLo += iMS - rem // align up: partial buckets stay raw
-			}
-			if retLo > bLo {
-				bLo = retLo
-			}
-		}
-	}
-	// cut: first bucket boundary the tiers cannot fully cover —
-	// either because the bucket extends past the sealed horizon or
-	// past the requested end.
-	hcut := sealedUntil - sealedUntil%iMS
+	// bLo: first bucket boundary at or after start, and at or after the
+	// coarse tier's retention cutoff; the buckets before it are scanned.
+	bLo := max(alignUp(start, iMS), e.retentionFloor(ti, iMS))
+	// cut: first bucket boundary the coarse tier cannot fully cover —
+	// the bucket extends past its sealed horizon or past the requested
+	// end. At bLo when the tier covers nothing.
 	ecut := (end + 1) - (end+1)%iMS
-	cut := hcut
-	if ecut < cut {
-		cut = ecut
-	}
-	if cut <= bLo {
-		e.fallbacks.Add(1)
-		return false, nil
-	}
-	// The cost rule: a tier earns the read only by holding fewer stored
-	// points than the raw series over the same buckets. A derived
-	// series has a point per non-empty window, so at a cadence no finer
-	// than the tier's resolution it is as long as the raw one — and an
-	// average across windows reads two of them.
-	stored := 0 // points of one derived series over the served buckets
-	if stat != nil {
-		stored = e.db.PointEstimate(stat, bLo, cut-1)
-		cost := stored
-		if rd.avg {
-			cost *= 2
-		}
-		if cost > 0 && cost >= e.db.PointEstimate(series, bLo, cut-1) {
+	cut := max(bLo, min(coarse.horizon-coarse.horizon%iMS, ecut))
+	stored := 0 // points of one coarse derived series over [bLo, cut)
+	if cut > bLo {
+		var ok bool
+		if stored, ok = e.weigh(series, &coarse, bLo, cut); !ok {
 			e.fallbacks.Add(1)
 			return false, nil
 		}
+	}
+	// edge: end of the finer tier's windows that serve the bucket at cut;
+	// cut when they serve none.
+	edge := e.finerEdge(series, &fine, cut, end, iMS)
+	if cut == bLo && edge == cut {
+		e.fallbacks.Add(1) // no tier serves a bucket of the range
+		return false, nil
 	}
 
 	if bLo > start { // partial head bucket from raw
@@ -110,16 +102,90 @@ func (e *Engine) ServeDownsample(series *tsdb.Ref, start, end int64, interval ti
 	if iMS == e.tiers[ti].resMS {
 		fold = 0 // every stored window is one query bucket already
 	}
-	if err := e.yieldTier(rd, stat, count, bLo, cut, fold, stored, yield); err != nil {
+	if err := e.yieldTier(&coarse, bLo, cut, fold, stored, yield); err != nil {
 		return false, err
 	}
-	if cut <= end { // unsealed tail (and partial end bucket) from raw
-		if err := e.db.ReadRef(series, cut, end, interval, fn, yield); err != nil {
+	rest := cut // first timestamp left to the raw scan
+	if edge > cut {
+		// The bucket at cut: the finer windows up to edge, raw after.
+		rest = cut + iMS
+		if err := e.yieldOpen(series, fn, &fine, cut, edge, min(end, rest-1), yield); err != nil {
+			return false, err
+		}
+		e.tailHits.Add(1)
+	}
+	if rest <= end {
+		if err := e.db.ReadRef(series, rest, end, interval, fn, yield); err != nil {
 			return false, err
 		}
 	}
 	e.hits.Add(1)
 	return true, nil
+}
+
+// alignUp rounds ms up to a multiple of step.
+func alignUp(ms, step int64) int64 {
+	if rem := ms % step; rem != 0 {
+		return ms + step - rem
+	}
+	return ms
+}
+
+// retentionFloor is the first bucket boundary (buckets of iMS) at or
+// after tier ti's retention cutoff: a tier with finite retention holds
+// nothing before its cutoff even when raw points are kept longer, and a
+// bucket straddling it would be served partial. 0 without retention.
+func (e *Engine) retentionFloor(ti int, iMS int64) int64 {
+	ret := e.tiers[ti].retention
+	if ret <= 0 {
+		return 0
+	}
+	if lo := e.cfg.Now().UnixMilli() - ret.Milliseconds(); lo > 0 {
+		return alignUp(lo, iMS)
+	}
+	return 0
+}
+
+// weigh is the cost rule for reading v over [lo, hi): a tier earns the
+// read only by holding fewer stored points than the raw series there. A
+// derived series has a point per non-empty window, so at a cadence no
+// finer than the tier's resolution it is as long as the raw one — and
+// an average across windows reads two of them. stored is the points of
+// one derived series over the range.
+func (e *Engine) weigh(series *tsdb.Ref, v *tierView, lo, hi int64) (stored int, ok bool) {
+	if v.stat == nil {
+		return 0, true // nothing stored: reads as empty
+	}
+	stored = e.db.PointEstimate(v.stat, lo, hi-1)
+	cost := stored
+	if v.rd.avg {
+		cost *= 2
+	}
+	return stored, cost == 0 || cost < e.db.PointEstimate(series, lo, hi-1)
+}
+
+// finerEdge plans the finer tier's part of a read whose coarse tier
+// stops at cut: it returns the end of its windows that serve the bucket
+// starting there — its sealed horizon or the range end, whichever comes
+// first — or cut when they serve none. Every tier seals from one
+// horizon and both resolutions divide the interval, so the finer tier
+// never holds a whole bucket past cut; the clamp to that one bucket
+// only states it. A tier whose derived series are gone, whose retention
+// reaches past cut, that dropped a late point from cut on, or that
+// fails the cost rule serves none.
+func (e *Engine) finerEdge(series *tsdb.Ref, v *tierView, cut, end, iMS int64) int64 {
+	if v.ti < 0 || v.stat == nil || (v.rd.avg && v.count == nil) || v.lateUntil > cut {
+		return cut
+	}
+	r := e.tiers[v.ti].resMS
+	edge := min(v.horizon-v.horizon%r, (end+1)-(end+1)%r, cut+iMS)
+	if edge <= cut || e.retentionFloor(v.ti, iMS) > cut {
+		return cut
+	}
+	if _, ok := e.weigh(series, v, cut, edge); !ok {
+		return cut
+	}
+	return edge
 }
 
 // tierRead is how a tier reproduces one downsample: the derived
@@ -132,35 +198,64 @@ type tierRead struct {
 	avg  bool
 }
 
+// foldRead is the read that folds windows of any resolution into
+// coarser buckets for fn; false when fn does not compose across
+// windows (percentiles, dev).
+func foldRead(fn tsdb.Aggregator) (tierRead, bool) {
+	switch fn {
+	case tsdb.AggSum, tsdb.AggMin, tsdb.AggMax:
+		return tierRead{stat: statOf(fn), fold: fn}, true
+	case tsdb.AggCount:
+		return tierRead{stat: statCount, fold: tsdb.AggSum}, true
+	case tsdb.AggAvg:
+		return tierRead{stat: statSum, fold: tsdb.AggSum, avg: true}, true
+	}
+	return tierRead{}, false
+}
+
 // pickTier returns the index of the coarsest tier that can serve a
-// downsample of interval iMS with aggregator fn exactly, and the read
-// that does it; -1 when none can.
+// downsample of interval iMS with aggregator fn, and the read that
+// does it; -1 when none can.
 func (e *Engine) pickTier(iMS int64, fn tsdb.Aggregator) (int, tierRead) {
 	for i := len(e.tiers) - 1; i >= 0; i-- {
 		r := e.tiers[i].resMS
 		if r > iMS || iMS%r != 0 {
 			continue
 		}
-		switch fn {
-		case tsdb.AggSum, tsdb.AggMin, tsdb.AggMax: // composable across windows
-			return i, tierRead{stat: statOf(fn), fold: fn}
-		case tsdb.AggCount:
-			return i, tierRead{stat: statCount, fold: tsdb.AggSum}
-		case tsdb.AggAvg:
-			if iMS == r {
+		if iMS == r { // statistics stored as the bucket needs them
+			switch fn {
+			case tsdb.AggAvg:
 				return i, tierRead{stat: statMean}
-			}
-			return i, tierRead{stat: statSum, fold: tsdb.AggSum, avg: true}
-		case tsdb.AggP50, tsdb.AggP95, tsdb.AggP99:
-			// Percentiles don't compose; only an exact-resolution tier
-			// stores them directly.
-			if iMS == r {
+			case tsdb.AggP50, tsdb.AggP95, tsdb.AggP99:
+				// Percentiles don't compose; only an exact-resolution
+				// tier stores them directly.
 				return i, tierRead{stat: statOf(fn)}
 			}
 		}
-		// AggDev and unknown aggregators: raw scan.
+		if rd, ok := foldRead(fn); ok {
+			return i, rd
+		}
 	}
 	return -1, tierRead{}
+}
+
+// pickFiner returns the finest tier whose resolution divides iMS with
+// buckets of several windows, and the read that folds them; -1 when
+// there is none or fn does not compose. Under 7m or 30m with 1m and 1h
+// tiers that is the chosen tier itself: its windows then serve the
+// bucket straddling its own horizon, and TailServed counts that read
+// like one from a finer tier.
+func (e *Engine) pickFiner(iMS int64, fn tsdb.Aggregator) (int, tierRead) {
+	rd, ok := foldRead(fn)
+	if !ok {
+		return -1, rd
+	}
+	for i := range e.tiers {
+		if r := e.tiers[i].resMS; r < iMS && iMS%r == 0 {
+			return i, rd
+		}
+	}
+	return -1, rd
 }
 
 // statOf returns the windowStats index of the statistic fn computes.
@@ -173,25 +268,41 @@ func statOf(fn tsdb.Aggregator) int {
 	panic("rollup: no window statistic for aggregator " + string(fn))
 }
 
-// sealedHorizon reads the series' sealed boundary for one tier and
-// the refs of the derived series rd reads (count only when rd
-// averages). A ref the seal path has not cached — restored state, a
-// series retention removed and a later seal brought back — is looked
-// up and cached here; it stays nil while the derived series does not
-// exist, and reads as empty.
-func (e *Engine) sealedHorizon(id tsdb.SeriesID, ti int, rd tierRead) (horizon int64, stat, count *tsdb.Ref, known bool) {
+// tierView is one tier of one series as a read sees it: the tier and
+// read chosen for the query, its published horizon and late-drop mark
+// (tierState.readUntil, lateUntil), and the derived series the read
+// folds (count only when it averages; nil while the store holds no
+// such series).
+type tierView struct {
+	ti                 int // -1: no tier
+	rd                 tierRead
+	horizon, lateUntil int64
+	stat, count        *tsdb.Ref
+}
+
+// sealedViews fills in both views of one series under one lock; false
+// when the engine does not roll the series up. A ref the seal path has
+// not cached — restored state, a series retention removed and a later
+// seal brought back — is looked up and cached here.
+func (e *Engine) sealedViews(id tsdb.SeriesID, views ...*tierView) bool {
 	sh := &e.shards[uint64(id)%engineShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st, ok := sh.series[id]
 	if !ok || st.skip {
-		return 0, nil, nil, false
+		return false
 	}
-	stat = e.cachedRefLocked(st, ti, rd.stat)
-	if rd.avg {
-		count = e.cachedRefLocked(st, ti, statCount)
+	for _, v := range views {
+		if v.ti < 0 {
+			continue
+		}
+		v.horizon, v.lateUntil = st.tiers[v.ti].readUntil, st.tiers[v.ti].lateUntil
+		v.stat = e.cachedRefLocked(st, v.ti, v.rd.stat)
+		if v.rd.avg {
+			v.count = e.cachedRefLocked(st, v.ti, statCount)
+		}
 	}
-	return st.tiers[ti].sealedUntil, stat, count, true
+	return true
 }
 
 // cachedRefLocked returns the live handle of one derived series of st,
@@ -212,29 +323,29 @@ func (e *Engine) derivedName(st *seriesState, ti, stat int) (string, map[string]
 	return e.tiers[ti].metricPrefix + st.metric, tags
 }
 
-// yieldTier streams the buckets of [bLo, cut) out of the derived
+// yieldTier streams the buckets of [bLo, cut) out of v's derived
 // series: stored windows as they are when interval is 0, otherwise
-// folded to interval by rd.fold. stored bounds the windows either
+// folded to interval by v.rd.fold. stored bounds the windows either
 // series holds there.
-func (e *Engine) yieldTier(rd tierRead, stat, count *tsdb.Ref, bLo, cut int64, interval time.Duration, stored int, yield func(tsdb.Point) error) error {
-	if stat == nil || (rd.avg && count == nil) {
+func (e *Engine) yieldTier(v *tierView, bLo, cut int64, interval time.Duration, stored int, yield func(tsdb.Point) error) error {
+	if cut <= bLo || v.stat == nil || (v.rd.avg && v.count == nil) {
 		return nil
 	}
-	if !rd.avg {
-		return e.db.ReadRef(stat, bLo, cut-1, interval, rd.fold, yield)
+	if !v.rd.avg {
+		return e.db.ReadRef(v.stat, bLo, cut-1, interval, v.rd.fold, yield)
 	}
 	// The two series are written atomically per window, so their
 	// buckets align; both arrive in timestamp order, so pairing them
 	// is a merge join. A bucket missing its count (or with a zero one)
 	// is skipped rather than divided by zero.
 	counts := make([]tsdb.Point, 0, min((cut-bLo)/interval.Milliseconds()+2, int64(stored)))
-	if err := e.db.ReadRef(count, bLo, cut-1, interval, rd.fold, func(p tsdb.Point) error {
+	if err := e.db.ReadRef(v.count, bLo, cut-1, interval, v.rd.fold, func(p tsdb.Point) error {
 		counts = append(counts, p)
 		return nil
 	}); err != nil {
 		return err
 	}
-	return e.db.ReadRef(stat, bLo, cut-1, interval, rd.fold, func(sum tsdb.Point) error {
+	return e.db.ReadRef(v.stat, bLo, cut-1, interval, v.rd.fold, func(sum tsdb.Point) error {
 		for len(counts) > 0 && counts[0].Timestamp < sum.Timestamp {
 			counts = counts[1:]
 		}
@@ -243,4 +354,70 @@ func (e *Engine) yieldTier(rd tierRead, stat, count *tsdb.Ref, bLo, cut int64, i
 		}
 		return yield(tsdb.Point{Timestamp: sum.Timestamp, Value: sum.Value / counts[0].Value})
 	})
+}
+
+// yieldOpen streams the one bucket starting at b that straddles v's
+// edge: the tier's windows [b, edge), then the raw points [edge, last],
+// folded in timestamp order into one value as the scan's downsample
+// fold would — avg as Σsum ÷ Σcount.
+func (e *Engine) yieldOpen(series *tsdb.Ref, fn tsdb.Aggregator, v *tierView, b, edge, last int64, yield func(tsdb.Point) error) error {
+	acc := openBucket{fold: v.rd.fold, count: fn == tsdb.AggCount}
+	if err := e.db.ReadRef(v.stat, b, edge-1, 0, "", acc.window); err != nil {
+		return err
+	}
+	if v.rd.avg {
+		if err := e.db.ReadRef(v.count, b, edge-1, 0, "", acc.windowCount); err != nil {
+			return err
+		}
+	}
+	if err := e.db.ReadRef(series, edge, last, 0, "", acc.raw); err != nil {
+		return err
+	}
+	switch {
+	case v.rd.avg && acc.n > 0:
+		return yield(tsdb.Point{Timestamp: b, Value: acc.v / acc.n})
+	case !v.rd.avg && acc.seen:
+		return yield(tsdb.Point{Timestamp: b, Value: acc.v})
+	}
+	return nil // an empty bucket, or windows missing their counts
+}
+
+// openBucket folds one query bucket from partial aggregates in
+// timestamp order: windows of one tier statistic, then raw points.
+// Sum starts from zero and min/max from the first value, as the scan's
+// fold does.
+type openBucket struct {
+	fold  tsdb.Aggregator // sum, min or max
+	count bool            // a raw point adds 1, not its value
+	v, n  float64         // the folded value; points counted (avg's divisor)
+	seen  bool
+}
+
+func (o *openBucket) add(x float64) {
+	switch {
+	case o.fold == tsdb.AggSum:
+		o.v += x
+	case !o.seen, o.fold == tsdb.AggMin && x < o.v, o.fold == tsdb.AggMax && x > o.v:
+		o.v = x
+	}
+	o.seen = true
+}
+
+func (o *openBucket) window(p tsdb.Point) error {
+	o.add(p.Value)
+	return nil
+}
+
+func (o *openBucket) windowCount(p tsdb.Point) error {
+	o.n += p.Value
+	return nil
+}
+
+func (o *openBucket) raw(p tsdb.Point) error {
+	if o.count {
+		p.Value = 1
+	}
+	o.add(p.Value)
+	o.n++
+	return nil
 }

@@ -267,6 +267,12 @@ func (e *Engine) loadState() (int, error) {
 			continue // config changed underneath: now a reserved series
 		}
 		st.watermark = watermark
+		for ti := range tierStates {
+			// The file keeps no record of late drops: count every window
+			// sealed before the restart as possibly short of one.
+			tierStates[ti].readUntil = tierStates[ti].sealedUntil
+			tierStates[ti].lateUntil = tierStates[ti].sealedUntil
+		}
 		st.tiers = tierStates
 		sh := &e.shards[uint64(ref.ID())%engineShards]
 		sh.mu.Lock()

@@ -10,8 +10,9 @@ import (
 	"repro/internal/sensors"
 )
 
-// Benchmarks for the storage engine, including the ablation DESIGN.md
-// calls out: Gorilla compression cost/benefit versus raw points.
+// Benchmarks for the storage engine, including one ablation of the
+// chunk codec: decimal against XOR value coding on every sensor class
+// (BenchmarkGorillaEncode, BenchmarkGorillaDecode).
 
 func benchPoints(n int) []DataPoint {
 	out := make([]DataPoint, n)
