@@ -6,43 +6,43 @@ import (
 	"testing"
 )
 
-// TestFlexStrictQuoting: the flexible number decoders accept a bare
+// flexQuotingCases are raw timestamp/value tokens and whether the
+// number parsers accept them; FuzzPutDecode seeds from them too.
+var flexQuotingCases = []struct {
+	raw string
+	ok  bool
+}{
+	{`1488326400`, true},
+	{`"1488326400"`, true},
+	{`""12""`, false},
+	{`12"`, false},
+	{`"12`, false},
+	{`"`, false},
+	{`""`, false},
+	{`"12"12"`, false},
+	{`"  12"`, false}, // inner whitespace is not a number
+}
+
+// TestFlexStrictQuoting: the flexible number parsers accept a bare
 // number or one fully quoted one — nothing else. The old
 // strings.Trim-based unquoting accepted malformed tokens like
 // `""12""` (trimming both quote pairs) and `12"` (trimming the stray
 // quote); both must now be 400s.
 func TestFlexStrictQuoting(t *testing.T) {
-	cases := []struct {
-		raw string
-		ok  bool
-	}{
-		{`1488326400`, true},
-		{`"1488326400"`, true},
-		{`""12""`, false},
-		{`12"`, false},
-		{`"12`, false},
-		{`"`, false},
-		{`""`, false},
-		{`"12"12"`, false},
-		{`"  12"`, false}, // inner whitespace is not a number
-	}
-	for _, c := range cases {
-		var i flexInt64
-		if err := i.UnmarshalJSON([]byte(c.raw)); (err == nil) != c.ok {
-			t.Errorf("flexInt64(%s): ok=%v, want %v", c.raw, err == nil, c.ok)
+	for _, c := range flexQuotingCases {
+		if _, err := parseTimestamp([]byte(c.raw)); (err == nil) != c.ok {
+			t.Errorf("parseTimestamp(%s): ok=%v, want %v", c.raw, err == nil, c.ok)
 		}
-		var f flexFloat64
-		if err := f.UnmarshalJSON([]byte(c.raw)); (err == nil) != c.ok {
-			t.Errorf("flexFloat64(%s): ok=%v, want %v", c.raw, err == nil, c.ok)
+		if _, err := parseValue([]byte(c.raw)); (err == nil) != c.ok {
+			t.Errorf("parseValue(%s): ok=%v, want %v", c.raw, err == nil, c.ok)
 		}
 	}
 	// Float-only shapes.
-	var f flexFloat64
-	if err := f.UnmarshalJSON([]byte(`"412.5"`)); err != nil || float64(f) != 412.5 {
-		t.Errorf("flexFloat64 quoted float: %v %v", f, err)
+	if f, err := parseValue([]byte(`"412.5"`)); err != nil || f != 412.5 {
+		t.Errorf("parseValue quoted float: %v %v", f, err)
 	}
-	if err := f.UnmarshalJSON([]byte(`412.5"`)); err == nil {
-		t.Error(`flexFloat64 accepted 412.5"`)
+	if _, err := parseValue([]byte(`412.5"`)); err == nil {
+		t.Error(`parseValue accepted 412.5"`)
 	}
 }
 

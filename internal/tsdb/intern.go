@@ -423,10 +423,16 @@ func validateSeries(metric string, tags map[string]string) error {
 	if len(tags) == 0 {
 		return ErrNoTags
 	}
+	// Of several bad tags, name the smallest key: the same point gets
+	// the same message every time, whatever the map's order.
+	bad, found := "", false
 	for k, v := range tags {
-		if !validName(k) || !validName(v) {
-			return fmt.Errorf("%w: tag %q=%q", ErrBadMetricChar, k, v)
+		if (!validName(k) || !validName(v)) && (!found || k < bad) {
+			bad, found = k, true
 		}
+	}
+	if found {
+		return fmt.Errorf("%w: tag %q=%q", ErrBadMetricChar, bad, tags[bad])
 	}
 	return nil
 }

@@ -116,19 +116,8 @@ func NormalizeMillis(n int64) int64 {
 
 // Validate checks a data point before storage.
 func (d *DataPoint) Validate() error {
-	if d.Metric == "" {
-		return ErrEmptyMetric
-	}
-	if !validName(d.Metric) {
-		return fmt.Errorf("%w: metric %q", ErrBadMetricChar, d.Metric)
-	}
-	if len(d.Tags) == 0 {
-		return ErrNoTags
-	}
-	for k, v := range d.Tags {
-		if !validName(k) || !validName(v) {
-			return fmt.Errorf("%w: tag %q=%q", ErrBadMetricChar, k, v)
-		}
+	if err := validateSeries(d.Metric, d.Tags); err != nil {
+		return err
 	}
 	if d.Timestamp < minTS || d.Timestamp > maxTS {
 		return fmt.Errorf("%w: %d", ErrBadTimestamp, d.Timestamp)
