@@ -388,8 +388,8 @@ func TestE2EFlagValidation(t *testing.T) {
 		{"replica-without-data-dir", []string{"-replica-of", "127.0.0.1:1"}, "-replica-of requires -data-dir"},
 		{"replica-with-telnet", []string{"-replica-of", "127.0.0.1:1", "-data-dir", "d", "-telnet", "127.0.0.1:4243"}, "read-only"},
 		{"replica-chained", []string{"-replica-of", "127.0.0.1:1", "-data-dir", "d", "-repl-listen", "127.0.0.1:2"}, "chained replication"},
-		{"replica-with-wal", []string{"-replica-of", "127.0.0.1:1", "-data-dir", "d", "-wal", "w"}, "-wal is not supported"},
-		{"repl-listen-without-persistence", []string{"-repl-listen", "127.0.0.1:2"}, "requires persistence"},
+		{"wal-removed", []string{"-wal", "w"}, "-data-dir"},
+		{"repl-listen-without-persistence", []string{"-repl-listen", "127.0.0.1:2"}, "requires persistence: set -data-dir so"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -401,6 +401,9 @@ func TestE2EFlagValidation(t *testing.T) {
 			}
 			if !strings.Contains(string(out), tc.want) {
 				t.Fatalf("error message %q missing %q", out, tc.want)
+			}
+			if strings.Count(strings.TrimSpace(string(out)), "\n") != 0 {
+				t.Fatalf("error message %q is not one line", out)
 			}
 		})
 	}

@@ -70,14 +70,13 @@ var (
 	addr    = flag.String("addr", "127.0.0.1:4242", "listen address for gateway + dashboard")
 	seed    = flag.Int64("seed", 1, "simulation seed")
 	tick    = flag.Duration("tick", time.Second, "wall-clock time per simulated reporting interval (0 = freeze)")
-	walDir  = flag.String("wal", "", "enable TSDB persistence in this directory")
 	walSync = flag.Duration("wal-sync-interval", time.Second,
 		"fsync the WAL this often (0 = only on shutdown); group commits buffer between syncs")
 	dataDir = flag.String("data-dir", "",
-		`enable durable block storage in this directory: cold data is flushed
-to immutable block files under <dir>/blocks, the WAL truncates to the
-unflushed tail, and rollup open-window state persists across restarts
-(supersedes -wal; see docs/OPERATIONS.md)`)
+		`persist the store in this directory: writes go to a WAL, cold data is
+flushed to immutable block files under <dir>/blocks, the WAL truncates
+to the unflushed tail, and rollup open-window state persists across
+restarts (see docs/OPERATIONS.md)`)
 	flushAge = flag.Duration("flush-age", 30*time.Minute,
 		"points older than this (by simulated time) are flushed to block files")
 	flushInterval = flag.Duration("flush-interval", time.Minute,
@@ -194,17 +193,33 @@ func validateFlags() error {
 		if *replListen != "" {
 			return fmt.Errorf("-replica-of cannot be combined with -repl-listen: chained replication is not supported, point every follower at the primary")
 		}
-		if explicit["wal"] && *walDir != "" {
-			return fmt.Errorf("-replica-of uses -data-dir durable storage; -wal is not supported on a replica")
-		}
 	}
-	if *replListen != "" && *dataDir == "" && *walDir == "" {
-		return fmt.Errorf("-repl-listen requires persistence: set -data-dir (or -wal) so there is a WAL to stream")
+	if *replListen != "" && *dataDir == "" {
+		return fmt.Errorf("-repl-listen requires persistence: set -data-dir so there is a WAL to stream")
+	}
+	return nil
+}
+
+// rejectRemovedFlags names the replacement of a flag that no longer
+// exists, in one line, instead of the flag package's generic
+// "not defined" error and usage dump. It runs before flag.Parse.
+func rejectRemovedFlags(args []string) error {
+	for _, a := range args {
+		if a == "--" {
+			break
+		}
+		if name, _, _ := strings.Cut(a, "="); name == "-wal" || name == "--wal" {
+			return fmt.Errorf("-wal was removed: use -data-dir DIR (WAL plus block files)")
+		}
 	}
 	return nil
 }
 
 func main() {
+	if err := rejectRemovedFlags(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	flag.Parse()
 	logger, err := newLogger()
 	if err != nil {
@@ -230,13 +245,11 @@ func main() {
 		fatal(logger, "unknown city", fmt.Errorf("%q", *city))
 	}
 	cfg.Start = time.Date(2017, time.March, 1, 0, 0, 0, 0, time.UTC)
-	cfg.WALDir = *walDir
 	if *dataDir != "" {
-		// Durable block storage: core defaults Storage.Now to the
-		// simulated clock, so -flush-age is measured in pilot time.
+		// Core defaults Storage.Now to the simulated clock, so
+		// -flush-age is measured in pilot time.
 		cfg.Storage = &tsdb.Options{
 			Dir:             *dataDir,
-			DurableBlocks:   true,
 			FlushAge:        *flushAge,
 			FlushInterval:   *flushInterval,
 			CompactInterval: *compactInterval,
@@ -487,7 +500,7 @@ func main() {
 	var stepper sync.WaitGroup
 	// Periodic WAL fsync: group commits land in the OS buffer per
 	// batch; this bounds how much a power loss can lose.
-	if (*walDir != "" || *dataDir != "") && *walSync > 0 {
+	if *dataDir != "" && *walSync > 0 {
 		stepper.Add(1)
 		go func() {
 			defer stepper.Done()

@@ -50,7 +50,6 @@ func runReplica(logger *slog.Logger) {
 	// historical timestamps that must age out by real-world policy.
 	db, err := tsdb.OpenOptions(tsdb.Options{
 		Dir:             *dataDir,
-		DurableBlocks:   true,
 		FlushAge:        *flushAge,
 		FlushInterval:   *flushInterval,
 		CompactInterval: *compactInterval,

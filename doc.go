@@ -38,9 +38,9 @@
 // cloud.
 //
 // Durability: internal/tsdb is a tiered store. Recent points live in
-// per-series head buffers and in-memory Gorilla blocks; with
-// tsdb.Options{DurableBlocks: true} (ctt-server: -data-dir) a
-// background flusher seals data older than FlushAge into immutable,
+// per-series head buffers and in-memory Gorilla blocks; with a data
+// directory (tsdb.Options.Dir, ctt-server: -data-dir) a background
+// flusher seals data older than FlushAge into immutable,
 // time-partitioned on-disk block files — per-chunk CRC32C, a
 // CRC-protected tail index, pread-on-demand reads through the same
 // cursor stack queries already use — and truncates the WAL to the
@@ -65,9 +65,9 @@
 // telnet edge parses put lines zero-copy, the bounded ingest queue
 // moves compact (Ref, Point) pairs, the WAL group-commits a batch
 // with one lock acquisition and one buffered write (series identity
-// as dictionary records, points as packed 20-byte entries; legacy
-// per-point logs replay and migrate on open; retention passes rewrite
-// the log from live state so it stops growing), observers get one
+// as dictionary records, points as packed 20-byte entries; retention
+// passes rewrite the log from live state so it stops growing),
+// observers get one
 // batch-granular fan-out call, and the rollup engine keys its windows
 // by SeriesID.
 //

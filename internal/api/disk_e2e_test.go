@@ -17,7 +17,6 @@ func diskE2EOpen(t *testing.T, dir string) (*tsdb.DB, *Gateway, *httptest.Server
 	t.Helper()
 	db, err := tsdb.OpenOptions(tsdb.Options{
 		Dir:             dir,
-		DurableBlocks:   true,
 		FlushInterval:   -1, // tests drive FlushBlocks explicitly
 		CompactInterval: -1,
 		FlushAge:        30 * time.Minute,

@@ -24,7 +24,6 @@ func TestDegradedModeE2E(t *testing.T) {
 	ffs := fsio.NewFaultFS(fsio.OS)
 	db, err := tsdb.OpenOptions(tsdb.Options{
 		Dir:             t.TempDir(),
-		DurableBlocks:   true,
 		FlushInterval:   -1,
 		CompactInterval: -1,
 		FlushAge:        30 * time.Minute,
@@ -144,8 +143,7 @@ func TestDegradedModeE2E(t *testing.T) {
 func TestEnqueueRefsDegradedFailFast(t *testing.T) {
 	ffs := fsio.NewFaultFS(fsio.OS)
 	db, err := tsdb.OpenOptions(tsdb.Options{
-		Dir: t.TempDir(), DurableBlocks: true,
-		FlushInterval: -1, CompactInterval: -1, FS: ffs,
+		Dir: t.TempDir(), FlushInterval: -1, CompactInterval: -1, FS: ffs,
 	})
 	if err != nil {
 		t.Fatal(err)

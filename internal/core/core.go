@@ -63,12 +63,9 @@ type Config struct {
 	Start time.Time
 	// Transport selects Direct or MQTT.
 	Transport Transport
-	// WALDir enables TSDB persistence when non-empty.
-	WALDir string
-	// Storage, when non-nil, opens the store with full durable-block
-	// options (data dir, flush cadence, compaction) instead of the
-	// WAL-only WALDir path. Storage.Now defaults to the simulated
-	// clock so flush cutoffs track simulation time.
+	// Storage configures the store (data dir, flush cadence,
+	// compaction); nil keeps it in memory. Storage.Now defaults to the
+	// simulated clock so flush cutoffs track simulation time.
 	Storage *tsdb.Options
 	// CityRadiusM bounds the synthetic road network.
 	CityRadiusM float64
@@ -131,23 +128,17 @@ func New(cfg Config) (*System, error) {
 	}
 	s.Radio = lorawan.NewNetwork(cfg.Seed, gws...)
 
-	var db *tsdb.DB
-	var err error
+	var opts tsdb.Options
 	if cfg.Storage != nil {
-		opts := *cfg.Storage
-		if opts.Dir == "" {
-			opts.Dir = cfg.WALDir
-		}
-		if opts.Now == nil {
-			// Flush-age cutoffs must track the simulated clock, not the
-			// wall clock — pilots replay months of 2017 history in
-			// seconds of real time.
-			opts.Now = s.Now
-		}
-		db, err = tsdb.OpenOptions(opts)
-	} else {
-		db, err = tsdb.Open(cfg.WALDir)
+		opts = *cfg.Storage
 	}
+	if opts.Now == nil {
+		// Flush-age cutoffs must track the simulated clock, not the
+		// wall clock — pilots replay months of 2017 history in seconds
+		// of real time.
+		opts.Now = s.Now
+	}
+	db, err := tsdb.OpenOptions(opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -200,7 +200,7 @@ func TestBatteryTelemetryStored(t *testing.T) {
 func TestWALPersistenceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := VejleConfig(6)
-	cfg.WALDir = dir
+	cfg.Storage = &tsdb.Options{Dir: dir, FlushInterval: -1}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

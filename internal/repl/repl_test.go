@@ -15,8 +15,7 @@ var testBase = time.Date(2017, time.March, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
 func openStore(t *testing.T, dir string) *tsdb.DB {
 	t.Helper()
 	db, err := tsdb.OpenOptions(tsdb.Options{
-		Dir: dir, DurableBlocks: true,
-		FlushInterval: -1, CompactInterval: -1,
+		Dir: dir, FlushInterval: -1, CompactInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -137,8 +137,8 @@ func TestStateSurvivesRestart(t *testing.T) {
 // re-seal every window and double-write the derived series.
 func TestStateRestartNoDoubleCount(t *testing.T) {
 	dir := t.TempDir()
-	walDir := filepath.Join(dir, "wal")
-	db, err := tsdb.Open(walDir)
+	storeOpts := tsdb.Options{Dir: filepath.Join(dir, "store"), FlushInterval: -1}
+	db, err := tsdb.OpenOptions(storeOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestStateRestartNoDoubleCount(t *testing.T) {
 	// the engine restores its state. Replay happens before the engine
 	// subscribes, so nothing is observed — but a late write landing in
 	// an already-sealed window must be counted late, not folded in.
-	db2, err := tsdb.Open(walDir)
+	db2, err := tsdb.OpenOptions(storeOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

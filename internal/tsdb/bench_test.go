@@ -42,7 +42,7 @@ func BenchmarkPut(b *testing.B) {
 }
 
 func BenchmarkPutWithWAL(b *testing.B) {
-	db, err := Open(b.TempDir())
+	db, err := OpenOptions(diskOpts(b.TempDir()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func BenchmarkTopKRollup(b *testing.B) {
 
 func BenchmarkWALReplay(b *testing.B) {
 	dir := b.TempDir()
-	db, err := Open(dir)
+	db, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func BenchmarkWALReplay(b *testing.B) {
 	db.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db2, err := Open(dir)
+		db2, err := OpenOptions(diskOpts(dir))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -380,8 +380,7 @@ func BenchmarkFlush(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		db, err := OpenOptions(Options{
-			Dir: b.TempDir(), DurableBlocks: true,
-			FlushInterval: -1, CompactInterval: -1,
+			Dir: b.TempDir(), FlushInterval: -1, CompactInterval: -1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -407,8 +406,7 @@ func BenchmarkFlush(b *testing.B) {
 // streaming cursor path, 10k points over 12 series.
 func BenchmarkDiskScan(b *testing.B) {
 	db, err := OpenOptions(Options{
-		Dir: b.TempDir(), DurableBlocks: true,
-		FlushInterval: -1, CompactInterval: -1,
+		Dir: b.TempDir(), FlushInterval: -1, CompactInterval: -1,
 	})
 	if err != nil {
 		b.Fatal(err)

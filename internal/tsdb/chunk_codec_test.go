@@ -280,7 +280,7 @@ func TestFirstDeltaFullWidth(t *testing.T) {
 
 // legacyFixturePoints recomputes what testdata/legacy_v1 holds. The
 // directory was written by the commit before the payload tag (e0b8211)
-// through the public API — OpenOptions{DurableBlocks, Now: base + 300
+// through the public API — OpenOptions{Dir, Now: base + 300
 // steps + 30 min}, these 700 points a series at the 5-minute cadence,
 // FlushBlocks, Close — so the first 300 points of each series sit in a
 // CTTBLK1 block file and the rest in the CTTWAL2 log as one untagged

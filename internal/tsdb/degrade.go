@@ -104,7 +104,7 @@ func (db *DB) noteFlushResult(err error) {
 		}
 		return
 	}
-	if errors.Is(err, ErrDegraded) || errors.Is(err, ErrDiskDisabled) {
+	if errors.Is(err, ErrDegraded) {
 		return
 	}
 	if db.flushFails.Add(1) >= flushDegradeAfter {
@@ -120,7 +120,7 @@ func (db *DB) noteCompactResult(err error) {
 		}
 		return
 	}
-	if errors.Is(err, ErrDegraded) || errors.Is(err, ErrDiskDisabled) {
+	if errors.Is(err, ErrDegraded) {
 		return
 	}
 	if db.compactFails.Add(1) >= compactDegradeAfter {
@@ -131,12 +131,12 @@ func (db *DB) noteCompactResult(err error) {
 // retryStructural runs fn, retrying transient failures with capped
 // exponential backoff plus jitter (so a fleet of stores sharing a sick
 // disk array doesn't retry in lockstep). It gives up when fn succeeds,
-// the store degrades, the disk layer is disabled, or stop closes.
+// the store degrades, or stop closes.
 func (db *DB) retryStructural(stop <-chan struct{}, fn func() error) {
 	backoff := structuralRetryBase
 	for {
 		err := fn()
-		if err == nil || errors.Is(err, ErrDegraded) || errors.Is(err, ErrDiskDisabled) {
+		if err == nil || errors.Is(err, ErrDegraded) {
 			return
 		}
 		d := backoff + rand.N(backoff)

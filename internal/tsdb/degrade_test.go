@@ -14,8 +14,7 @@ func openFaulty(t *testing.T, dir string) (*DB, *fsio.FaultFS) {
 	t.Helper()
 	ffs := fsio.NewFaultFS(fsio.OS)
 	db, err := OpenOptions(Options{
-		Dir: dir, DurableBlocks: true,
-		FlushInterval: -1, CompactInterval: -1,
+		Dir: dir, FlushInterval: -1, CompactInterval: -1,
 		FS: ffs,
 	})
 	if err != nil {
@@ -128,8 +127,7 @@ func TestConsecutiveWALAppendFailuresDegrade(t *testing.T) {
 }
 
 func TestTransientWALAppendFailureDoesNotDegrade(t *testing.T) {
-	db, err := OpenOptions(Options{Dir: t.TempDir(), DurableBlocks: true,
-		FlushInterval: -1, CompactInterval: -1})
+	db, err := OpenOptions(Options{Dir: t.TempDir(), FlushInterval: -1, CompactInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

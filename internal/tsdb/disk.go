@@ -680,7 +680,7 @@ func (ds *diskStore) rewriteFile(part int64, chunks []*diskChunk) (*blockFile, m
 }
 
 // DiskStats reports the state of the durable block layer; Enabled is
-// false (and everything else zero) when the DB runs WAL-only.
+// false (and everything else zero) when the DB runs in memory.
 type DiskStats struct {
 	Enabled     bool
 	Files       int

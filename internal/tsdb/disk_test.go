@@ -11,10 +11,10 @@ import (
 	"time"
 )
 
-// diskOpts opens a durable-blocks DB rooted at dir with the
+// diskOpts opens a DB rooted at dir with the
 // background loop disabled, so tests drive flush/compaction manually.
 func diskOpts(dir string) Options {
-	return Options{Dir: dir, DurableBlocks: true, FlushInterval: -1, CompactInterval: -1}
+	return Options{Dir: dir, FlushInterval: -1, CompactInterval: -1}
 }
 
 func mustOpenDisk(t *testing.T, dir string) *DB {

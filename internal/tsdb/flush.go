@@ -38,10 +38,6 @@ import (
 	"time"
 )
 
-// ErrDiskDisabled is returned by flush/compaction entry points when
-// the DB was opened without durable block storage.
-var ErrDiskDisabled = errors.New("tsdb: durable block storage disabled")
-
 // FlushStats summarizes one flush pass.
 type FlushStats struct {
 	Points int
@@ -52,10 +48,11 @@ type FlushStats struct {
 
 // FlushBlocks seals everything older than Options.FlushAge (relative
 // to Options.Now) into block files and truncates the WAL. Safe to
-// call concurrently with ingest and queries; passes are serialized.
+// call concurrently with ingest and queries; passes are serialized. An
+// in-memory store has nothing to flush.
 func (db *DB) FlushBlocks() (FlushStats, error) {
 	if db.disk == nil {
-		return FlushStats{}, ErrDiskDisabled
+		return FlushStats{}, nil
 	}
 	if err := db.Degraded(); err != nil {
 		return FlushStats{}, err
@@ -70,9 +67,6 @@ func (db *DB) FlushBlocks() (FlushStats, error) {
 // that simulates a crash between flush and WAL truncation.
 func (db *DB) flushBefore(cutoffMS int64, truncate bool) (FlushStats, error) {
 	ds := db.disk
-	if ds == nil {
-		return FlushStats{}, ErrDiskDisabled
-	}
 	ds.opMu.Lock()
 	defer ds.opMu.Unlock()
 	ds.sweepRetired(retiredFileGrace)
@@ -372,11 +366,12 @@ func (ds *diskStore) writePlannedFiles(outs []flushOutput) error {
 // CompactBlocks merges runs of small block files into larger ones
 // (bounded by Options.CompactMaxBytes) and deletes the inputs. A
 // pending WAL truncation is retried first; while one is pending, file
-// merging is skipped so the marker's file references stay valid.
+// merging is skipped so the marker's file references stay valid. An
+// in-memory store has nothing to compact.
 func (db *DB) CompactBlocks() (merged int, err error) {
 	ds := db.disk
 	if ds == nil {
-		return 0, ErrDiskDisabled
+		return 0, nil
 	}
 	if err := db.Degraded(); err != nil {
 		return 0, err

@@ -65,7 +65,7 @@ func TestQueryTraceStages(t *testing.T) {
 // records nothing (and pays only an atomic load).
 func TestIngestInstrumentation(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir)
+	db, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

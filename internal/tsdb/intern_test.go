@@ -227,7 +227,7 @@ func TestRetentionInvalidatesRefs(t *testing.T) {
 // the registry's data-race certificate.
 func TestConcurrentIngestStress(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir)
+	db, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestConcurrentIngestStress(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(dir)
+	db2, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,7 +202,7 @@ func (db *DB) ReplEpoch() uint64 {
 // ReadWALReplState scans a data directory's WAL — without opening a
 // DB — for the durable replication position a restarting follower
 // should resume from. resumable is false when the directory holds no
-// WAL, a legacy/foreign file, no position record, or a detached one
+// WAL, a file without the magic, no position record, or a detached one
 // (the node was promoted; its tail is its own and cannot be resumed
 // against any stream).
 func ReadWALReplState(dir string, fs fsio.FS) (pos ReplPos, resumable bool) {

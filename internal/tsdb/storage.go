@@ -45,7 +45,7 @@ type DB struct {
 	instr atomic.Pointer[Instrumentation]
 
 	// opts are the resolved open options; disk is the durable block
-	// layer (nil when running WAL-only or fully in memory).
+	// layer (nil when running in memory).
 	opts Options
 	disk *diskStore
 
@@ -84,12 +84,14 @@ type DB struct {
 // a sensible default; a zero Dir disables persistence entirely.
 type Options struct {
 	// Dir is the data directory: the WAL lives at Dir/tsdb.wal and
-	// (with DurableBlocks) block files under Dir/blocks. Empty
-	// disables persistence.
+	// block files under Dir/blocks, and a background flusher seals
+	// cold data into block files and truncates the WAL. Empty keeps
+	// everything in memory.
 	Dir string
 
-	// DurableBlocks enables the on-disk block layer: a background
-	// flusher seals cold data into block files and truncates the WAL.
+	// DurableBlocks is ignored: a non-empty Dir always enables block
+	// files. The field is removed once the load harness stops setting
+	// it.
 	DurableBlocks bool
 
 	// FlushAge is how old a point must be before a flush pass moves it
@@ -177,17 +179,16 @@ type sealedBlock struct {
 	data         []byte
 }
 
-// Open creates a DB. If dir is non-empty, a write-ahead log in that
-// directory is replayed (recovering prior writes) and every subsequent
-// write is appended to it. Durable block storage is off; see
-// OpenOptions.
+// Open creates a DB with default options rooted at dir; an empty dir
+// keeps everything in memory. See OpenOptions.
 func Open(dir string) (*DB, error) {
 	return OpenOptions(Options{Dir: dir})
 }
 
-// OpenOptions creates a DB per opts: block files (when enabled) are
-// loaded first so WAL flush markers can validate against them, then
-// the WAL replays whatever the block layer doesn't already hold.
+// OpenOptions creates a DB per opts. With a data directory, block
+// files are loaded first so WAL flush markers can validate against
+// them, then the WAL replays whatever the block layer doesn't already
+// hold.
 func OpenOptions(opts Options) (*DB, error) {
 	opts = opts.withDefaults()
 	db := &DB{opts: opts}
@@ -199,36 +200,25 @@ func OpenOptions(opts Options) (*DB, error) {
 	if opts.Dir == "" {
 		return db, nil
 	}
-	if opts.DurableBlocks {
-		ds, err := db.openDiskStore(filepath.Join(opts.Dir, "blocks"))
-		if err != nil {
-			return nil, err
-		}
-		ds.partMS = opts.Partition.Milliseconds()
-		ds.maxMergeBytes = opts.CompactMaxBytes
-		db.disk = ds
-	}
-	w, err := openWAL(opts.Dir, opts.FS)
+	ds, err := db.openDiskStore(filepath.Join(opts.Dir, "blocks"))
 	if err != nil {
 		return nil, err
 	}
-	legacy, err := db.replayWAL(w)
+	ds.partMS = opts.Partition.Milliseconds()
+	ds.maxMergeBytes = opts.CompactMaxBytes
+	db.disk = ds
+	w, err := openWAL(opts.Dir, opts.FS)
 	if err != nil {
+		ds.close()
+		return nil, err
+	}
+	if err := db.replayWAL(w); err != nil {
 		w.close()
+		ds.close()
 		return nil, err
 	}
 	db.wal = w
-	if legacy {
-		// The file was in the old one-record-per-point format:
-		// rewrite it as a compacted current-format log so appends
-		// can group-commit against the series dictionary.
-		if err := db.CompactWAL(); err != nil {
-			w.close()
-			db.wal = nil
-			return nil, err
-		}
-	}
-	if db.disk != nil && opts.FlushInterval > 0 {
+	if opts.FlushInterval > 0 {
 		db.loopStop = make(chan struct{})
 		db.loopWG.Add(1)
 		// Supervised: a panic in a flush or compaction pass is logged

@@ -77,7 +77,6 @@ func tortureSchedule(t *testing.T, seed uint64) {
 	ffs := fsio.NewFaultFS(fsio.OS)
 	opts := Options{
 		Dir:           dir,
-		DurableBlocks: true,
 		FlushAge:      time.Millisecond,
 		FlushInterval: -1, CompactInterval: -1,
 		Partition: time.Duration(1+rng.IntN(40)) * time.Minute,

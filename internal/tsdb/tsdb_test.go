@@ -460,7 +460,7 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 
 func TestWALPersistence(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir)
+	db, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestWALPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(dir)
+	db2, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestWALPersistence(t *testing.T) {
 
 func TestWALTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir)
+	db, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	f.Write([]byte("only-a-few")) // torn payload
 	f.Close()
 
-	db2, err := Open(dir)
+	db2, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	db2.Close()
-	db3, err := Open(dir)
+	db3, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +541,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 
 func TestWALCorruptMiddleStopsCleanly(t *testing.T) {
 	dir := t.TempDir()
-	db, _ := Open(dir)
+	db, _ := OpenOptions(diskOpts(dir))
 	for i := 0; i < 5; i++ {
 		db.Put(pt("m.cm", "n1", i, float64(i)))
 	}
@@ -555,7 +555,7 @@ func TestWALCorruptMiddleStopsCleanly(t *testing.T) {
 	data[len(data)/2] ^= 0xFF
 	os.WriteFile(path, data, 0o644)
 
-	db2, err := Open(dir)
+	db2, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,10 +65,6 @@ import (
 // all earlier records — they live in the block files now — while an
 // unhonored one (crash before the renames landed, quarantined file)
 // is inert and the full log replays.
-//
-// Files written before this format (no magic; one
-// metric+tags+ts+value record per point) are detected and replayed,
-// then rewritten in the current format on open.
 type wal struct {
 	mu   sync.Mutex
 	fs   fsio.FS
@@ -184,31 +179,38 @@ func openWAL(dir string, fs fsio.FS) (*wal, error) {
 
 // replayWAL streams every intact record of the log into the store
 // (bypassing the WAL and observers), then positions the file for
-// appends, truncating any torn tail. It reports whether the file was
-// in the legacy format, in which case the caller should CompactWAL to
-// migrate it.
-func (db *DB) replayWAL(l *wal) (legacy bool, err error) {
+// appends, truncating any torn tail. A file that does not open with
+// the magic is refused and left untouched, unless it is empty or a
+// prefix of the magic: a stamp torn by a crash on first open, which
+// cannot precede any record, so it is restamped.
+func (db *DB) replayWAL(l *wal) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return false, err
+		return err
 	}
 	var magic [8]byte
 	n, err := io.ReadFull(l.f, magic[:])
 	switch {
-	case n == 0:
-		// Empty file: stamp the magic and start fresh.
-		if _, err := l.f.Write([]byte(walMagic)); err != nil {
-			return false, err
-		}
-		l.w.Reset(l.f)
-		l.size.Store(int64(len(walMagic)))
-		return false, nil
 	case err == nil && string(magic[:]) == walMagic:
-		return false, db.replayV2Locked(l)
-	default:
-		return true, db.replayLegacyLocked(l)
+		return db.replayV2Locked(l)
+	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
+		return fmt.Errorf("tsdb: wal read: %w", err)
+	case n == len(walMagic) || string(magic[:n]) != walMagic[:n]:
+		return fmt.Errorf("tsdb: %s is not a CTTWAL2 log: migrate it with an older build or move it aside", l.path)
 	}
+	if err := l.f.Truncate(0); err != nil {
+		return err
+	}
+	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	if _, err := l.f.Write([]byte(walMagic)); err != nil {
+		return err
+	}
+	l.w.Reset(l.f)
+	l.size.Store(int64(len(walMagic)))
+	return nil
 }
 
 // replayV2Locked replays a current-format file in two passes. Pass 1
@@ -267,7 +269,7 @@ func (db *DB) replayV2Locked(l *wal) error {
 				if !ok {
 					break frame
 				}
-				honor := db.disk != nil && len(files) > 0
+				honor := len(files) > 0
 				for _, name := range files {
 					if honor && !db.disk.hasFile(name) {
 						honor = false
@@ -321,10 +323,8 @@ func (db *DB) replayV2Locked(l *wal) error {
 			}
 		}
 	}
-	if db.disk != nil {
-		for _, m := range markerRefs {
-			db.disk.noteReplayMarker(m.files, m.honored)
-		}
+	for _, m := range markerRefs {
+		db.disk.noteReplayMarker(m.files, m.honored)
 	}
 	// suffix[i] = max cutoff over markers[i:] — the horizon for a
 	// record that precedes marker i.
@@ -529,53 +529,6 @@ func (db *DB) applyBlockRecord(p []byte, refs map[uint32]*Ref, horizon int64) bo
 	return true
 }
 
-// replayLegacyLocked replays a pre-dictionary file: one
-// metric+tags+ts+value record per point, no header. Caller holds l.mu.
-func (db *DB) replayLegacyLocked(l *wal) error {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	r := bufio.NewReaderSize(l.f, 64<<10)
-	var validEnd int64
-	var header [8]byte
-	for {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			break // clean EOF or torn header
-		}
-		crc := binary.LittleEndian.Uint32(header[0:4])
-		n := binary.LittleEndian.Uint32(header[4:8])
-		if n > 1<<20 {
-			break // implausible length: treat as torn
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			break
-		}
-		dp, err := decodeWALPayload(payload)
-		if err != nil {
-			break
-		}
-		ref, err := db.Intern(dp.Metric, dp.Tags)
-		if err != nil {
-			break
-		}
-		db.insertRef(RefPoint{Ref: ref, Point: dp.Point})
-		validEnd += int64(8 + n)
-	}
-	if err := l.f.Truncate(validEnd); err != nil {
-		return err
-	}
-	if _, err := l.f.Seek(validEnd, io.SeekStart); err != nil {
-		return err
-	}
-	l.w.Reset(l.f)
-	l.size.Store(validEnd)
-	return nil
-}
-
 // appendOne logs a single point; the one-element batch stays on the
 // caller's stack.
 func (l *wal) appendOne(rp RefPoint) error {
@@ -755,28 +708,24 @@ func encodeBlockRecord(buf []byte, fid uint32, b sealedBlock) []byte {
 // dictionary record per live series, its sealed blocks verbatim, its
 // head as points records — and atomically swaps it in. Retention
 // passes call this so deleted points leave the file instead of
-// accumulating; opening a legacy-format file triggers it once to
-// migrate. A no-op without a WAL.
+// accumulating. A no-op without a WAL.
 //
-// With the durable block layer enabled the rewrite serializes against
-// flush/compaction/retention via opMu: a rewrite landing mid-flush
-// would snapshot a state where extracted points are neither in memory
-// nor published as block files, dropping them from the log while the
-// pass could still abort or crash.
+// The rewrite serializes against flush/compaction/retention via opMu:
+// a rewrite landing mid-flush would snapshot a state where extracted
+// points are neither in memory nor published as block files, dropping
+// them from the log while the pass could still abort or crash.
 func (db *DB) CompactWAL() error {
 	if db.wal == nil {
 		return nil
 	}
-	if ds := db.disk; ds != nil {
-		ds.opMu.Lock()
-		defer ds.opMu.Unlock()
-	}
+	db.disk.opMu.Lock()
+	defer db.disk.opMu.Unlock()
 	return db.compactWALLocked()
 }
 
-// compactWALLocked is CompactWAL's body. Callers must hold opMu when
-// the disk layer is enabled (flush, compaction and retention already
-// do; they call this directly to stay reentrant-safe).
+// compactWALLocked is CompactWAL's body. Callers must hold opMu
+// (flush, compaction and retention already do; they call this directly
+// to stay reentrant-safe).
 func (db *DB) compactWALLocked() error {
 	if db.wal == nil {
 		return nil
@@ -1025,29 +974,6 @@ func (l *wal) close() error {
 	return l.f.Close()
 }
 
-// --- legacy (pre-dictionary) record codec ------------------------------
-
-// encodeWALPayload renders one legacy record payload. The writer no
-// longer produces this format; it is kept (with the decoder) so the
-// format-compatibility tests can fabricate old files.
-func encodeWALPayload(dp DataPoint) []byte {
-	buf := make([]byte, 0, 64)
-	buf = appendWALString(buf, dp.Metric)
-	keys := make([]string, 0, len(dp.Tags))
-	for k := range dp.Tags {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(keys)))
-	for _, k := range keys {
-		buf = appendWALString(buf, k)
-		buf = appendWALString(buf, dp.Tags[k])
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(dp.Timestamp))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(dp.Value))
-	return buf
-}
-
 func appendWALString(buf []byte, s string) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
 	return append(buf, s...)
@@ -1063,35 +989,4 @@ func readWALString(buf []byte, off int) (string, int, error) {
 		return "", off, errWALCorrupt
 	}
 	return string(buf[off : off+n]), off + n, nil
-}
-
-func decodeWALPayload(buf []byte) (DataPoint, error) {
-	off := 0
-	metric, off, err := readWALString(buf, off)
-	if err != nil {
-		return DataPoint{}, err
-	}
-	if off+2 > len(buf) {
-		return DataPoint{}, errWALCorrupt
-	}
-	nTags := int(binary.LittleEndian.Uint16(buf[off:]))
-	off += 2
-	tags := make(map[string]string, nTags)
-	for i := 0; i < nTags; i++ {
-		var k, v string
-		if k, off, err = readWALString(buf, off); err != nil {
-			return DataPoint{}, err
-		}
-		if v, off, err = readWALString(buf, off); err != nil {
-			return DataPoint{}, err
-		}
-		tags[k] = v
-	}
-	if off+16 > len(buf) {
-		return DataPoint{}, errWALCorrupt
-	}
-	ts := int64(binary.LittleEndian.Uint64(buf[off:]))
-	off += 8
-	val := math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-	return DataPoint{Metric: metric, Tags: tags, Point: Point{Timestamp: ts, Value: val}}, nil
 }

@@ -1,45 +1,32 @@
 package tsdb
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// writeLegacyWAL fabricates a pre-dictionary log file: one
-// crc|len|metric+tags+ts+value record per point, no magic header —
-// exactly what the previous writer produced.
-func writeLegacyWAL(t *testing.T, dir string, dps []DataPoint) string {
-	t.Helper()
+// oldPerPointWAL renders the layout written before the magic header:
+// one crc|len|metric+tags+ts+value record per point.
+func oldPerPointWAL() []byte {
 	var buf []byte
-	for _, dp := range dps {
-		payload := encodeWALPayload(dp)
-		var header [8]byte
-		binary.LittleEndian.PutUint32(header[0:4], crc32.ChecksumIEEE(payload))
-		binary.LittleEndian.PutUint32(header[4:8], uint32(len(payload)))
-		buf = append(buf, header[:]...)
-		buf = append(buf, payload...)
+	for i := 0; i < 3; i++ {
+		payload := appendWALString(nil, "wal.compat")
+		payload = binary.LittleEndian.AppendUint16(payload, 0)
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(baseTS+int64(i)*1000))
+		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(float64(i)))
+		rec, off := beginWALRecord(buf)
+		buf = finishWALRecord(append(rec, payload...), off)
 	}
-	path := filepath.Join(dir, walFileName)
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func legacyPoints(n int) []DataPoint {
-	out := make([]DataPoint, n)
-	for i := range out {
-		out[i] = DataPoint{
-			Metric: "wal.compat",
-			Tags:   map[string]string{"sensor": "s1", "city": "aarhus"},
-			Point:  Point{Timestamp: baseTS + int64(i)*1000, Value: float64(i) * 1.5},
-		}
-	}
-	return out
+	return buf
 }
 
 func allPoints(t *testing.T, db *DB, metric string, tags map[string]string) []Point {
@@ -51,77 +38,72 @@ func allPoints(t *testing.T, db *DB, metric string, tags map[string]string) []Po
 	return pts
 }
 
-// TestWALLegacyReplay: a file written by the old code replays into
-// the new engine, is migrated to the dictionary format on open, and
-// keeps accepting (and replaying) new group-committed writes.
-func TestWALLegacyReplay(t *testing.T) {
-	dir := t.TempDir()
-	dps := legacyPoints(50)
-	path := writeLegacyWAL(t, dir, dps)
-
-	db, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+// TestWALOpenRule: a log that does not start with the magic is either
+// a stamp torn by a crash on first open (a strict prefix of the
+// magic), which reopens empty and is restamped, or a file this build
+// does not read, which fails Open naming the path and is left exactly
+// as it was.
+func TestWALOpenRule(t *testing.T) {
+	type tc struct {
+		name    string
+		content []byte
+		refused bool
 	}
-	got := allPoints(t, db, "wal.compat", dps[0].Tags)
-	if len(got) != len(dps) {
-		t.Fatalf("replayed %d points, want %d", len(got), len(dps))
+	var cases []tc
+	for n := 1; n < len(walMagic); n++ {
+		cases = append(cases, tc{fmt.Sprintf("torn-stamp-%d", n), []byte(walMagic[:n]), false})
 	}
-	for i, p := range got {
-		if p != dps[i].Point {
-			t.Fatalf("point %d: %+v != %+v", i, p, dps[i].Point)
-		}
-	}
-	// The open migrated the file: it now carries the magic header.
-	head := make([]byte, 8)
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Read(head)
-	f.Close()
-	if string(head) != walMagic {
-		t.Fatalf("legacy file not migrated: header %q", head)
-	}
-
-	// New writes append in the new format and survive a reopen.
-	if err := db.Put(DataPoint{
-		Metric: "wal.compat", Tags: dps[0].Tags,
-		Point: Point{Timestamp: baseTS + 10_000_000, Value: 99},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if got := allPoints(t, db2, "wal.compat", dps[0].Tags); len(got) != len(dps)+1 || got[len(got)-1].Value != 99 {
-		t.Fatalf("mixed-format replay lost data: %d points", len(got))
-	}
-}
-
-// TestWALLegacyTornTail: a legacy file with a truncated final record
-// replays its intact prefix and truncates the tail, exactly as the
-// old replayer did.
-func TestWALLegacyTornTail(t *testing.T) {
-	dir := t.TempDir()
-	dps := legacyPoints(10)
-	path := writeLegacyWAL(t, dir, dps)
-	fi, _ := os.Stat(path)
-	if err := os.Truncate(path, fi.Size()-5); err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if got := allPoints(t, db, "wal.compat", dps[0].Tags); len(got) != 9 {
-		t.Fatalf("replayed %d points from torn legacy file, want 9", len(got))
+	random := make([]byte, 256)
+	rand.New(rand.NewSource(7)).Read(random)
+	cases = append(cases,
+		tc{"old-per-point-layout", oldPerPointWAL(), true},
+		tc{"random-bytes", random, true},
+		tc{"short-non-prefix", []byte("CTX"), true},
+		tc{"other-magic", []byte("CTTWAL1\n"), true},
+	)
+	tags := map[string]string{"sensor": "s1"}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, walFileName)
+			if err := os.WriteFile(path, c.content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			db, err := OpenOptions(diskOpts(dir))
+			if c.refused {
+				if err == nil {
+					db.Close()
+					t.Fatal("Open accepted a file without the magic")
+				}
+				if !strings.Contains(err.Error(), path) {
+					t.Fatalf("error %q does not name %s", err, path)
+				}
+				if got, _ := os.ReadFile(path); !bytes.Equal(got, c.content) {
+					t.Fatalf("refused file changed on disk: %d bytes, want %d", len(got), len(c.content))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := db.PointCount(); n != 0 || db.WALBytes() != int64(len(walMagic)) {
+				t.Fatalf("torn stamp reopened with %d points, %d WAL bytes", n, db.WALBytes())
+			}
+			if err := db.Put(DataPoint{Metric: "wal.open", Tags: tags, Point: Point{Timestamp: baseTS, Value: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db2, err := OpenOptions(diskOpts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			if got := allPoints(t, db2, "wal.open", tags); len(got) != 1 || got[0].Value != 1 {
+				t.Fatalf("write after restamp not replayed: %v", got)
+			}
+		})
 	}
 }
 
@@ -130,7 +112,7 @@ func TestWALLegacyTornTail(t *testing.T) {
 // clean reopen and a post-compaction reopen.
 func TestWALDictRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir)
+	db, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +143,7 @@ func TestWALDictRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(dir)
+	db2, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +162,7 @@ func TestWALDictRoundTrip(t *testing.T) {
 	if err := db2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db3, err := Open(dir)
+	db3, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +180,7 @@ func TestWALDictRoundTrip(t *testing.T) {
 // referencing a series whose dictionary record never made it.
 func TestWALTornDictRecord(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir)
+	db, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +208,7 @@ func TestWALTornDictRecord(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(dir)
+	db2, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +232,7 @@ func TestWALTornDictRecord(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db3, err := Open(dir)
+	db3, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +285,7 @@ func TestWALReplRecordGolden(t *testing.T) {
 // — the file stops growing forever.
 func TestWALCompactedByRetention(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir)
+	db, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +323,7 @@ func TestWALCompactedByRetention(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(dir)
+	db2, err := OpenOptions(diskOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
