@@ -349,10 +349,10 @@ func main() {
 		defer scraper.Close()
 	}
 	if eng != nil {
-		gw.AddMetricsSource(eng.EmitMetrics)
-		// Rollup fold latency lands next to the gateway's histograms,
-		// and the engine's worst watermark lag shows up on /healthz.
-		eng.SetObserveHistogram(gw.Registry().Histogram("ctt_rollup_observe_seconds", "", nil))
+		// Rollup counters and fold latency land next to the gateway's
+		// metrics, and the engine's worst watermark lag shows up on
+		// /healthz.
+		eng.RegisterMetrics(gw.Registry())
 		gw.AddHealthSource(func(m map[string]any) {
 			var lag int64
 			for _, t := range eng.Stats().Tiers {
@@ -374,8 +374,7 @@ func main() {
 			fatal(logger, "line-protocol listener", err)
 		}
 		defer lp.Close()
-		gw.AddMetricsSource(lp.EmitMetrics)
-		lp.SetFlushHistogram(gw.Registry().Histogram("ctt_lineproto_flush_seconds", "", nil))
+		lp.RegisterMetrics(gw.Registry())
 		logger.Info("line protocol listening", "addr", lpAddr.String(),
 			"try", fmt.Sprintf("echo \"put ctt.co2 $(date +%%s) 415 sensor=cli\" | nc %s",
 				strings.ReplaceAll(lpAddr.String(), ":", " ")))

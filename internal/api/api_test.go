@@ -70,6 +70,21 @@ func putBody(n int, metric, sensor string, startTS int64) string {
 	return b.String()
 }
 
+// fillRefs builds n air.co2 points on one sensor's series, for tests
+// that fill the ingest queue directly.
+func fillRefs(t *testing.T, db *tsdb.DB, sensor string, n int) []tsdb.RefPoint {
+	t.Helper()
+	ref, err := db.Intern("air.co2", map[string]string{"sensor": sensor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rps := make([]tsdb.RefPoint, n)
+	for i := range rps {
+		rps[i] = tsdb.RefPoint{Ref: ref, Point: tsdb.Point{Timestamp: int64(1000 + i), Value: 1}}
+	}
+	return rps
+}
+
 func TestPutSingleObject(t *testing.T) {
 	g, srv := newTestGateway(t, Config{})
 	resp := putJSON(t, srv.URL+"/api/put",
@@ -263,15 +278,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	defer srv.Close()
 
 	// Fill the queue to capacity.
-	var fill []tsdb.DataPoint
-	for i := 0; i < 8; i++ {
-		fill = append(fill, tsdb.DataPoint{
-			Metric: "air.co2",
-			Tags:   map[string]string{"sensor": "n1"},
-			Point:  tsdb.Point{Timestamp: int64(1000 + i), Value: 1},
-		})
-	}
-	if err := g.Enqueue(fill); err != nil {
+	if err := g.EnqueueRefs(fillRefs(t, db, "n1", 8)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -402,15 +409,7 @@ func TestRateLimitRefundOnQueueFull(t *testing.T) {
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 
-	var fill []tsdb.DataPoint
-	for i := 0; i < 4; i++ {
-		fill = append(fill, tsdb.DataPoint{
-			Metric: "air.co2",
-			Tags:   map[string]string{"sensor": "seed"},
-			Point:  tsdb.Point{Timestamp: int64(1000 + i), Value: 1},
-		})
-	}
-	if err := g.Enqueue(fill); err != nil {
+	if err := g.EnqueueRefs(fillRefs(t, db, "seed", 4)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -376,15 +376,9 @@ func (g *Gateway) initObs() {
 }
 
 // Registry exposes the gateway's metrics registry so sibling
-// subsystems can register their own histograms next to the gateway's.
+// subsystems (the rollup engine, the line-protocol listener) register
+// their counters, gauges and histograms next to the gateway's.
 func (g *Gateway) Registry() *obs.Registry { return g.reg }
-
-// AddMetricsSource registers fn to append lines to /metrics — how the
-// rollup engine and line-protocol listener surface their counters on
-// the gateway's one instrumentation endpoint.
-func (g *Gateway) AddMetricsSource(fn func(emit func(name string, v any))) {
-	g.reg.AddSource(fn)
-}
 
 // AddHealthSource registers fn to fold subsystem detail into the
 // /healthz body (the rollup engine reports its watermark lag here).

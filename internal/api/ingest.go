@@ -32,7 +32,7 @@ import (
 	"repro/internal/tsdb"
 )
 
-// Enqueue errors.
+// EnqueueRefs errors.
 var (
 	ErrQueueFull = errors.New("api: ingest queue full")
 	ErrClosed    = errors.New("api: gateway closed")
@@ -847,22 +847,6 @@ func (g *Gateway) drainQueueMarks(deq int64) {
 		g.marks = append(g.marks[:0], g.marks[i:]...)
 	}
 	g.markMu.Unlock()
-}
-
-// Enqueue is EnqueueRefs for callers still holding DataPoints (the
-// MQTT ingestor, tests): each point is resolved to its interned
-// series here at the edge. Every point must already have passed
-// DataPoint.Validate.
-func (g *Gateway) Enqueue(dps []tsdb.DataPoint) error {
-	rps := make([]tsdb.RefPoint, len(dps))
-	for i := range dps {
-		ref, err := g.db.Intern(dps[i].Metric, dps[i].Tags)
-		if err != nil {
-			return err
-		}
-		rps[i] = tsdb.RefPoint{Ref: ref, Point: dps[i].Point}
-	}
-	return g.EnqueueRefs(rps)
 }
 
 // QueueDepth reports the current ingest backlog.

@@ -726,10 +726,7 @@ func TestStreamBackfill(t *testing.T) {
 	}
 
 	// Live events still flow after the catch-up.
-	if err := g.Enqueue([]tsdb.DataPoint{{
-		Metric: "air.co2", Tags: map[string]string{"sensor": "bf"},
-		Point: tsdb.Point{Timestamp: now.UnixMilli(), Value: 415},
-	}}); err != nil {
+	if err := g.EnqueueRefs([]tsdb.RefPoint{{Ref: ref, Point: tsdb.Point{Timestamp: now.UnixMilli(), Value: 415}}}); err != nil {
 		t.Fatal(err)
 	}
 	gotLive := false

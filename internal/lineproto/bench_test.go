@@ -15,8 +15,6 @@ type benchSink struct {
 	refs int
 }
 
-func (s *benchSink) Enqueue(dps []tsdb.DataPoint) error { return nil }
-
 func (s *benchSink) Intern(metric []byte, kvs [][]byte) (*tsdb.Ref, error) {
 	return s.db.InternBytes(metric, kvs)
 }
@@ -38,7 +36,7 @@ func BenchmarkParsePutLine(b *testing.B) {
 	defer db.Close()
 	sink := &benchSink{db: db}
 	s := New(sink, Config{})
-	st := &connState{rs: sink}
+	st := &connState{}
 	lines := make([][]byte, 16)
 	for i := range lines {
 		lines[i] = []byte(fmt.Sprintf("put air.co2 1488326400 415.5 sensor=n%02d city=trondheim", i))
@@ -51,22 +49,6 @@ func BenchmarkParsePutLine(b *testing.B) {
 		}
 		if len(st.refs) == cap(st.refs) && len(st.refs) >= 128 {
 			st.refs = st.refs[:0]
-		}
-	}
-}
-
-// BenchmarkParseLine is the string-path baseline the fast path
-// replaces: strings.Fields, a fresh tag map, a DataPoint per line.
-func BenchmarkParseLine(b *testing.B) {
-	lines := make([]string, 16)
-	for i := range lines {
-		lines[i] = fmt.Sprintf("put air.co2 1488326400 415.5 sensor=n%02d city=trondheim", i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ParseLine(lines[i%len(lines)]); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -37,17 +37,11 @@ import (
 
 // Sink receives parsed, validated points — implemented by
 // api.Gateway, whose bounded queue and 429-style refusal the listener
-// inherits.
-type Sink interface {
-	Enqueue(dps []tsdb.DataPoint) error
-}
-
-// refSink is the zero-copy fast path a sink may additionally offer —
-// api.Gateway does: put lines are parsed as raw byte fields, resolved
-// to interned series at the wire (strings and tag maps materialize
-// only for never-before-seen series), and enqueued as compact
+// inherits. Put lines are parsed as raw byte fields, resolved to
+// interned series at the wire (strings and tag maps materialize only
+// for never-before-seen series), and enqueued as compact
 // (SeriesID, Point) batches.
-type refSink interface {
+type Sink interface {
 	Intern(metric []byte, kvs [][]byte) (*tsdb.Ref, error)
 	EnqueueRefs(rps []tsdb.RefPoint) error
 }
@@ -138,17 +132,12 @@ type Server struct {
 	timeouts   atomic.Uint64 // connections closed by the read deadline
 	authFails  atomic.Uint64 // puts refused or auth attempts rejected: bad/missing key
 
-	// flushHist, when installed, times each batch flush into the sink
-	// — queue reservation included, so it shows telnet backpressure.
+	// flushHist, once RegisterMetrics installs it, times each batch
+	// flush into the sink — queue reservation included, so it shows
+	// telnet backpressure.
 	flushHist atomic.Pointer[obs.Histogram]
 
 	rate ewmaRate
-}
-
-// SetFlushHistogram installs a histogram receiving the duration of
-// every batch flush into the sink. Nil-safe to leave uninstalled.
-func (s *Server) SetFlushHistogram(h *obs.Histogram) {
-	s.flushHist.Store(h)
 }
 
 // New builds a server feeding sink. Call Start, then Close.
@@ -214,20 +203,15 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// connState is the per-connection scratch the zero-copy path reuses
-// line after line: the line buffer, the split fields, the tag
-// key/value slices, and the outgoing batch. Nothing here escapes per
-// point on the fast path.
+// connState is the per-connection scratch reused line after line: the
+// line buffer, the split fields, the tag key/value slices, and the
+// outgoing batch. Nothing here escapes per point.
 type connState struct {
-	rs     refSink // non-nil when the sink offers the interned path
 	line   []byte
 	fields [][]byte
 	kvs    [][]byte
 	refs   []tsdb.RefPoint
-	dps    []tsdb.DataPoint // fallback batch for plain sinks
 }
-
-func (st *connState) batchLen() int { return len(st.refs) + len(st.dps) }
 
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
@@ -241,9 +225,6 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	r := bufio.NewReaderSize(conn, 4096)
 	st := &connState{}
-	if rs, ok := s.sink.(refSink); ok {
-		st.rs = rs
-	}
 	authed := !s.authRequired()
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
@@ -256,7 +237,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		// Flush when the batch is full or no more input is already
 		// buffered (the next read would block).
-		if st.batchLen() >= s.cfg.BatchSize || (st.batchLen() > 0 && r.Buffered() == 0) {
+		if n := len(st.refs); n >= s.cfg.BatchSize || (n > 0 && r.Buffered() == 0) {
 			s.flush(conn, st)
 		}
 		if err != nil {
@@ -302,8 +283,7 @@ func (s *Server) readLine(conn net.Conn, r *bufio.Reader, st *connState) ([]byte
 
 // handleLine processes one complete line; quit requests connection
 // close (the telnet "exit" command). put lines take the zero-copy
-// interned path when the sink supports it; command lines (rare) fall
-// back to string handling.
+// interned path; command lines (rare) fall back to string handling.
 func (s *Server) handleLine(conn net.Conn, line []byte, st *connState, authed *bool) (quit bool) {
 	line = bytes.TrimSpace(line)
 	if len(line) == 0 {
@@ -318,20 +298,10 @@ func (s *Server) handleLine(conn net.Conn, line []byte, st *connState, authed *b
 		s.reply(conn, "err: auth required (send: auth <key>)")
 		return false
 	}
-	if st.rs != nil {
-		if err := s.parsePutFast(line, st); err != nil {
-			s.malformed.Add(1)
-			s.reply(conn, "err: %v", err)
-		}
-		return false
-	}
-	dp, err := ParseLine(string(line))
-	if err != nil {
+	if err := s.parsePutFast(line, st); err != nil {
 		s.malformed.Add(1)
 		s.reply(conn, "err: %v", err)
-		return false
 	}
-	st.dps = append(st.dps, dp)
 	return false
 }
 
@@ -368,8 +338,9 @@ func (s *Server) handleCommand(conn net.Conn, line string, authed *bool) (quit b
 
 // parsePutFast parses one put line as raw byte fields and resolves it
 // to an interned series — the zero-copy path: no strings, no tag map,
-// no DataPoint unless the series is new. Mirrors ParseLine's grammar
-// and error messages exactly.
+// no DataPoint unless the series is new. Its grammar and error
+// messages are held to a string reference parser by
+// TestParsePutFastMatchesParseLine and FuzzParsePutLine.
 func (s *Server) parsePutFast(line []byte, st *connState) error {
 	fields := splitFieldsBytes(line, st.fields[:0])
 	st.fields = fields
@@ -407,7 +378,7 @@ func (s *Server) parsePutFast(line []byte, st *connState) error {
 	if !tsdb.ValidTimestamp(tsMS) {
 		return fmt.Errorf("%w: %d", tsdb.ErrBadTimestamp, tsMS)
 	}
-	ref, err := st.rs.Intern(fields[1], kvs)
+	ref, err := s.sink.Intern(fields[1], kvs)
 	if err != nil {
 		return err
 	}
@@ -450,20 +421,14 @@ func firstWordBytes(line []byte) []byte {
 // flush hands the batch to the sink, translating queue refusal into a
 // counted drop plus an error line — the telnet analogue of HTTP 429.
 func (s *Server) flush(conn net.Conn, st *connState) {
-	n := st.batchLen()
+	n := len(st.refs)
 	if n == 0 {
 		return
 	}
 	if h := s.flushHist.Load(); h != nil {
 		defer h.ObserveSince(time.Now())
 	}
-	var err error
-	if st.rs != nil {
-		err = st.rs.EnqueueRefs(st.refs)
-	} else {
-		err = s.sink.Enqueue(st.dps)
-	}
-	if err != nil {
+	if err := s.sink.EnqueueRefs(st.refs); err != nil {
 		s.dropped.Add(uint64(n))
 		switch {
 		case errors.Is(err, api.ErrQueueFull):
@@ -481,63 +446,12 @@ func (s *Server) flush(conn net.Conn, st *connState) {
 		s.rate.observe(n, time.Now())
 	}
 	st.refs = st.refs[:0]
-	st.dps = st.dps[:0]
 }
 
 // reply best-effort writes one diagnostic line back to the peer.
 func (s *Server) reply(conn net.Conn, format string, args ...any) {
 	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
 	fmt.Fprintf(conn, format+"\n", args...)
-}
-
-// ParseLine parses one telnet put line into a validated data point.
-func ParseLine(line string) (tsdb.DataPoint, error) {
-	var dp tsdb.DataPoint
-	fields := strings.Fields(line)
-	if len(fields) == 0 || fields[0] != "put" {
-		return dp, fmt.Errorf("unknown command %q (want: put <metric> <ts> <value> <tag=value> ...)", firstWord(line))
-	}
-	if len(fields) < 5 {
-		return dp, fmt.Errorf("put needs metric, timestamp, value and at least one tag (got %d fields)", len(fields)-1)
-	}
-	ts, err := strconv.ParseInt(fields[2], 10, 64)
-	if err != nil {
-		return dp, fmt.Errorf("bad timestamp %q", fields[2])
-	}
-	if ts <= 0 {
-		return dp, fmt.Errorf("timestamp must be positive, got %q", fields[2])
-	}
-	val, err := strconv.ParseFloat(fields[3], 64)
-	if err != nil {
-		return dp, fmt.Errorf("bad value %q", fields[3])
-	}
-	if math.IsNaN(val) || math.IsInf(val, 0) {
-		return dp, fmt.Errorf("value must be finite, got %q", fields[3])
-	}
-	tags := make(map[string]string, len(fields)-4)
-	for _, kv := range fields[4:] {
-		eq := strings.IndexByte(kv, '=')
-		if eq <= 0 || eq == len(kv)-1 {
-			return dp, fmt.Errorf("bad tag %q (want key=value)", kv)
-		}
-		tags[kv[:eq]] = kv[eq+1:]
-	}
-	dp = tsdb.DataPoint{
-		Metric: fields[1],
-		Tags:   tags,
-		Point:  tsdb.Point{Timestamp: tsdb.NormalizeMillis(ts), Value: val},
-	}
-	if err := dp.Validate(); err != nil {
-		return dp, err
-	}
-	return dp, nil
-}
-
-func firstWord(line string) string {
-	if i := strings.IndexByte(line, ' '); i > 0 {
-		return line[:i]
-	}
-	return line
 }
 
 // Stats is a snapshot of the listener's counters.
@@ -573,20 +487,21 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// EmitMetrics appends the listener's metrics in the gateway's
-// /metrics line format — registered via Gateway.AddMetricsSource.
-func (s *Server) EmitMetrics(emit func(name string, v any)) {
-	st := s.Stats()
-	emit("ctt_lineproto_connections_total", st.ConnsTotal)
-	emit("ctt_lineproto_connections_active", st.ConnsActive)
-	emit("ctt_lineproto_lines_total", st.Lines)
-	emit("ctt_lineproto_points_total", st.Points)
-	emit("ctt_lineproto_malformed_total", st.Malformed)
-	emit("ctt_lineproto_dropped_total", st.Dropped)
-	emit("ctt_lineproto_degraded_dropped_total", st.DegradedDropped)
-	emit("ctt_lineproto_read_timeouts_total", st.Timeouts)
-	emit("ctt_lineproto_auth_failures_total", st.AuthFails)
-	emit("ctt_lineproto_rate_points_per_second", fmt.Sprintf("%.3f", st.PointsPerSecond))
+// RegisterMetrics puts the listener's counters, its ingest-rate gauge
+// and its flush-latency histogram on r, so /metrics and the
+// self-scrape loop both see them.
+func (s *Server) RegisterMetrics(r *obs.Registry) {
+	r.Uint("ctt_lineproto_connections_total", s.connsTotal.Load)
+	r.Uint("ctt_lineproto_connections_active", func() uint64 { return uint64(s.active.Load()) })
+	r.Uint("ctt_lineproto_lines_total", s.lines.Load)
+	r.Uint("ctt_lineproto_points_total", s.points.Load)
+	r.Uint("ctt_lineproto_malformed_total", s.malformed.Load)
+	r.Uint("ctt_lineproto_dropped_total", s.dropped.Load)
+	r.Uint("ctt_lineproto_degraded_dropped_total", s.degraded.Load)
+	r.Uint("ctt_lineproto_read_timeouts_total", s.timeouts.Load)
+	r.Uint("ctt_lineproto_auth_failures_total", s.authFails.Load)
+	r.Gauge("ctt_lineproto_rate_points_per_second", func() float64 { return s.rate.value(time.Now()) })
+	s.flushHist.Store(r.Histogram("ctt_lineproto_flush_seconds", "", nil))
 }
 
 // ewmaRate tracks an exponentially-weighted ingest rate (~10s time

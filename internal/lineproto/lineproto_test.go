@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -12,25 +13,41 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/rollup"
 	"repro/internal/tsdb"
 )
 
+// parseLineGood and parseLineBad are TestParseLine's table; they also
+// seed FuzzParsePutLine.
+var parseLineGood = []struct {
+	line   string
+	metric string
+	tsMS   int64
+	value  float64
+	tags   map[string]string
+}{
+	{"put air.co2 1488326400 412.5 sensor=s1", "air.co2", 1488326400000, 412.5,
+		map[string]string{"sensor": "s1"}},
+	{"put air.co2 1488326400123 412.5 sensor=s1 city=trondheim", "air.co2", 1488326400123, 412.5,
+		map[string]string{"sensor": "s1", "city": "trondheim"}},
+	{"  put   air.no2  1488326400  -7  sensor=s2  ", "air.no2", 1488326400000, -7,
+		map[string]string{"sensor": "s2"}},
+}
+
+var parseLineBad = []string{
+	"puts air.co2 1488326400 412.5 sensor=s1", // unknown command
+	"put air.co2 1488326400 412.5",            // no tags
+	"put air.co2 nope 412.5 sensor=s1",        // bad timestamp
+	"put air.co2 -5 412.5 sensor=s1",          // negative timestamp
+	"put air.co2 1488326400 abc sensor=s1",    // bad value
+	"put air.co2 1488326400 NaN sensor=s1",    // non-finite value
+	"put air.co2 1488326400 412.5 sensor=",    // empty tag value
+	"put air.co2 1488326400 412.5 =s1",        // empty tag key
+	"put bad metric 1488326400 412.5 a=b",     // field misalignment
+}
+
 func TestParseLine(t *testing.T) {
-	good := []struct {
-		line   string
-		metric string
-		tsMS   int64
-		value  float64
-		tags   map[string]string
-	}{
-		{"put air.co2 1488326400 412.5 sensor=s1", "air.co2", 1488326400000, 412.5,
-			map[string]string{"sensor": "s1"}},
-		{"put air.co2 1488326400123 412.5 sensor=s1 city=trondheim", "air.co2", 1488326400123, 412.5,
-			map[string]string{"sensor": "s1", "city": "trondheim"}},
-		{"  put   air.no2  1488326400  -7  sensor=s2  ", "air.no2", 1488326400000, -7,
-			map[string]string{"sensor": "s2"}},
-	}
-	for _, g := range good {
+	for _, g := range parseLineGood {
 		dp, err := ParseLine(g.line)
 		if err != nil {
 			t.Fatalf("ParseLine(%q): %v", g.line, err)
@@ -44,18 +61,7 @@ func TestParseLine(t *testing.T) {
 			}
 		}
 	}
-	bad := []string{
-		"puts air.co2 1488326400 412.5 sensor=s1", // unknown command
-		"put air.co2 1488326400 412.5",            // no tags
-		"put air.co2 nope 412.5 sensor=s1",        // bad timestamp
-		"put air.co2 -5 412.5 sensor=s1",          // negative timestamp
-		"put air.co2 1488326400 abc sensor=s1",    // bad value
-		"put air.co2 1488326400 NaN sensor=s1",    // non-finite value
-		"put air.co2 1488326400 412.5 sensor=",    // empty tag value
-		"put air.co2 1488326400 412.5 =s1",        // empty tag key
-		"put bad metric 1488326400 412.5 a=b",     // field misalignment
-	}
-	for _, line := range bad {
+	for _, line := range parseLineBad {
 		if _, err := ParseLine(line); err == nil {
 			t.Fatalf("ParseLine(%q) accepted", line)
 		}
@@ -308,5 +314,119 @@ func TestTelnetAuthDefersToGateway(t *testing.T) {
 			t.Fatalf("gateway-keyed put never accepted: %+v", srv.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestMetricsOnRegistry: with a rollup engine and a started listener
+// registered on the gateway's registry, /metrics prints each of their
+// samples once and the self-scrape loop stores their counters as
+// ctt.self.* series.
+func TestMetricsOnRegistry(t *testing.T) {
+	db, gw, srv, addr := testStack(t, Config{})
+	eng, err := rollup.New(db, rollup.Config{FlushEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	eng.RegisterMetrics(gw.Registry())
+	srv.RegisterMetrics(gw.Registry())
+	scraper := api.NewSelfScraper(gw, api.SelfScrapeConfig{})
+	web := httptest.NewServer(gw.Handler())
+	defer web.Close()
+
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "put air.co2 %d 415 sensor=telnet-1\n", time.Now().Unix())
+	conn.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for eng.Stats().Observed == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("telnet point never reached the store: %+v", srv.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	resp, err := http.Get(web.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, line := range strings.Split(string(body), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		if strings.HasPrefix(name, "ctt_rollup_") || strings.HasPrefix(name, "ctt_lineproto_") {
+			seen[name]++
+		}
+	}
+	want := []string{
+		"ctt_rollup_points_observed_total",
+		"ctt_rollup_late_dropped_total",
+		"ctt_rollup_skipped_total",
+		"ctt_rollup_windows_sealed_total",
+		"ctt_rollup_points_written_total",
+		"ctt_rollup_query_hits_total",
+		"ctt_rollup_query_fallbacks_total",
+		"ctt_rollup_query_tail_served_total",
+		"ctt_rollup_retention_deleted_total",
+		"ctt_rollup_retention_errors_total",
+		"ctt_rollup_state_errors_total",
+		`ctt_rollup_open_windows{tier="1m"}`,
+		`ctt_rollup_lag_ms{tier="1m"}`,
+		`ctt_rollup_open_windows{tier="1h"}`,
+		`ctt_rollup_lag_ms{tier="1h"}`,
+		"ctt_rollup_observe_seconds_sum",
+		"ctt_rollup_observe_seconds_count",
+		"ctt_lineproto_connections_total",
+		"ctt_lineproto_connections_active",
+		"ctt_lineproto_lines_total",
+		"ctt_lineproto_points_total",
+		"ctt_lineproto_malformed_total",
+		"ctt_lineproto_dropped_total",
+		"ctt_lineproto_degraded_dropped_total",
+		"ctt_lineproto_read_timeouts_total",
+		"ctt_lineproto_auth_failures_total",
+		"ctt_lineproto_rate_points_per_second",
+		"ctt_lineproto_flush_seconds_sum",
+		"ctt_lineproto_flush_seconds_count",
+	}
+	for _, name := range want {
+		if seen[name] != 1 {
+			t.Errorf("%s printed %d times, want once", name, seen[name])
+		}
+		delete(seen, name)
+	}
+	for name, n := range seen {
+		if !strings.Contains(name, "_seconds_bucket{le=") || n != 1 {
+			t.Errorf("unexpected sample %s printed %d times", name, n)
+		}
+	}
+
+	if scraper.ScrapeOnce() == 0 {
+		t.Fatal("self-scrape stored nothing")
+	}
+	for _, metric := range []string{"ctt.self.rollup_points_observed_total", "ctt.self.lineproto_lines_total"} {
+		resp, err := http.Get(web.URL + "/api/query?start=1h-ago&m=max:" + metric + "{src=self}")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []struct {
+			DPS map[string]float64 `json:"dps"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || len(out) != 1 || len(out[0].DPS) != 1 {
+			t.Fatalf("%s: query answered %+v (err %v), want one point", metric, out, err)
+		}
+		for _, v := range out[0].DPS {
+			if v < 1 {
+				t.Errorf("%s = %v, want ≥ 1", metric, v)
+			}
+		}
 	}
 }

@@ -78,8 +78,7 @@ func TestRegistryEach(t *testing.T) {
 	h := r.Histogram("ctt_lat_seconds", `endpoint="query"`, []float64{1})
 	h.Observe(0.5)
 	h.Observe(2)
-	// Legacy emit-style sources must NOT be visited (string values).
-	r.AddSource(func(emit func(name string, v any)) { emit("legacy", "0.99") })
+	r.Uint("ctt_open_windows", func() uint64 { return 4 })
 
 	vals := map[string]float64{}
 	r.Each(func(name string, v float64) { vals[name] = v })
@@ -88,6 +87,7 @@ func TestRegistryEach(t *testing.T) {
 		"ctt_reqs_total":                          3,
 		`ctt_rej_total{reason="queue_full"}`:      1,
 		"ctt_depth":                               7.5,
+		"ctt_open_windows":                        4,
 		`ctt_lat_seconds_count{endpoint="query"}`: 2,
 		`ctt_lat_seconds_sum{endpoint="query"}`:   2.5,
 	}
@@ -95,9 +95,6 @@ func TestRegistryEach(t *testing.T) {
 		if got, ok := vals[name]; !ok || got != v {
 			t.Fatalf("Each[%q] = %v (present=%v), want %v", name, got, ok, v)
 		}
-	}
-	if _, ok := vals["legacy"]; ok {
-		t.Fatal("Each visited a legacy source")
 	}
 }
 

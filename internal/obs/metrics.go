@@ -9,7 +9,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"sync"
@@ -191,22 +190,24 @@ func (h *Histogram) snapshot() histSnapshot {
 }
 
 // Registry holds metrics and renders them in Prometheus text
-// exposition format. Registration order is preserved for counters and
-// gauges; histograms render after them, grouped by family so each
-// family gets exactly one `# TYPE` header. Legacy emit-style sources
-// (AddSource) render last. Expose snapshots every value first and
-// formats entirely outside the registry lock.
+// exposition format. It is the one way a value reaches /metrics and
+// the self-scrape loop: every subsystem registers its counters, gauges
+// and histograms here. Registration order is preserved for counters
+// and gauges; histograms render after them, grouped by family so each
+// family gets exactly one `# TYPE` header. Expose snapshots every
+// value first and formats entirely outside the registry lock.
 type Registry struct {
 	mu      sync.RWMutex
 	scalars []scalarEntry
 	hists   []*Histogram
-	sources []func(emit func(name string, v any))
 }
 
+// scalarEntry is one counter or gauge: exactly one of count and gauge
+// is set.
 type scalarEntry struct {
-	name    string // full name including any inline {labels}
-	counter *Counter
-	gauge   func() float64
+	name  string // full name including any inline {labels}
+	count func() uint64
+	gauge func() float64
 }
 
 // NewRegistry returns an empty registry.
@@ -216,10 +217,18 @@ func NewRegistry() *Registry { return &Registry{} }
 // labels, e.g. `ctt_ingest_rejected_total{reason="queue_full"}`.
 func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{}
-	r.mu.Lock()
-	r.scalars = append(r.scalars, scalarEntry{name: name, counter: c})
-	r.mu.Unlock()
+	r.Uint(name, c.Value)
 	return c
+}
+
+// Uint registers an integer metric read from fn at scrape time — a
+// counter, or a count-valued gauge, that a subsystem keeps in its own
+// atomics. It renders as a plain integer at any size, where Gauge's
+// shortest float would print 1000000 as 1e+06.
+func (r *Registry) Uint(name string, fn func() uint64) {
+	r.mu.Lock()
+	r.scalars = append(r.scalars, scalarEntry{name: name, count: fn})
+	r.mu.Unlock()
 }
 
 // Gauge registers a gauge whose value is read from fn at scrape time.
@@ -239,16 +248,6 @@ func (r *Registry) Histogram(name, labels string, bounds []float64) *Histogram {
 	r.hists = append(r.hists, h)
 	r.mu.Unlock()
 	return h
-}
-
-// AddSource registers a legacy emit-style metrics source (the form the
-// rollup engine and line-protocol listener already speak). Sources run
-// at scrape time, after the registry's own metrics, outside any
-// registry lock.
-func (r *Registry) AddSource(fn func(emit func(name string, v any))) {
-	r.mu.Lock()
-	r.sources = append(r.sources, fn)
-	r.mu.Unlock()
 }
 
 // Expose renders the registry in Prometheus text exposition format.
@@ -271,7 +270,6 @@ func (r *Registry) expose(openmetrics bool) []byte {
 	r.mu.RLock()
 	scalars := r.scalars
 	hists := r.hists
-	sources := r.sources
 	r.mu.RUnlock()
 
 	// Snapshot phase: read every value before formatting anything.
@@ -283,8 +281,8 @@ func (r *Registry) expose(openmetrics bool) []byte {
 	}
 	svals := make([]scalarVal, len(scalars))
 	for i, e := range scalars {
-		if e.counter != nil {
-			svals[i] = scalarVal{name: e.name, isCounter: true, u: e.counter.Value()}
+		if e.count != nil {
+			svals[i] = scalarVal{name: e.name, isCounter: true, u: e.count()}
 		} else {
 			svals[i] = scalarVal{name: e.name, f: e.gauge()}
 		}
@@ -324,14 +322,6 @@ func (r *Registry) expose(openmetrics bool) []byte {
 			}
 		}
 	}
-	for _, src := range sources {
-		src(func(name string, v any) {
-			b = append(b, name...)
-			b = append(b, ' ')
-			b = appendEmitValue(b, v)
-			b = append(b, '\n')
-		})
-	}
 	if openmetrics {
 		b = append(b, "# EOF\n"...)
 	}
@@ -343,16 +333,15 @@ func (r *Registry) expose(openmetrics bool) []byte {
 // included), then each histogram's _count and _sum. It is the
 // machine-readable walk behind the self-scrape loop — the same values
 // /metrics renders as text, delivered as (name, float) pairs with no
-// formatting. Legacy emit-style sources are not visited (their values
-// may be pre-formatted strings).
+// formatting.
 func (r *Registry) Each(fn func(name string, v float64)) {
 	r.mu.RLock()
 	scalars := r.scalars
 	hists := r.hists
 	r.mu.RUnlock()
 	for _, e := range scalars {
-		if e.counter != nil {
-			fn(e.name, float64(e.counter.Value()))
+		if e.count != nil {
+			fn(e.name, float64(e.count()))
 		} else {
 			fn(e.name, e.gauge())
 		}
@@ -445,25 +434,4 @@ func appendExemplar(b []byte, ex *Exemplar) []byte {
 // everything else in shortest-roundtrip form.
 func appendMetricFloat(b []byte, f float64) []byte {
 	return strconv.AppendFloat(b, f, 'g', -1, 64)
-}
-
-// appendEmitValue renders a legacy source value: ints and uints
-// directly, floats via appendMetricFloat, strings verbatim (sources
-// pre-format ratios), everything else through strconv-compatible
-// fallbacks.
-func appendEmitValue(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case int:
-		return strconv.AppendInt(b, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case uint64:
-		return strconv.AppendUint(b, x, 10)
-	case float64:
-		return appendMetricFloat(b, x)
-	case string:
-		return append(b, x...)
-	default:
-		return fmt.Append(b, v)
-	}
 }

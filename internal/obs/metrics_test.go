@@ -82,15 +82,15 @@ func TestHistogramFamilyGrouping(t *testing.T) {
 	}
 }
 
-func TestLegacySource(t *testing.T) {
+// TestUintRendering: Uint values print as plain integers at any size,
+// where a Gauge's shortest float switches to exponent form.
+func TestUintRendering(t *testing.T) {
 	r := NewRegistry()
-	r.AddSource(func(emit func(name string, v any)) {
-		emit("legacy_int", 7)
-		emit("legacy_float", 0.125)
-		emit("legacy_str", "0.333")
-	})
+	r.Uint("big_total", func() uint64 { return 2070203 })
+	r.Uint(`open{tier="1m"}`, func() uint64 { return 7 })
+	r.Gauge("big_gauge", func() float64 { return 2070203 })
 	body := string(r.Expose())
-	for _, want := range []string{"legacy_int 7\n", "legacy_float 0.125\n", "legacy_str 0.333\n"} {
+	for _, want := range []string{"big_total 2070203\n", "open{tier=\"1m\"} 7\n", "big_gauge 2.070203e+06\n"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("missing %q in:\n%s", want, body)
 		}

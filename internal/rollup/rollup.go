@@ -164,16 +164,10 @@ type Engine struct {
 	retErrs   atomic.Uint64 // background retention/compaction passes that failed
 	stateErrs atomic.Uint64 // state-file saves/loads that failed (state discarded)
 
-	// obsHist, when installed, times each observeBatch call — the
-	// rollup fold is on the store's observer fan-out path, so this is
-	// the engine's share of ingest latency.
+	// obsHist, once RegisterMetrics installs it, times each
+	// observeBatch call — the rollup fold is on the store's observer
+	// fan-out path, so this is the engine's share of ingest latency.
 	obsHist atomic.Pointer[obs.Histogram]
-}
-
-// SetObserveHistogram installs a histogram receiving the duration of
-// every observeBatch call. Nil-safe to leave uninstalled.
-func (e *Engine) SetObserveHistogram(h *obs.Histogram) {
-	e.obsHist.Store(h)
 }
 
 // tierSpec is a Tier with its derived values precomputed.
@@ -754,7 +748,7 @@ type Stats struct {
 
 // Stats snapshots the engine.
 func (e *Engine) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Observed:         e.observed.Load(),
 		Late:             e.late.Load(),
 		Skipped:          e.skipped.Load(),
@@ -766,45 +760,54 @@ func (e *Engine) Stats() Stats {
 		RetentionDeleted: e.retained.Load(),
 		RetentionErrors:  e.retErrs.Load(),
 		StateErrors:      e.stateErrs.Load(),
+		Tiers:            e.tierStats(),
 	}
+}
+
+// tierStats walks every series once for each tier's open windows and
+// worst watermark lag.
+func (e *Engine) tierStats() []TierStat {
+	tiers := make([]TierStat, len(e.tiers))
 	for i := range e.tiers {
-		st.Tiers = append(st.Tiers, TierStat{
-			Name: e.tiers[i].name, Resolution: e.tiers[i].res, Retention: e.tiers[i].retention,
-		})
+		tiers[i] = TierStat{Name: e.tiers[i].name, Resolution: e.tiers[i].res, Retention: e.tiers[i].retention}
 	}
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
 		for _, s := range sh.series {
 			for ti := range s.tiers {
-				st.Tiers[ti].OpenWindows += len(s.tiers[ti].open)
-				if lag := s.watermark - s.tiers[ti].sealedUntil; lag > st.Tiers[ti].LagMS {
-					st.Tiers[ti].LagMS = lag
+				tiers[ti].OpenWindows += len(s.tiers[ti].open)
+				if lag := s.watermark - s.tiers[ti].sealedUntil; lag > tiers[ti].LagMS {
+					tiers[ti].LagMS = lag
 				}
 			}
 		}
 		sh.mu.Unlock()
 	}
-	return st
+	return tiers
 }
 
-// EmitMetrics appends the engine's metrics in the gateway's /metrics
-// line format — the hook ctt-server registers via AddMetricsSource.
-func (e *Engine) EmitMetrics(emit func(name string, v any)) {
-	st := e.Stats()
-	emit("ctt_rollup_points_observed_total", st.Observed)
-	emit("ctt_rollup_late_dropped_total", st.Late)
-	emit("ctt_rollup_skipped_total", st.Skipped)
-	emit("ctt_rollup_windows_sealed_total", st.WindowsSealed)
-	emit("ctt_rollup_points_written_total", st.PointsWritten)
-	emit("ctt_rollup_query_hits_total", st.QueryHits)
-	emit("ctt_rollup_query_fallbacks_total", st.QueryFallbacks)
-	emit("ctt_rollup_query_tail_served_total", st.TailServed)
-	emit("ctt_rollup_retention_deleted_total", st.RetentionDeleted)
-	emit("ctt_rollup_retention_errors_total", st.RetentionErrors)
-	emit("ctt_rollup_state_errors_total", st.StateErrors)
-	for _, t := range st.Tiers {
-		emit(fmt.Sprintf("ctt_rollup_open_windows{tier=%q}", t.Name), t.OpenWindows)
-		emit(fmt.Sprintf("ctt_rollup_lag_ms{tier=%q}", t.Name), t.LagMS)
+// RegisterMetrics puts the engine's counters, its per-tier open-window
+// and watermark-lag gauges and its observe-latency histogram on r, so
+// /metrics and the self-scrape loop both see them. The counters read
+// the engine's atomics; a per-tier gauge walks the series at scrape
+// time.
+func (e *Engine) RegisterMetrics(r *obs.Registry) {
+	r.Uint("ctt_rollup_points_observed_total", e.observed.Load)
+	r.Uint("ctt_rollup_late_dropped_total", e.late.Load)
+	r.Uint("ctt_rollup_skipped_total", e.skipped.Load)
+	r.Uint("ctt_rollup_windows_sealed_total", e.sealedN.Load)
+	r.Uint("ctt_rollup_points_written_total", e.written.Load)
+	r.Uint("ctt_rollup_query_hits_total", e.hits.Load)
+	r.Uint("ctt_rollup_query_fallbacks_total", e.fallbacks.Load)
+	r.Uint("ctt_rollup_query_tail_served_total", e.tailHits.Load)
+	r.Uint("ctt_rollup_retention_deleted_total", e.retained.Load)
+	r.Uint("ctt_rollup_retention_errors_total", e.retErrs.Load)
+	r.Uint("ctt_rollup_state_errors_total", e.stateErrs.Load)
+	for ti := range e.tiers {
+		label := `{tier="` + e.tiers[ti].name + `"}`
+		r.Uint("ctt_rollup_open_windows"+label, func() uint64 { return uint64(e.tierStats()[ti].OpenWindows) })
+		r.Uint("ctt_rollup_lag_ms"+label, func() uint64 { return uint64(e.tierStats()[ti].LagMS) })
 	}
+	e.obsHist.Store(r.Histogram("ctt_rollup_observe_seconds", "", nil))
 }

@@ -467,30 +467,6 @@ func (db *DB) Metrics() []string {
 	return out
 }
 
-// TagValues lists the distinct values of a tag key under a metric.
-func (db *DB) TagValues(metric, tagKey string) []string {
-	set := map[string]bool{}
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.series {
-			if s.metric != metric {
-				continue
-			}
-			if v, ok := s.tags[tagKey]; ok {
-				set[v] = true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SeriesWindowExact returns the raw points of the exact series
 // identified by (metric, tags) — no filter semantics, the tag set
 // must match the stored series key — within [start, end]. A missing

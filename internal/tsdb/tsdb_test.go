@@ -410,7 +410,7 @@ func TestSealingAndLargeSeries(t *testing.T) {
 	}
 }
 
-func TestMetricsAndTagValues(t *testing.T) {
+func TestMetrics(t *testing.T) {
 	db := mustOpen(t)
 	db.Put(pt("a.one", "n1", 0, 1))
 	db.Put(pt("a.two", "n1", 0, 1))
@@ -418,10 +418,6 @@ func TestMetricsAndTagValues(t *testing.T) {
 	ms := db.Metrics()
 	if len(ms) != 2 || ms[0] != "a.one" || ms[1] != "a.two" {
 		t.Fatalf("Metrics = %v", ms)
-	}
-	tv := db.TagValues("a.two", "sensor")
-	if len(tv) != 2 || tv[0] != "n1" || tv[1] != "n2" {
-		t.Fatalf("TagValues = %v", tv)
 	}
 	if db.SeriesCount() != 3 {
 		t.Fatalf("SeriesCount = %d", db.SeriesCount())
