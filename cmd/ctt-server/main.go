@@ -463,10 +463,8 @@ func main() {
 
 	// One origin: exact gateway paths go to the gateway, the rest —
 	// index, panels, wall, live view, and the dashboard JSON APIs not
-	// listed below — to the dashboard. Note the gateway's OpenTSDB-
-	// style /api/query deliberately replaces the dashboard's legacy
-	// ?metric=&agg= endpoint here (nothing in the dashboard's own
-	// pages calls it; standalone ctt-demo still serves the old shape).
+	// listed below — to the dashboard. /api/query is the gateway's
+	// OpenTSDB-style endpoint, the only one there is.
 	gwH := gw.Handler()
 	root := http.NewServeMux()
 	for _, p := range []string{"/api/put", "/api/query", "/api/suggest", "/api/stream", "/api/inflight", "/api/traces", "/api/traces/", "/metrics", "/healthz"} {

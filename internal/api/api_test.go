@@ -562,15 +562,21 @@ func TestMetricsEndpoint(t *testing.T) {
 // a scrape away, and the compression ratio is over sealed chunks only.
 func TestSealedChunkMetrics(t *testing.T) {
 	g, srv := newTestGateway(t, Config{})
+	no2, err := g.db.Intern("air.no2", map[string]string{"sensor": "n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rssi, err := g.db.Intern("net.rssi", map[string]string{"sensor": "n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 256; i++ { // one full head per series
 		ts := int64(1488326400000 + i*300000)
-		for _, dp := range []tsdb.DataPoint{
-			{Metric: "air.no2", Tags: map[string]string{"sensor": "n1"}, Point: tsdb.Point{Timestamp: ts, Value: float64(200+i%17) / 10}},
-			{Metric: "net.rssi", Tags: map[string]string{"sensor": "n1"}, Point: tsdb.Point{Timestamp: ts, Value: -100 + float64(i%17)/7}},
-		} {
-			if err := g.db.Put(dp); err != nil {
-				t.Fatal(err)
-			}
+		if res := g.db.AppendRefs([]tsdb.RefPoint{
+			{Ref: no2, Point: tsdb.Point{Timestamp: ts, Value: float64(200+i%17) / 10}},
+			{Ref: rssi, Point: tsdb.Point{Timestamp: ts, Value: -100 + float64(i%17)/7}},
+		}); len(res.Errors) > 0 {
+			t.Fatal(res.Errors[0].Err)
 		}
 	}
 	res, err := http.Get(srv.URL + "/metrics")

@@ -327,13 +327,18 @@ func (s *System) StepBy(d time.Duration) error {
 
 	// 5. External feeds: city jam factor into the TSDB.
 	if s.Traffic != nil {
-		jf := s.Traffic.CityJamFactor(t)
-		if err := s.DB.Put(tsdb.DataPoint{
-			Metric: "traffic.jamfactor",
-			Tags:   map[string]string{"city": s.City},
-			Point:  tsdb.Point{Timestamp: t.UnixMilli(), Value: jf},
-		}); err != nil {
+		ts := t.UnixMilli()
+		if !tsdb.ValidTimestamp(ts) {
+			return fmt.Errorf("core: traffic ingest: %w: %d", tsdb.ErrBadTimestamp, ts)
+		}
+		ref, err := s.DB.Intern("traffic.jamfactor", map[string]string{"city": s.City})
+		if err != nil {
 			return fmt.Errorf("core: traffic ingest: %w", err)
+		}
+		jf := s.Traffic.CityJamFactor(t)
+		res := s.DB.AppendRefs([]tsdb.RefPoint{{Ref: ref, Point: tsdb.Point{Timestamp: ts, Value: jf}}})
+		if len(res.Errors) > 0 {
+			return fmt.Errorf("core: traffic ingest: %w", res.Errors[0].Err)
 		}
 	}
 	return nil

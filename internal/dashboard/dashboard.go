@@ -1,7 +1,7 @@
 // Package dashboard is the visualization platform of the paper's
 // Fig. 6 and Fig. 8 (implemented there on Apache Zeppelin + OpenTSDB):
 // an HTTP server whose panels are declaratively bound to time-series
-// queries, serving rendered SVG charts, a live network map, JSON query
+// queries, serving rendered SVG charts, a live network map, JSON panel
 // and alarm APIs, and a combined "wall display" view. Attendees of the
 // demo "can vary system and analysis properties, and observe the
 // reflection on the dashboard" — panels re-query the database on every
@@ -127,7 +127,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/wall", s.handleWall)
 	mux.HandleFunc("/live", s.handleLive)
 	mux.HandleFunc("/ops", s.handleOps)
-	mux.HandleFunc("/api/query", s.handleQuery)
 	mux.HandleFunc("/api/panels", s.handlePanels)
 	mux.HandleFunc("/api/alarms", s.handleAlarms)
 	mux.HandleFunc("/api/metrics", s.handleMetrics)
@@ -276,79 +275,6 @@ var wallTmpl = template.Must(template.New("wall").Parse(`<!DOCTYPE html>
 func (s *Server) handleWall(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	wallTmpl.Execute(w, s.Panels())
-}
-
-// queryResponse is the JSON shape of /api/query results.
-type queryResponse struct {
-	Metric string            `json:"metric"`
-	Tags   map[string]string `json:"tags"`
-	Points [][2]float64      `json:"points"` // [unix_ms, value]
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	metric := q.Get("metric")
-	if metric == "" {
-		http.Error(w, "metric required", http.StatusBadRequest)
-		return
-	}
-	agg := tsdb.Aggregator(q.Get("agg"))
-	if agg == "" {
-		agg = tsdb.AggAvg
-	}
-	now := s.clock()
-	start := now.Add(-24 * time.Hour)
-	end := now
-	if v := q.Get("from"); v != "" {
-		t, err := time.Parse(time.RFC3339, v)
-		if err != nil {
-			http.Error(w, "bad from", http.StatusBadRequest)
-			return
-		}
-		start = t
-	}
-	if v := q.Get("to"); v != "" {
-		t, err := time.Parse(time.RFC3339, v)
-		if err != nil {
-			http.Error(w, "bad to", http.StatusBadRequest)
-			return
-		}
-		end = t
-	}
-	tags := map[string]string{}
-	for key, vals := range q {
-		if strings.HasPrefix(key, "tag.") && len(vals) > 0 {
-			tags[strings.TrimPrefix(key, "tag.")] = vals[0]
-		}
-	}
-	var downsample time.Duration
-	if v := q.Get("downsample"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			http.Error(w, "bad downsample", http.StatusBadRequest)
-			return
-		}
-		downsample = d
-	}
-	res, err := s.db.Execute(tsdb.Query{
-		Metric: metric, Tags: tags,
-		Start: start.UnixMilli(), End: end.UnixMilli(),
-		Aggregator: agg, Downsample: downsample,
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	out := make([]queryResponse, 0, len(res))
-	for _, rs := range res {
-		qr := queryResponse{Metric: rs.Metric, Tags: rs.Tags}
-		for _, p := range rs.Points {
-			qr.Points = append(qr.Points, [2]float64{float64(p.Timestamp), p.Value})
-		}
-		out = append(out, qr)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
 }
 
 func (s *Server) handlePanels(w http.ResponseWriter, r *http.Request) {

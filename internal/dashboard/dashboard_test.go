@@ -1,7 +1,6 @@
 package dashboard
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -29,11 +28,8 @@ func testServer(t *testing.T) (*Server, *tsdb.DB) {
 	for i := 0; i < 72; i++ {
 		ts := simNow.Add(-6 * time.Hour).Add(time.Duration(i) * 5 * time.Minute)
 		for _, sensor := range []string{"n1", "n2"} {
-			db.Put(tsdb.DataPoint{
-				Metric: "air.co2",
-				Tags:   map[string]string{"sensor": sensor, "city": "trondheim"},
-				Point:  tsdb.Point{Timestamp: ts.UnixMilli(), Value: 410 + float64(i%12)},
-			})
+			put(t, db, "air.co2", map[string]string{"sensor": sensor, "city": "trondheim"},
+				tsdb.Point{Timestamp: ts.UnixMilli(), Value: 410 + float64(i%12)})
 		}
 	}
 	s := New(db, nil)
@@ -46,6 +42,19 @@ func testServer(t *testing.T) (*Server, *tsdb.DB) {
 		t.Fatal(err)
 	}
 	return s, db
+}
+
+// put stores one point the way every writer does: Intern, then a
+// one-element AppendRefs batch.
+func put(t *testing.T, db *tsdb.DB, metric string, tags map[string]string, p tsdb.Point) {
+	t.Helper()
+	ref, err := db.Intern(metric, tags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := db.AppendRefs([]tsdb.RefPoint{{Ref: ref, Point: p}}); len(res.Errors) > 0 {
+		t.Fatal(res.Errors[0].Err)
+	}
 }
 
 func get(t *testing.T, h http.Handler, path string) (*http.Response, string) {
@@ -84,61 +93,6 @@ func TestPanelSVGRenders(t *testing.T) {
 	res, _ = get(t, s.Handler(), "/panel/nope.svg")
 	if res.StatusCode != 404 {
 		t.Fatalf("unknown panel status: %d", res.StatusCode)
-	}
-}
-
-func TestQueryAPI(t *testing.T) {
-	s, _ := testServer(t)
-	res, body := get(t, s.Handler(), "/api/query?metric=air.co2&agg=avg&tag.sensor=n1")
-	if res.StatusCode != 200 {
-		t.Fatalf("status %d: %s", res.StatusCode, body)
-	}
-	var out []struct {
-		Metric string            `json:"metric"`
-		Tags   map[string]string `json:"tags"`
-		Points [][2]float64      `json:"points"`
-	}
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || len(out[0].Points) != 72 {
-		t.Fatalf("series %d points %d", len(out), len(out[0].Points))
-	}
-	// Group-by via wildcard.
-	_, body = get(t, s.Handler(), "/api/query?metric=air.co2&tag.sensor=*")
-	json.Unmarshal([]byte(body), &out)
-	if len(out) != 2 {
-		t.Fatalf("group-by series: %d", len(out))
-	}
-	// Bad requests.
-	res, _ = get(t, s.Handler(), "/api/query")
-	if res.StatusCode != 400 {
-		t.Fatalf("missing metric status: %d", res.StatusCode)
-	}
-	res, _ = get(t, s.Handler(), "/api/query?metric=air.co2&agg=bogus")
-	if res.StatusCode != 400 {
-		t.Fatalf("bad agg status: %d", res.StatusCode)
-	}
-	res, _ = get(t, s.Handler(), "/api/query?metric=air.co2&downsample=xx")
-	if res.StatusCode != 400 {
-		t.Fatalf("bad downsample status: %d", res.StatusCode)
-	}
-}
-
-func TestQueryAPIWithRangeAndDownsample(t *testing.T) {
-	s, _ := testServer(t)
-	from := simNow.Add(-2 * time.Hour).Format(time.RFC3339)
-	to := simNow.Format(time.RFC3339)
-	_, body := get(t, s.Handler(),
-		"/api/query?metric=air.co2&tag.sensor=n1&from="+from+"&to="+to+"&downsample=1h")
-	var out []struct {
-		Points [][2]float64 `json:"points"`
-	}
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || len(out[0].Points) < 2 || len(out[0].Points) > 3 {
-		t.Fatalf("downsampled points: %+v", out)
 	}
 }
 

@@ -25,13 +25,13 @@ func openStore(t *testing.T, dir string) *tsdb.DB {
 
 func put(t *testing.T, db *tsdb.DB, metric, sensor string, i int) {
 	t.Helper()
-	err := db.Put(tsdb.DataPoint{
-		Metric: metric,
-		Tags:   map[string]string{"sensor": sensor},
-		Point:  tsdb.Point{Timestamp: testBase + int64(i)*60000, Value: float64(i)},
-	})
+	ref, err := db.Intern(metric, map[string]string{"sensor": sensor})
 	if err != nil {
 		t.Fatal(err)
+	}
+	p := tsdb.Point{Timestamp: testBase + int64(i)*60000, Value: float64(i)}
+	if res := db.AppendRefs([]tsdb.RefPoint{{Ref: ref, Point: p}}); len(res.Errors) > 0 {
+		t.Fatal(res.Errors[0].Err)
 	}
 }
 

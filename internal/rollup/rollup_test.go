@@ -70,7 +70,7 @@ func TestWindowMatchesRawReaggregation(t *testing.T) {
 	tags := map[string]string{"sensor": "s1", "city": "trondheim"}
 	pts := genPoints(rng, "air.co2", tags, 3*time.Hour, 20*time.Second)
 	for _, dp := range pts {
-		if err := db.Put(dp); err != nil {
+		if err := put(db, dp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,10 +135,10 @@ func buildPair(t *testing.T, grace time.Duration) (*tsdb.DB, *tsdb.DB, *Engine) 
 	for i := 0; i < 3; i++ {
 		tags := map[string]string{"sensor": fmt.Sprintf("s%d", i+1), "city": "vejle"}
 		for _, dp := range genPoints(rng, "air.no2", tags, 4*time.Hour, 30*time.Second) {
-			if err := raw.Put(dp); err != nil {
+			if err := put(raw, dp); err != nil {
 				t.Fatal(err)
 			}
-			if err := rolled.Put(dp); err != nil {
+			if err := put(rolled, dp); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -543,7 +543,7 @@ func TestTieredRetention(t *testing.T) {
 
 	tags := map[string]string{"sensor": "s1"}
 	for off := time.Duration(0); off < 6*time.Hour; off += time.Minute {
-		if err := db.Put(tsdb.DataPoint{
+		if err := put(db, tsdb.DataPoint{
 			Metric: "air.co2", Tags: tags,
 			Point: tsdb.Point{Timestamp: t0.Add(off).UnixMilli(), Value: 400},
 		}); err != nil {
@@ -603,19 +603,19 @@ func TestLateArrivalDropped(t *testing.T) {
 	defer eng.Close()
 
 	tags := map[string]string{"sensor": "s1"}
-	put := func(off time.Duration, v float64) {
+	putOff := func(off time.Duration, v float64) {
 		t.Helper()
-		if err := db.Put(tsdb.DataPoint{
+		if err := put(db, tsdb.DataPoint{
 			Metric: "air.co2", Tags: tags,
 			Point: tsdb.Point{Timestamp: t0.Add(off).UnixMilli(), Value: v},
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	put(0, 400)
-	put(30*time.Second, 410)
-	put(70*time.Second, 420) // watermark passes 1m: first window seals
-	put(45*time.Second, 999) // late for the sealed window
+	putOff(0, 400)
+	putOff(30*time.Second, 410)
+	putOff(70*time.Second, 420) // watermark passes 1m: first window seals
+	putOff(45*time.Second, 999) // late for the sealed window
 
 	st := eng.Stats()
 	if st.Late != 1 {
@@ -652,7 +652,7 @@ func TestServeSkipsDerivedAndReserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if err := db.Put(tsdb.DataPoint{
+	if err := put(db, tsdb.DataPoint{
 		Metric: "x", Tags: map[string]string{StatTag: "weird"},
 		Point: tsdb.Point{Timestamp: t0.UnixMilli(), Value: 1},
 	}); err != nil {
@@ -700,10 +700,10 @@ func TestServeRespectsTierRetention(t *testing.T) {
 			Metric: "air.co2", Tags: tags,
 			Point: tsdb.Point{Timestamp: t0.Add(off).UnixMilli(), Value: 400 + float64(off/time.Minute)},
 		}
-		if err := raw.Put(dp); err != nil {
+		if err := put(raw, dp); err != nil {
 			t.Fatal(err)
 		}
-		if err := rolled.Put(dp); err != nil {
+		if err := put(rolled, dp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -748,7 +748,7 @@ func TestPruneDeadSeriesState(t *testing.T) {
 	defer eng.Close()
 
 	tags := map[string]string{"sensor": "prune"}
-	if err := db.Put(tsdb.DataPoint{Metric: "pr.m", Tags: tags,
+	if err := put(db, tsdb.DataPoint{Metric: "pr.m", Tags: tags,
 		Point: tsdb.Point{Timestamp: t0.UnixMilli(), Value: 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -781,7 +781,7 @@ func TestPruneDeadSeriesState(t *testing.T) {
 		t.Fatalf("dead series state not pruned: %d entries remain", n)
 	}
 	// The series coming back (new SeriesID) tracks again.
-	if err := db.Put(tsdb.DataPoint{Metric: "pr.m", Tags: tags,
+	if err := put(db, tsdb.DataPoint{Metric: "pr.m", Tags: tags,
 		Point: tsdb.Point{Timestamp: t0.Add(3 * time.Hour).UnixMilli(), Value: 2}}); err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,22 @@ func openEngine(t testing.TB, cfg Config) (*tsdb.DB, *Engine) {
 	return db, eng
 }
 
+// put stores one point the way every writer does: Intern the series,
+// then append a one-element batch.
+func put(db *tsdb.DB, dp tsdb.DataPoint) error {
+	ref, err := db.Intern(dp.Metric, dp.Tags)
+	if err != nil {
+		return err
+	}
+	if res := db.AppendRefs([]tsdb.RefPoint{{Ref: ref, Point: dp.Point}}); len(res.Errors) > 0 {
+		return res.Errors[0].Err
+	}
+	return nil
+}
+
 func putAt(t testing.TB, db *tsdb.DB, metric string, tags map[string]string, at time.Time, v float64) {
 	t.Helper()
-	if err := db.Put(tsdb.DataPoint{Metric: metric, Tags: tags, Point: tsdb.Point{Timestamp: at.UnixMilli(), Value: v}}); err != nil {
+	if err := put(db, tsdb.DataPoint{Metric: metric, Tags: tags, Point: tsdb.Point{Timestamp: at.UnixMilli(), Value: v}}); err != nil {
 		t.Fatal(err)
 	}
 }

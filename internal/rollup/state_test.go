@@ -28,7 +28,7 @@ func putSeries(t *testing.T, db *tsdb.DB, metric string, n int, stepSec int) {
 			Metric: metric, Tags: tags,
 			Point: tsdb.Point{Timestamp: t0.Add(time.Duration(i*stepSec) * time.Second).UnixMilli(), Value: float64(i)},
 		}
-		if err := db.Put(dp); err != nil {
+		if err := put(db, dp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestStateRestartNoDoubleCount(t *testing.T) {
 		Metric: "air.co2", Tags: tags,
 		Point: tsdb.Point{Timestamp: t0.UnixMilli(), Value: 1}, // window 0: sealed long ago
 	}
-	if err := db2.Put(late); err != nil {
+	if err := put(db2, late); err != nil {
 		t.Fatal(err)
 	}
 	st := eng2.Stats()

@@ -157,14 +157,6 @@ func (db *DB) notifyObserversBatch(rps []RefPoint) {
 	}
 }
 
-// notifyObserversOne is the single-point form; the one-element batch
-// escapes to the heap only on this path, keeping observer-less Put
-// allocation-free.
-func (db *DB) notifyObserversOne(rp RefPoint) {
-	one := [1]RefPoint{rp}
-	db.notifyObserversBatch(one[:])
-}
-
 // AddBatchObserver registers a callback invoked (outside the shard
 // locks) once per stored batch — the batch-granular hook the rollup
 // engine and the gateway's stream/cache fan-out subscribe to, so a

@@ -267,7 +267,7 @@ func TestFirstDeltaFullWidth(t *testing.T) {
 		}
 		tags := map[string]string{"sensor": "dark"}
 		for _, p := range want {
-			if err := db.Put(DataPoint{Metric: "node.battery", Tags: tags, Point: p}); err != nil {
+			if err := put(db, DataPoint{Metric: "node.battery", Tags: tags, Point: p}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -377,12 +377,12 @@ func TestLegacyDataDirectory(t *testing.T) {
 	for i := 0; i < extra; i++ {
 		for _, m := range metrics {
 			p := Point{Timestamp: baseTS + int64(700+i)*300000, Value: float64(i) / 10}
-			if err := db.Put(DataPoint{Metric: m, Tags: tags, Point: p}); err != nil {
+			if err := put(db, DataPoint{Metric: m, Tags: tags, Point: p}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		p := Point{Timestamp: baseTS + int64(i)*300000, Value: float64(i) / 10}
-		if err := db.Put(DataPoint{Metric: "air.pm10", Tags: tags, Point: p}); err != nil {
+		if err := put(db, DataPoint{Metric: "air.pm10", Tags: tags, Point: p}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ func TestFsyncFailureDegrades(t *testing.T) {
 	defer db.Close()
 
 	for i := 0; i < 10; i++ {
-		if err := db.Put(pt("m.deg", "n1", i, float64(i))); err != nil {
+		if err := put(db, pt("m.deg", "n1", i, float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,8 +52,8 @@ func TestFsyncFailureDegrades(t *testing.T) {
 	}
 
 	// Writes fail fast with the sentinel…
-	if err := db.Put(pt("m.deg", "n1", 100, 1)); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("Put while degraded = %v, want ErrDegraded", err)
+	if err := put(db, pt("m.deg", "n1", 100, 1)); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("write while degraded = %v, want ErrDegraded", err)
 	}
 	ref, err := db.Intern("m.deg", map[string]string{"sensor": "n1", "city": "trondheim"})
 	if err != nil {

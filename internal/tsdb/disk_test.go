@@ -40,7 +40,7 @@ func queryAll(t *testing.T, db *DB, metric, sensor string) []Point {
 func fillDiskSeries(t *testing.T, db *DB, metric, sensor string, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := db.Put(pt(metric, sensor, i, float64(i))); err != nil {
+		if err := put(db, pt(metric, sensor, i, float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -427,12 +427,12 @@ func TestFlushOutOfOrderStraddle(t *testing.T) {
 	// Interleave two time ranges so sealed blocks overlap, then flush
 	// with a cutoff inside the overlap.
 	for i := 0; i < 300; i++ {
-		if err := db.Put(pt("m.ooo", "n1", i*2, float64(i*2))); err != nil {
+		if err := put(db, pt("m.ooo", "n1", i*2, float64(i*2))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 300; i++ {
-		if err := db.Put(pt("m.ooo", "n1", i*2+1, float64(i*2+1))); err != nil {
+		if err := put(db, pt("m.ooo", "n1", i*2+1, float64(i*2+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -753,7 +753,7 @@ func TestConcurrentFlushRetentionCompactWAL(t *testing.T) {
 				return
 			default:
 			}
-			if err := db.Put(pt("m.conc", "n1", i, float64(i))); err != nil {
+			if err := put(db, pt("m.conc", "n1", i, float64(i))); err != nil {
 				t.Error(err)
 				return
 			}

@@ -1,15 +1,12 @@
 package tsdb
 
 // Store-side instrumentation: the gateway (or any embedder) installs a
-// set of obs histograms once, and the batch ingest path times its
-// stages into them — WAL group commit, shard insert, observer fan-out,
-// and the whole batch. The pointer is atomic so installation can
-// happen after Open without racing writers, and a nil pointer keeps
-// the uninstrumented hot path at a single atomic load (BenchmarkPut
-// stays 0 allocs/op). The single-point Put/PutRef path is deliberately
-// not instrumented: per-point clock reads there would cost more than
-// the work they measure, and every network edge ingests through
-// AppendRefs batches.
+// set of obs histograms once, and the ingest path — every write is an
+// AppendRefs batch — times its stages into them: WAL group commit,
+// shard insert, observer fan-out, and the whole batch. The pointer is
+// atomic so installation can happen after Open without racing
+// writers, and a nil pointer keeps the uninstrumented hot path at a
+// single atomic load (BenchmarkPut stays 0 allocs/op).
 
 import (
 	"time"

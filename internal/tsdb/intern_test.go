@@ -69,8 +69,8 @@ func TestInternDuplicateKeyAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.PutRef(RefPoint{Ref: ref, Point: Point{Timestamp: 1000, Value: 7}}); err != nil {
-		t.Fatal(err)
+	if res := db.AppendRefs([]RefPoint{{Ref: ref, Point: Point{Timestamp: 1000, Value: 7}}}); len(res.Errors) > 0 {
+		t.Fatal(res.Errors[0].Err)
 	}
 	alias, err := db.InternBytes([]byte("dup.m"), [][]byte{
 		[]byte("a"), []byte("1"), []byte("a"), []byte("1"),
@@ -114,11 +114,11 @@ func TestInternValidation(t *testing.T) {
 	}
 }
 
-// TestInternedIngestParity: a store fed point by point through Put
-// (fresh tag maps every call) and a store fed through interned
+// TestInternedIngestParity: a store fed point by point (fresh tag maps
+// every call, one-point batches) and a store fed through 64-point
 // AppendRefs batches with a reused scratch tag map answer every query
-// identically — the interned hot path must not change a single byte
-// of query results.
+// identically — batching must not change a single byte of query
+// results.
 func TestInternedIngestParity(t *testing.T) {
 	plain := mustOpen(t)
 	interned := mustOpen(t)
@@ -131,7 +131,7 @@ func TestInternedIngestParity(t *testing.T) {
 		sensor := fmt.Sprintf("n%02d", i%sensors)
 		ts := baseTS + int64(i/sensors)*60000
 		val := 400 + float64(i%97)*0.5
-		if err := plain.Put(DataPoint{
+		if err := put(plain, DataPoint{
 			Metric: metric,
 			Tags:   map[string]string{"sensor": sensor, "city": "x"},
 			Point:  Point{Timestamp: ts, Value: val},
@@ -172,7 +172,7 @@ func TestInternedIngestParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %+v diverged between Put and interned AppendRefs paths", q)
+			t.Fatalf("query %+v diverged between one-point and batched writes", q)
 		}
 	}
 	if got, want := interned.PointCount(), plain.PointCount(); got != want {
@@ -189,8 +189,8 @@ func TestRetentionInvalidatesRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.PutRef(RefPoint{Ref: ref, Point: Point{Timestamp: 1000, Value: 1}}); err != nil {
-		t.Fatal(err)
+	if res := db.AppendRefs([]RefPoint{{Ref: ref, Point: Point{Timestamp: 1000, Value: 1}}}); len(res.Errors) > 0 {
+		t.Fatal(res.Errors[0].Err)
 	}
 	if n, err := db.DeleteBefore(2000); err != nil || n != 1 {
 		t.Fatalf("delete: n=%d err=%v", n, err)
@@ -199,8 +199,8 @@ func TestRetentionInvalidatesRefs(t *testing.T) {
 		t.Fatal("handle survived retention removal")
 	}
 	// Stale-handle write must land on a fresh series.
-	if err := db.PutRef(RefPoint{Ref: ref, Point: Point{Timestamp: 5000, Value: 2}}); err != nil {
-		t.Fatal(err)
+	if res := db.AppendRefs([]RefPoint{{Ref: ref, Point: Point{Timestamp: 5000, Value: 2}}}); len(res.Errors) > 0 {
+		t.Fatal(res.Errors[0].Err)
 	}
 	pts, err := db.SeriesWindowExact("ret.m", map[string]string{"s": "a"}, 0, 10000)
 	if err != nil {
@@ -220,9 +220,77 @@ func TestRetentionInvalidatesRefs(t *testing.T) {
 	}
 }
 
+// TestBatchDeadRefFallback: a batch holding a ref that retention
+// killed beside a live ref in the same shard stores both points — the
+// dead one through insertRefBatch's re-interning fallback — and after
+// a reopen each replays exactly once.
+func TestBatchDeadRefFallback(t *testing.T) {
+	dir := t.TempDir()
+	db := mustOpenDisk(t, dir)
+	deadTags := map[string]string{"s": "dead"}
+	dead, err := db.Intern("ret.m", deadTags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := db.AppendRefs([]RefPoint{{Ref: dead, Point: Point{Timestamp: 1000, Value: 1}}}); len(res.Errors) > 0 {
+		t.Fatal(res.Errors[0].Err)
+	}
+	// A retention pass: delete, then rewrite the log from live state.
+	if n, err := db.DeleteBefore(2000); err != nil || n != 1 {
+		t.Fatalf("delete: n=%d err=%v", n, err)
+	}
+	if err := db.CompactWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if !dead.dead.Load() {
+		t.Fatal("handle survived retention removal")
+	}
+	var live *Ref
+	var liveTags map[string]string
+	for i := 0; live == nil; i++ {
+		tags := map[string]string{"s": fmt.Sprintf("live%d", i)}
+		ref, err := db.Intern("ret.m", tags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.shard == dead.shard {
+			live, liveTags = ref, tags
+		}
+	}
+	res := db.AppendRefs([]RefPoint{
+		{Ref: dead, Point: Point{Timestamp: 5000, Value: 2}},
+		{Ref: live, Point: Point{Timestamp: 5000, Value: 3}},
+	})
+	if len(res.Errors) > 0 || res.Stored != 2 {
+		t.Fatalf("AppendRefs: %+v", res)
+	}
+	check := func(db *DB, when string) {
+		t.Helper()
+		for _, c := range []struct {
+			tags map[string]string
+			want float64
+		}{{deadTags, 2}, {liveTags, 3}} {
+			got := allPoints(t, db, "ret.m", c.tags)
+			if len(got) != 1 || got[0] != (Point{Timestamp: 5000, Value: c.want}) {
+				t.Fatalf("%s: series %v holds %+v, want one point of value %v", when, c.tags, got, c.want)
+			}
+		}
+		if n := db.PointCount(); n != 2 {
+			t.Fatalf("%s: PointCount = %d, want 2", when, n)
+		}
+	}
+	check(db, "before reopen")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := mustOpenDisk(t, dir)
+	defer db2.Close()
+	check(db2, "after reopen")
+}
+
 // TestConcurrentIngestStress hammers the registry and the write path
-// from many goroutines — new and existing series, single puts,
-// interned batches, parallel reads, retention deletes and WAL
+// from many goroutines — new and existing series, one-point and
+// 16-point batches, parallel reads, retention deletes and WAL
 // compaction — and checks nothing is lost. Run under -race this is
 // the registry's data-race certificate.
 func TestConcurrentIngestStress(t *testing.T) {
@@ -261,8 +329,8 @@ func TestConcurrentIngestStress(t *testing.T) {
 				}
 				p := Point{Timestamp: baseTS + int64(i)*1000, Value: float64(i)}
 				if i%3 == 0 {
-					if err := db.PutRef(RefPoint{Ref: ref, Point: p}); err != nil {
-						t.Error(err)
+					if res := db.AppendRefs([]RefPoint{{Ref: ref, Point: p}}); len(res.Errors) > 0 {
+						t.Error(res.Errors[0].Err)
 						return
 					}
 				} else {

@@ -287,47 +287,6 @@ func shardFor(key string) uint32 {
 	return h % numShards
 }
 
-// Put validates and stores one data point. The series half of the
-// validation is paid only when the series is first interned; repeat
-// writers pay a hash, two map probes and the insert.
-func (db *DB) Put(dp DataPoint) error {
-	if dp.Timestamp < minTS || dp.Timestamp > maxTS {
-		return fmt.Errorf("%w: %d", ErrBadTimestamp, dp.Timestamp)
-	}
-	ref, err := db.Intern(dp.Metric, dp.Tags)
-	if err != nil {
-		return err
-	}
-	return db.PutRef(RefPoint{Ref: ref, Point: dp.Point})
-}
-
-// PutRef stores one point on an interned series, skipping every
-// per-point resolution cost. The timestamp must be in range (callers
-// resolving through Intern at a network edge validate there).
-func (db *DB) PutRef(rp RefPoint) error {
-	if st := db.degraded.Load(); st != nil {
-		return st.err
-	}
-	if db.wal != nil {
-		db.walGate.RLock()
-		err := db.wal.appendOne(rp)
-		if err != nil {
-			db.walGate.RUnlock()
-			db.noteWALAppendError(err)
-			return fmt.Errorf("tsdb: wal append: %w", err)
-		}
-		db.insertRef(rp)
-		db.walGate.RUnlock()
-		db.noteWALAppendOK()
-	} else {
-		db.insertRef(rp)
-	}
-	if db.observers.Load() != nil {
-		db.notifyObserversOne(rp)
-	}
-	return nil
-}
-
 // insertRef stores one point on its interned series, re-interning if
 // retention removed the series after the caller resolved it.
 func (db *DB) insertRef(rp RefPoint) {

@@ -199,7 +199,7 @@ func refExecute(db *DB, q Query) ([]ResultSeries, error) {
 func seedRagged(t testing.TB, db *DB) {
 	t.Helper()
 	put := func(sensor string, ts int64, v float64) {
-		err := db.Put(DataPoint{
+		err := put(db, DataPoint{
 			Metric: "par.m",
 			Tags:   map[string]string{"sensor": sensor, "city": "trondheim"},
 			Point:  Point{Timestamp: ts, Value: v},
@@ -380,7 +380,7 @@ func TestDownsampleFoldMatchesApply(t *testing.T) {
 func TestPercentileScratchAllocs(t *testing.T) {
 	db := mustOpen(t)
 	for j := 0; j < 2016; j++ { // a week at 5-minute cadence, mostly sealed
-		err := db.Put(DataPoint{
+		err := put(db, DataPoint{
 			Metric: "alloc.m",
 			Tags:   map[string]string{"sensor": "s0"},
 			Point:  Point{Timestamp: baseTS + int64(j)*300000, Value: float64(j % 97)},

@@ -21,11 +21,11 @@ func TestSuggestIndexes(t *testing.T) {
 	}
 	defer db.Close()
 	for i, m := range []string{"air.co2", "air.no2", "env.temperature"} {
-		if err := db.Put(dp(m, "node-01", int64(1000+i), 1)); err != nil {
+		if err := put(db, dp(m, "node-01", int64(1000+i), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Put(dp("air.co2", "node-02", 2000, 2)); err != nil {
+	if err := put(db, dp("air.co2", "node-02", 2000, 2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -96,7 +96,7 @@ func TestObserverSeesAllWritePaths(t *testing.T) {
 	defer db.Close()
 	var seen []RefPoint
 	remove := db.AddBatchObserver(func(rps []RefPoint) { seen = append(seen, rps...) })
-	if err := db.Put(dp("air.co2", "node-01", 1000, 400)); err != nil {
+	if err := put(db, dp("air.co2", "node-01", 1000, 400)); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := db.Intern("air.co2", dp("air.co2", "node-01", 0, 0).Tags)
@@ -108,7 +108,7 @@ func TestObserverSeesAllWritePaths(t *testing.T) {
 		t.Fatalf("observer saw %d points, want 2", len(seen))
 	}
 	remove()
-	if err := db.Put(dp("air.co2", "node-01", 3000, 420)); err != nil {
+	if err := put(db, dp("air.co2", "node-01", 3000, 420)); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 2 {

@@ -13,7 +13,7 @@ import (
 func fillSeries(t testing.TB, db *DB, sensor string, base float64, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := db.Put(DataPoint{
+		if err := put(db, DataPoint{
 			Metric: "air.co2",
 			Tags:   map[string]string{"sensor": sensor, "city": "t"},
 			Point:  Point{Timestamp: 1488326400000 + int64(i)*1000, Value: base + float64(i%3)},
@@ -187,7 +187,7 @@ func TestScanSeries(t *testing.T) {
 	defer db.Close()
 	fillSeries(t, db, "a1", 1, 10)
 	fillSeries(t, db, "a2", 2, 10)
-	if err := db.Put(DataPoint{
+	if err := put(db, DataPoint{
 		Metric: "env.temp",
 		Tags:   map[string]string{"sensor": "a1"},
 		Point:  Point{Timestamp: 1488326400000, Value: 20},

@@ -34,6 +34,19 @@ func pt(metric, sensor string, offsetMin int, v float64) DataPoint {
 	}
 }
 
+// put stores one point the way every writer does: Intern the series,
+// then append a one-element batch.
+func put(db *DB, dp DataPoint) error {
+	ref, err := db.Intern(dp.Metric, dp.Tags)
+	if err != nil {
+		return err
+	}
+	if res := db.AppendRefs([]RefPoint{{Ref: ref, Point: dp.Point}}); len(res.Errors) > 0 {
+		return res.Errors[0].Err
+	}
+	return nil
+}
+
 func TestValidate(t *testing.T) {
 	good := pt("air.co2", "node1", 0, 412.5)
 	if err := good.Validate(); err != nil {
@@ -149,7 +162,7 @@ func TestGorillaLargeJumps(t *testing.T) {
 func TestPutAndQueryBasic(t *testing.T) {
 	db := mustOpen(t)
 	for i := 0; i < 10; i++ {
-		if err := db.Put(pt("air.co2", "n1", i*5, 400+float64(i))); err != nil {
+		if err := put(db, pt("air.co2", "n1", i*5, 400+float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,7 +187,7 @@ func TestPutAndQueryBasic(t *testing.T) {
 func TestQueryTimeRange(t *testing.T) {
 	db := mustOpen(t)
 	for i := 0; i < 100; i++ {
-		db.Put(pt("m.x", "n1", i, float64(i)))
+		put(db, pt("m.x", "n1", i, float64(i)))
 	}
 	res, err := db.Execute(Query{
 		Metric:     "m.x",
@@ -198,8 +211,8 @@ func TestQueryAggregateAcrossSeries(t *testing.T) {
 	db := mustOpen(t)
 	// Two sensors at identical timestamps.
 	for i := 0; i < 5; i++ {
-		db.Put(pt("m.y", "a", i, 10))
-		db.Put(pt("m.y", "b", i, 20))
+		put(db, pt("m.y", "a", i, 10))
+		put(db, pt("m.y", "b", i, 20))
 	}
 	res, err := db.Execute(Query{
 		Metric:     "m.y",
@@ -230,8 +243,8 @@ func TestQueryAggregateAcrossSeries(t *testing.T) {
 func TestQueryGroupBy(t *testing.T) {
 	db := mustOpen(t)
 	for i := 0; i < 5; i++ {
-		db.Put(pt("m.z", "a", i, 1))
-		db.Put(pt("m.z", "b", i, 2))
+		put(db, pt("m.z", "a", i, 1))
+		put(db, pt("m.z", "b", i, 2))
 	}
 	res, err := db.Execute(Query{
 		Metric:     "m.z",
@@ -258,9 +271,9 @@ func TestQueryGroupBy(t *testing.T) {
 func TestQueryInterpolation(t *testing.T) {
 	db := mustOpen(t)
 	// Series a has points at 0 and 10 min; series b at 5 min.
-	db.Put(pt("m.i", "a", 0, 0))
-	db.Put(pt("m.i", "a", 10, 100))
-	db.Put(pt("m.i", "b", 5, 7))
+	put(db, pt("m.i", "a", 0, 0))
+	put(db, pt("m.i", "a", 10, 100))
+	put(db, pt("m.i", "b", 5, 7))
 	res, err := db.Execute(Query{
 		Metric:     "m.i",
 		Start:      baseTS,
@@ -286,7 +299,7 @@ func TestQueryDownsample(t *testing.T) {
 	db := mustOpen(t)
 	// One point per minute for an hour, value = minute index.
 	for i := 0; i < 60; i++ {
-		db.Put(pt("m.d", "n1", i, float64(i)))
+		put(db, pt("m.d", "n1", i, float64(i)))
 	}
 	res, err := db.Execute(Query{
 		Metric:       "m.d",
@@ -312,7 +325,7 @@ func TestQueryRate(t *testing.T) {
 	db := mustOpen(t)
 	// Counter rising 60 per minute → rate 1/s.
 	for i := 0; i < 10; i++ {
-		db.Put(pt("m.r", "n1", i, float64(i*60)))
+		put(db, pt("m.r", "n1", i, float64(i*60)))
 	}
 	res, err := db.Execute(Query{
 		Metric:     "m.r",
@@ -368,7 +381,7 @@ func TestOutOfOrderInsert(t *testing.T) {
 	db := mustOpen(t)
 	order := []int{5, 1, 9, 0, 3, 7, 2, 8, 4, 6}
 	for _, i := range order {
-		db.Put(pt("m.o", "n1", i, float64(i)))
+		put(db, pt("m.o", "n1", i, float64(i)))
 	}
 	res, err := db.Execute(Query{
 		Metric: "m.o", Tags: map[string]string{"sensor": "n1"},
@@ -388,7 +401,7 @@ func TestSealingAndLargeSeries(t *testing.T) {
 	db := mustOpen(t)
 	const n = 1000 // > 3 sealed blocks
 	for i := 0; i < n; i++ {
-		if err := db.Put(pt("m.big", "n1", i*5, 400+rand.New(rand.NewSource(int64(i))).Float64())); err != nil {
+		if err := put(db, pt("m.big", "n1", i*5, 400+rand.New(rand.NewSource(int64(i))).Float64())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -412,9 +425,9 @@ func TestSealingAndLargeSeries(t *testing.T) {
 
 func TestMetrics(t *testing.T) {
 	db := mustOpen(t)
-	db.Put(pt("a.one", "n1", 0, 1))
-	db.Put(pt("a.two", "n1", 0, 1))
-	db.Put(pt("a.two", "n2", 0, 1))
+	put(db, pt("a.one", "n1", 0, 1))
+	put(db, pt("a.two", "n1", 0, 1))
+	put(db, pt("a.two", "n2", 0, 1))
 	ms := db.Metrics()
 	if len(ms) != 2 || ms[0] != "a.one" || ms[1] != "a.two" {
 		t.Fatalf("Metrics = %v", ms)
@@ -433,7 +446,7 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 			defer wg.Done()
 			sensor := string(rune('a' + w))
 			for i := 0; i < 500; i++ {
-				db.Put(pt("m.c", sensor, i, float64(i)))
+				put(db, pt("m.c", sensor, i, float64(i)))
 			}
 		}(w)
 	}
@@ -461,7 +474,7 @@ func TestWALPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := db.Put(pt("m.w", "n1", i, float64(i)*1.5)); err != nil {
+		if err := put(db, pt("m.w", "n1", i, float64(i)*1.5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -496,7 +509,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		db.Put(pt("m.t", "n1", i, float64(i)))
+		put(db, pt("m.t", "n1", i, float64(i)))
 	}
 	db.Close()
 
@@ -521,7 +534,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 		t.Fatalf("torn recovery: %d points, want 10", db2.PointCount())
 	}
 	// Writes after recovery must work and persist.
-	if err := db2.Put(pt("m.t", "n1", 10, 10)); err != nil {
+	if err := put(db2, pt("m.t", "n1", 10, 10)); err != nil {
 		t.Fatal(err)
 	}
 	db2.Close()
@@ -539,7 +552,7 @@ func TestWALCorruptMiddleStopsCleanly(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := OpenOptions(diskOpts(dir))
 	for i := 0; i < 5; i++ {
-		db.Put(pt("m.cm", "n1", i, float64(i)))
+		put(db, pt("m.cm", "n1", i, float64(i)))
 	}
 	db.Close()
 	// Flip a byte in the middle of the file.
@@ -564,21 +577,29 @@ func TestWALCorruptMiddleStopsCleanly(t *testing.T) {
 
 func TestPutRejectsInvalid(t *testing.T) {
 	db := mustOpen(t)
-	for _, dp := range []DataPoint{pt("m.b", "n1", 0, 1), pt("m.b", "n1", 1, 2)} {
-		if err := db.Put(dp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Put(DataPoint{Metric: "", Tags: map[string]string{"a": "b"}}); !errors.Is(err, ErrEmptyMetric) {
+	if err := put(db, DataPoint{Metric: "", Tags: map[string]string{"a": "b"}}); !errors.Is(err, ErrEmptyMetric) {
 		t.Fatalf("empty metric: %v", err)
 	}
-	late := pt("m.b", "n1", 2, 3)
-	late.Timestamp = maxTS + 1
-	if err := db.Put(late); !errors.Is(err, ErrBadTimestamp) {
-		t.Fatalf("timestamp past range: %v", err)
+	if db.PointCount() != 0 || db.SeriesCount() != 0 {
+		t.Fatalf("rejected point stored: %d points, %d series", db.PointCount(), db.SeriesCount())
 	}
-	if db.PointCount() != 2 {
-		t.Fatalf("PointCount = %d", db.PointCount())
+}
+
+// TestValidTimestampBounds: the range every network edge checks
+// before it interns a point.
+func TestValidTimestampBounds(t *testing.T) {
+	for _, c := range []struct {
+		ts   int64
+		want bool
+	}{
+		{minTS - 1, false},
+		{minTS, true},
+		{maxTS, true},
+		{maxTS + 1, false},
+	} {
+		if got := ValidTimestamp(c.ts); got != c.want {
+			t.Errorf("ValidTimestamp(%d) = %v, want %v", c.ts, got, c.want)
+		}
 	}
 }
 
@@ -597,7 +618,7 @@ func TestDeleteBefore(t *testing.T) {
 	db := mustOpen(t)
 	const n = 600 // spans two sealed blocks + head
 	for i := 0; i < n; i++ {
-		db.Put(pt("m.ret", "n1", i*5, float64(i)))
+		put(db, pt("m.ret", "n1", i*5, float64(i)))
 	}
 	cutoff := baseTS + int64(300)*5*60000 // halfway
 	removed, err := db.DeleteBefore(cutoff)
@@ -630,7 +651,7 @@ func TestDeleteBefore(t *testing.T) {
 
 func TestDeleteBeforeRemovesEmptySeries(t *testing.T) {
 	db := mustOpen(t)
-	db.Put(pt("m.gone", "n1", 0, 1))
+	put(db, pt("m.gone", "n1", 0, 1))
 	if _, err := db.DeleteBefore(baseTS + 1e9); err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +662,7 @@ func TestDeleteBeforeRemovesEmptySeries(t *testing.T) {
 
 func TestDeleteBeforeNoop(t *testing.T) {
 	db := mustOpen(t)
-	db.Put(pt("m.keep", "n1", 100, 1))
+	put(db, pt("m.keep", "n1", 100, 1))
 	removed, err := db.DeleteBefore(baseTS)
 	if err != nil || removed != 0 {
 		t.Fatalf("removed=%d err=%v", removed, err)

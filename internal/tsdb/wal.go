@@ -529,13 +529,6 @@ func (db *DB) applyBlockRecord(p []byte, refs map[uint32]*Ref, horizon int64) bo
 	return true
 }
 
-// appendOne logs a single point; the one-element batch stays on the
-// caller's stack.
-func (l *wal) appendOne(rp RefPoint) error {
-	one := [1]RefPoint{rp}
-	return l.appendRefs(one[:], nil)
-}
-
 // appendRefs group-commits a batch: dictionary records for any series
 // this file has not announced yet, then packed points records, built
 // in the reused scratch buffer and handed to the OS with a single

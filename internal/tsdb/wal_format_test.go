@@ -89,7 +89,7 @@ func TestWALOpenRule(t *testing.T) {
 			if n := db.PointCount(); n != 0 || db.WALBytes() != int64(len(walMagic)) {
 				t.Fatalf("torn stamp reopened with %d points, %d WAL bytes", n, db.WALBytes())
 			}
-			if err := db.Put(DataPoint{Metric: "wal.open", Tags: tags, Point: Point{Timestamp: baseTS, Value: 1}}); err != nil {
+			if err := put(db, DataPoint{Metric: "wal.open", Tags: tags, Point: Point{Timestamp: baseTS, Value: 1}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := db.Close(); err != nil {
@@ -184,11 +184,7 @@ func TestWALTornDictRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := db.Intern("wal.torn", map[string]string{"s": "1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.PutRef(RefPoint{Ref: ref, Point: Point{Timestamp: baseTS, Value: 1}}); err != nil {
+	if err := put(db, DataPoint{Metric: "wal.torn", Tags: map[string]string{"s": "1"}, Point: Point{Timestamp: baseTS, Value: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -291,7 +287,7 @@ func TestWALCompactedByRetention(t *testing.T) {
 	}
 	tags := map[string]string{"sensor": "r"}
 	for i := 0; i < 1000; i++ {
-		if err := db.Put(DataPoint{Metric: "wal.ret", Tags: tags,
+		if err := put(db, DataPoint{Metric: "wal.ret", Tags: tags,
 			Point: Point{Timestamp: baseTS + int64(i)*1000, Value: float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +312,7 @@ func TestWALCompactedByRetention(t *testing.T) {
 		t.Fatalf("WALBytes %d != file size %d", after, fi.Size())
 	}
 	// Writes after compaction append to the rewritten log.
-	if err := db.Put(DataPoint{Metric: "wal.ret", Tags: tags,
+	if err := put(db, DataPoint{Metric: "wal.ret", Tags: tags,
 		Point: Point{Timestamp: baseTS + 2_000_000, Value: -1}}); err != nil {
 		t.Fatal(err)
 	}
