@@ -50,7 +50,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -276,12 +275,6 @@ func main() {
 			Grace:        *rollupGrace,
 			Now:          sys.Now, // retention/sealing follow simulated time
 		}
-		if *dataDir != "" {
-			// Persist the unsealed rollup tail next to the block files,
-			// so a restart resumes open windows instead of flushing
-			// them short.
-			rcfg.StatePath = filepath.Join(*dataDir, "rollup.state")
-		}
 		eng, err = rollup.New(sys.DB, rcfg)
 		if err != nil {
 			fatal(logger, "rollup init", err)
@@ -389,7 +382,6 @@ func main() {
 			DB:        sys.DB,
 			Logger:    logger,
 			Authorize: gw.CheckAPIKey,
-			Aux:       []string{"rollup.state"},
 		})
 		if err := replSrv.Start(*replListen); err != nil {
 			fatal(logger, "replication listener", err)

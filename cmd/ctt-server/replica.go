@@ -17,13 +17,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"time"
 
 	"repro/internal/api"
@@ -89,12 +87,6 @@ func runReplica(logger *slog.Logger) {
 		epoch, err := fol.Promote()
 		if err != nil {
 			return 0, err
-		}
-		// The snapshot's rollup.state is the primary's open-window tail;
-		// it is stale the moment this node starts its own life. Drop it
-		// so the post-restart engine rebuilds from the store.
-		if err := os.Remove(filepath.Join(*dataDir, "rollup.state")); err != nil && !errors.Is(err, os.ErrNotExist) {
-			logger.Warn("could not drop stale rollup state", "err", err)
 		}
 		logger.Info("promoted: restart without -replica-of to re-enable rollups and the full write surface", "epoch", epoch)
 		return epoch, nil

@@ -375,7 +375,6 @@ func TestMetricsOnRegistry(t *testing.T) {
 		"ctt_rollup_query_tail_served_total",
 		"ctt_rollup_retention_deleted_total",
 		"ctt_rollup_retention_errors_total",
-		"ctt_rollup_state_errors_total",
 		`ctt_rollup_open_windows{tier="1m"}`,
 		`ctt_rollup_lag_ms{tier="1m"}`,
 		`ctt_rollup_open_windows{tier="1h"}`,

@@ -165,14 +165,11 @@ func handshake(conn net.Conn, br *bufio.Reader, timeout time.Duration, key strin
 	return epoch, mode, nil
 }
 
-// wipeDataDir removes the store files a snapshot replaces: the WAL,
-// the block directory tree, and known aux state. Unknown files are
-// left alone.
+// wipeDataDir removes the store files a snapshot replaces: the WAL and
+// the block directory tree. Unknown files are left alone.
 func wipeDataDir(dir string, fs fsio.FS) error {
-	for _, name := range []string{walName, "rollup.state"} {
-		if err := fs.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("repl: wipe %s: %w", name, err)
-		}
+	if err := fs.Remove(filepath.Join(dir, walName)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("repl: wipe %s: %w", walName, err)
 	}
 	blocks := filepath.Join(dir, "blocks")
 	ents, err := fs.ReadDir(blocks)
@@ -199,30 +196,34 @@ func validSnapName(name string) bool {
 }
 
 // receiveSnapshot consumes snapfile/snapdata frames until snapend,
-// writing and fsyncing each file, then fsyncing the directories.
+// writing and fsyncing each file, then fsyncing the directories. A
+// kind-2 file (an older primary's rollup state) is read and dropped.
 func receiveSnapshot(cfg BootstrapConfig, conn net.Conn, br *bufio.Reader) (tsdb.ReplPos, error) {
 	blocks := filepath.Join(cfg.Dir, "blocks")
 	if err := cfg.FS.MkdirAll(blocks, 0o755); err != nil {
 		return tsdb.ReplPos{}, err
 	}
-	var cur fsio.File
+	var cur fsio.File // nil before the first file and while discarding
 	var curName string
 	var remaining int64
+	discard := false
 	closeCur := func() error {
-		if cur == nil {
-			return nil
-		}
+		f := cur
+		cur = nil
 		if remaining != 0 {
-			cur.Close()
+			if f != nil {
+				f.Close()
+			}
 			return fmt.Errorf("short snapshot file %s: %d bytes missing", curName, remaining)
 		}
-		if err := cur.Sync(); err != nil {
-			cur.Close()
+		if f == nil {
+			return nil
+		}
+		if err := f.Sync(); err != nil {
+			f.Close()
 			return err
 		}
-		err := cur.Close()
-		cur = nil
-		return err
+		return f.Close()
 	}
 	defer func() {
 		if cur != nil {
@@ -259,24 +260,28 @@ func receiveSnapshot(cfg BootstrapConfig, conn net.Conn, br *bufio.Reader) (tsdb
 				path = filepath.Join(cfg.Dir, walName)
 			case snapKindBlock:
 				path = filepath.Join(blocks, name)
-			case snapKindAux:
-				path = filepath.Join(cfg.Dir, name)
+			case snapKindRollupState:
+				// No path: the bytes are read and dropped.
 			default:
 				return tsdb.ReplPos{}, fmt.Errorf("unknown snapshot kind %d", kind)
 			}
-			if cur, err = cfg.FS.Create(path); err != nil {
-				return tsdb.ReplPos{}, err
+			if discard = path == ""; !discard {
+				if cur, err = cfg.FS.Create(path); err != nil {
+					return tsdb.ReplPos{}, err
+				}
 			}
 			curName, remaining = name, size
 		case fSnapData:
-			if cur == nil {
+			if cur == nil && !discard {
 				return tsdb.ReplPos{}, errors.New("snapdata before snapfile")
 			}
 			if int64(len(payload)) > remaining {
 				return tsdb.ReplPos{}, fmt.Errorf("snapshot file %s overran declared size", curName)
 			}
-			if _, err := cur.Write(payload); err != nil {
-				return tsdb.ReplPos{}, err
+			if cur != nil {
+				if _, err := cur.Write(payload); err != nil {
+					return tsdb.ReplPos{}, err
+				}
 			}
 			remaining -= int64(len(payload))
 		case fSnapEnd:

@@ -14,7 +14,7 @@
 //
 //	hello     (1) C→S: ver(1) | epoch(8) | hasPos(1) | gen(8) | off(8) | key(str)    ver: helloVersion
 //	welcome   (2) S→C: ver(1) | epoch(8) | mode(1)           ver: protoVersion; mode: 0 resume, 1 snapshot
-//	snapfile  (3) S→C: kind(1) | size(8) | name(str)         kind: 0 wal, 1 block, 2 aux
+//	snapfile  (3) S→C: kind(1) | size(8) | name(str)         kind: 0 wal, 1 block (2: older primaries' rollup state, discarded)
 //	snapdata  (4) S→C: raw file bytes
 //	snapend   (5) S→C: gen(8) | off(8)
 //	dict      (6) S→C: raw WAL series records (chunked arbitrarily)
@@ -80,7 +80,11 @@ const (
 const (
 	snapKindWAL   = 0
 	snapKindBlock = 1
-	snapKindAux   = 2
+	// snapKindRollupState is the rollup.state file primaries shipped
+	// before the rollup engine rebuilt its open windows from the store.
+	// Followers still accept it, so an older primary can seed them,
+	// and discard its bytes.
+	snapKindRollupState = 2
 )
 
 // Error codes carried by fError frames.

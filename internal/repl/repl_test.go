@@ -41,7 +41,6 @@ func startPrimary(t *testing.T, db *tsdb.DB, key string) *Server {
 		DB:        db,
 		Heartbeat: 50 * time.Millisecond,
 		Authorize: func(k string) bool { return key == "" || k == key },
-		Aux:       []string{"rollup.state"},
 	})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

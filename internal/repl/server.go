@@ -24,10 +24,6 @@ type ServerConfig struct {
 	// every connection (tests, trusted networks).
 	Authorize func(key string) bool
 
-	// Aux names extra snapshot files relative to the data dir (e.g.
-	// rollup.state); missing ones are skipped.
-	Aux []string
-
 	// Heartbeat is the idle-stream heartbeat cadence (default 1s).
 	Heartbeat time.Duration
 
@@ -354,13 +350,10 @@ func (s *Server) session(conn net.Conn) {
 // tailer lease positioned at the snapshot watermark.
 func (s *Server) sendSnapshot(conn net.Conn, buf []byte) (*tsdb.WALReader, []byte, error) {
 	chunk := make([]byte, 256<<10)
-	rd, err := s.cfg.DB.StreamSnapshot(s.cfg.Aux, s.cfg.MaxLagBytes, func(sf tsdb.SnapshotFile) error {
+	rd, err := s.cfg.DB.StreamSnapshot(s.cfg.MaxLagBytes, func(sf tsdb.SnapshotFile) error {
 		kind := byte(snapKindWAL)
-		switch sf.Kind {
-		case "block":
+		if sf.Kind == "block" {
 			kind = snapKindBlock
-		case "aux":
-			kind = snapKindAux
 		}
 		hdr := make([]byte, 0, 32)
 		hdr = append(hdr, kind)

@@ -32,6 +32,13 @@
 // store into tiered storage — recent data at full resolution, months
 // of history at 1m/1h.
 //
+// The engine keeps no file of its own. Its unsealed tail — per-series
+// watermarks, sealed horizons and open windows — is a function of what
+// the store holds: New rebuilds it from the raw points and derived
+// count series the WAL and block files restore, so a restart, a
+// promoted replica or a changed tier ladder resumes every open window
+// with the points it had before.
+//
 // The write-back is on every raw point's path, so it runs at store
 // speed: each tier of a series caches the interned refs of its eight
 // derived series, a window's statistics come from one pass and one
@@ -51,7 +58,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/tsdb"
-	"repro/internal/tsdb/fsio"
 )
 
 // MetricPrefix namespaces every derived series the engine writes.
@@ -90,16 +96,6 @@ type Config struct {
 	// cutoffs (simulated pilots run on simulated time). Default
 	// time.Now.
 	Now func() time.Time
-	// StatePath, when set, persists the engine's unsealed tail — open
-	// windows, watermarks, sealed horizons — to this file (atomic
-	// tmp+rename, format "CTTRST1\n", see docs/FORMAT.md §4) on every
-	// background tick and on Close, and restores it in New. With it
-	// set, Close keeps open windows open across restarts instead of
-	// force-flushing short windows via FlushAll.
-	StatePath string
-	// FS is the filesystem the state file is written through (default
-	// fsio.OS); tests inject faults here.
-	FS fsio.FS
 }
 
 // The statistics of a sealed window, in storage order.
@@ -137,7 +133,6 @@ const engineShards = 16
 type Engine struct {
 	db    *tsdb.DB
 	cfg   Config
-	fs    fsio.FS
 	tiers []tierSpec
 
 	shards [engineShards]engineShard
@@ -162,7 +157,6 @@ type Engine struct {
 	tailHits  atomic.Uint64 // hits whose bucket at the chosen tier's horizon came from windows finer than the interval
 	retained  atomic.Uint64 // points removed by retention
 	retErrs   atomic.Uint64 // background retention/compaction passes that failed
-	stateErrs atomic.Uint64 // state-file saves/loads that failed (state discarded)
 
 	// obsHist, once RegisterMetrics installs it, times each
 	// observeBatch call — the rollup fold is on the store's observer
@@ -205,7 +199,18 @@ type tierState struct {
 	// lateUntil: a window starting before it may lack a point the tier
 	// dropped as late (the end of the newest such window; 0 when none).
 	lateUntil int64
-	refs      [numStats]*tsdb.Ref // derived series, windowStats order; interned at first seal, not in the state file
+	refs      [numStats]*tsdb.Ref // derived series, windowStats order; interned at first seal
+}
+
+// fold appends v to the open window starting at w.
+func (ts *tierState) fold(w int64, v float64) {
+	win := ts.open[w]
+	if win == nil {
+		win = &window{}
+		win.vals = win.one[:0]
+		ts.open[w] = win
+	}
+	win.vals = append(win.vals, v)
 }
 
 type window struct {
@@ -225,10 +230,10 @@ func formatRes(d time.Duration) string {
 	}
 }
 
-// New builds an engine over db, subscribes it to the store's write
-// feed, installs it as the store's rollup planner, and (unless
-// disabled) starts the background seal/retention loop. Call Close to
-// flush open windows and detach.
+// New builds an engine over db, rebuilds the unsealed tail of every
+// stored series, subscribes the engine to the store's write feed,
+// installs it as the store's rollup planner, and (unless disabled)
+// starts the background seal/retention loop. Call Close to detach.
 func New(db *tsdb.DB, cfg Config) (*Engine, error) {
 	if len(cfg.Tiers) == 0 {
 		cfg.Tiers = []Tier{
@@ -242,10 +247,7 @@ func New(db *tsdb.DB, cfg Config) (*Engine, error) {
 	if cfg.FlushEvery == 0 {
 		cfg.FlushEvery = 10 * time.Second
 	}
-	if cfg.FS == nil {
-		cfg.FS = fsio.OS
-	}
-	e := &Engine{db: db, cfg: cfg, fs: cfg.FS, stop: make(chan struct{})}
+	e := &Engine{db: db, cfg: cfg, stop: make(chan struct{})}
 	seen := map[int64]bool{}
 	for _, t := range cfg.Tiers {
 		if t.Resolution < time.Second {
@@ -272,13 +274,8 @@ func New(db *tsdb.DB, cfg Config) (*Engine, error) {
 	for i := range e.shards {
 		e.shards[i].series = make(map[tsdb.SeriesID]*seriesState)
 	}
-	if cfg.StatePath != "" {
-		// Restore the unsealed tail before subscribing to writes: a
-		// corrupt or tier-mismatched state file is discarded (the
-		// engine starts empty, counted on stateErrs), never fatal.
-		if _, err := e.loadState(); err != nil {
-			e.stateErrs.Add(1)
-		}
+	if err := e.restore(); err != nil {
+		return nil, err
 	}
 	e.removeObs = db.AddBatchObserver(e.observeBatch)
 	db.SetRollupPlanner(e)
@@ -289,25 +286,67 @@ func New(db *tsdb.DB, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Close seals and flushes every open window, detaches the engine from
-// the store, and stops the background loop.
+// restore rebuilds, before the engine sees a write, the unsealed tail
+// of every stored series it rolls up. The watermark is the newest
+// stored timestamp; each tier's sealed horizon is the later of the
+// watermark's (less Grace) and the end of the newest window the tier's
+// count series holds — windows a clock Flush sealed past the watermark
+// must not seal twice. Horizons only rise, so every stored point at or
+// past one was folded into an open window, never dropped as late: the
+// open windows are the raw points from the horizon on, folded in
+// timestamp order. Late drops leave no trace in the store, so every
+// window before the horizon counts as possibly short of one.
+func (e *Engine) restore() error {
+	grace := e.cfg.Grace.Milliseconds()
+	for _, ref := range e.db.Refs() {
+		st := e.newSeriesState(ref)
+		if st.skip {
+			continue
+		}
+		wm, ok := e.db.NewestTimestamp(ref)
+		if !ok {
+			continue
+		}
+		st.watermark = wm
+		from := wm
+		for i := range st.tiers {
+			ts, res := &st.tiers[i], e.tiers[i].resMS
+			if h := wm - grace; h > 0 {
+				ts.sealedUntil = h - h%res
+			}
+			if count := e.db.Lookup(e.derivedName(st, i, statCount)); count != nil {
+				if newest, ok := e.db.NewestTimestamp(count); ok {
+					ts.sealedUntil = max(ts.sealedUntil, newest+res)
+				}
+			}
+			ts.readUntil, ts.lateUntil = ts.sealedUntil, ts.sealedUntil
+			from = min(from, ts.sealedUntil)
+		}
+		err := e.db.ReadRef(ref, from, wm, 0, "", func(p tsdb.Point) error {
+			for i := range st.tiers {
+				if ts := &st.tiers[i]; p.Timestamp >= ts.sealedUntil {
+					ts.fold(p.Timestamp-p.Timestamp%e.tiers[i].resMS, p.Value)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("rollup: rebuild %s: %w", ref.Key(), err)
+		}
+		e.shards[uint64(ref.ID())%engineShards].series[ref.ID()] = st
+	}
+	return nil
+}
+
+// Close stops the background loop and detaches the engine from the
+// store. It seals nothing: the open windows are rebuilt from the store
+// by the next New, and seal at their natural boundaries. Callers that
+// want the tail sealed now call FlushAll first.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		close(e.stop)
 		e.wg.Wait()
 		e.removeObs()
-		if e.cfg.StatePath != "" {
-			// Persist the unsealed tail instead of force-flushing it:
-			// the next New restores these windows and they seal at
-			// their natural boundaries. Only if the save fails do we
-			// fall back to FlushAll so the data reaches the store.
-			if err := e.SaveState(); err != nil {
-				e.stateErrs.Add(1)
-				e.FlushAll()
-			}
-		} else {
-			e.FlushAll()
-		}
 		e.db.SetRollupPlanner(nil)
 	})
 	return nil
@@ -330,11 +369,6 @@ func (e *Engine) loopBody() {
 		case <-ticker.C:
 			now := e.cfg.Now()
 			e.Flush(now)
-			if e.cfg.StatePath != "" {
-				if err := e.SaveState(); err != nil {
-					e.stateErrs.Add(1)
-				}
-			}
 			if _, err := e.ApplyRetention(now); err != nil {
 				// A corrupt block or a failed WAL compaction; nothing
 				// the loop can do but keep serving — count it so the
@@ -405,13 +439,7 @@ func (e *Engine) observeOneLocked(sh *engineShard, rp tsdb.RefPoint, wb *writeBa
 			ts.lateUntil = max(ts.lateUntil, w+e.tiers[i].resMS)
 			continue
 		}
-		win := ts.open[w]
-		if win == nil {
-			win = &window{}
-			win.vals = win.one[:0]
-			ts.open[w] = win
-		}
-		win.vals = append(win.vals, rp.Value)
+		ts.fold(w, rp.Value)
 	}
 	if lateAny {
 		e.late.Add(1)
@@ -507,8 +535,8 @@ func (st *seriesState) publishLocked() {
 }
 
 // sealBeforeLocked seals tier ti's open windows that start before
-// limit, oldest first — windows sealing together (idle Flush, restored
-// state, FlushAll, arrivals inside Grace) out of order would leave a
+// limit, oldest first — windows sealing together (idle Flush, rebuilt
+// windows, FlushAll, arrivals inside Grace) out of order would leave a
 // derived series overlapping blocks to decode and sort on every read —
 // and moves the sealed horizon past them. Caller holds the shard lock.
 func (e *Engine) sealBeforeLocked(out []tsdb.RefPoint, st *seriesState, ti int, limit int64) []tsdb.RefPoint {
@@ -742,7 +770,6 @@ type Stats struct {
 	TailServed       uint64 // QueryHits whose bucket at the chosen tier's horizon came from windows finer than the interval
 	RetentionDeleted uint64
 	RetentionErrors  uint64
-	StateErrors      uint64
 	Tiers            []TierStat
 }
 
@@ -759,7 +786,6 @@ func (e *Engine) Stats() Stats {
 		TailServed:       e.tailHits.Load(),
 		RetentionDeleted: e.retained.Load(),
 		RetentionErrors:  e.retErrs.Load(),
-		StateErrors:      e.stateErrs.Load(),
 		Tiers:            e.tierStats(),
 	}
 }
@@ -803,7 +829,6 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 	r.Uint("ctt_rollup_query_tail_served_total", e.tailHits.Load)
 	r.Uint("ctt_rollup_retention_deleted_total", e.retained.Load)
 	r.Uint("ctt_rollup_retention_errors_total", e.retErrs.Load)
-	r.Uint("ctt_rollup_state_errors_total", e.stateErrs.Load)
 	for ti := range e.tiers {
 		label := `{tier="` + e.tiers[ti].name + `"}`
 		r.Uint("ctt_rollup_open_windows"+label, func() uint64 { return uint64(e.tierStats()[ti].OpenWindows) })

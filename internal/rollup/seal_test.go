@@ -4,8 +4,6 @@ import (
 	"maps"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -210,60 +208,6 @@ func TestDerivedRefsSurviveRetention(t *testing.T) {
 	sh.mu.Unlock()
 	if tracked {
 		t.Fatal("dead raw series still tracked after Flush")
-	}
-}
-
-// TestParentStateFileLoads: testdata/parent_rollup.state was written
-// by the commit before derived series were cached as refs (650574d) —
-// default tiers, Grace 10m, air.co2{city=trondheim,sensor=s1|s2}, nine
-// points each from t0 every 20 s, value 400+(i*7)%5+(i%3)/10, nothing
-// sealed. Refs are not part of the file (FORMAT.md §4): it must load
-// as is and its windows seal through freshly interned refs.
-func TestParentStateFileLoads(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "parent_rollup.state"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "rollup.state")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	db, eng := openEngine(t, Config{Grace: 10 * time.Minute, StatePath: path})
-	st := eng.Stats()
-	if st.StateErrors != 0 || st.Tiers[0].OpenWindows != 6 || st.Tiers[1].OpenWindows != 2 {
-		t.Fatalf("restored %d/%d open windows with %d state errors, want 6/2 with 0",
-			st.Tiers[0].OpenWindows, st.Tiers[1].OpenWindows, st.StateErrors)
-	}
-	minutes := make([][]float64, 3)
-	var hour []float64
-	for i := 0; i < 9; i++ {
-		v := float64(400+(i*7)%5) + float64(i%3)/10
-		minutes[i/3] = append(minutes[i/3], v)
-		hour = append(hour, v)
-	}
-	for _, sensor := range []string{"s1", "s2"} {
-		tags := map[string]string{"sensor": sensor, "city": "trondheim"}
-		putAt(t, db, "air.co2", tags, t0.Add(2*time.Hour), 450)
-		for _, s := range windowStats {
-			got := statPoints(t, db, "rollup.1m.air.co2", tags, s.name)
-			if len(got) != 3 {
-				t.Fatalf("%s 1m %s: %d windows, want 3", sensor, s.name, len(got))
-			}
-			for w, p := range got {
-				if want := s.agg.Apply(minutes[w]); p.Timestamp != t0.Add(time.Duration(w)*time.Minute).UnixMilli() ||
-					math.Float64bits(p.Value) != math.Float64bits(want) {
-					t.Fatalf("%s 1m %s window %d: %+v, want value %v", sensor, s.name, w, p, want)
-				}
-			}
-			got = statPoints(t, db, "rollup.1h.air.co2", tags, s.name)
-			if want := s.agg.Apply(hour); len(got) != 1 || got[0].Timestamp != t0.UnixMilli() ||
-				math.Float64bits(got[0].Value) != math.Float64bits(want) {
-				t.Fatalf("%s 1h %s: %+v, want one window of value %v", sensor, s.name, got, want)
-			}
-		}
-	}
-	if late := eng.Stats().Late; late != 0 {
-		t.Fatalf("%d points counted late", late)
 	}
 }
 

@@ -282,7 +282,7 @@ type tierView struct {
 
 // sealedViews fills in both views of one series under one lock; false
 // when the engine does not roll the series up. A ref the seal path has
-// not cached — restored state, a series retention removed and a later
+// not cached — a rebuilt series, one retention removed and a later
 // seal brought back — is looked up and cached here.
 func (e *Engine) sealedViews(id tsdb.SeriesID, views ...*tierView) bool {
 	sh := &e.shards[uint64(id)%engineShards]

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -347,6 +348,33 @@ func (db *DB) PointEstimate(ref *Ref, start, end int64) int {
 		n += db.disk.pointsIn(ref.id, start, end)
 	}
 	return n
+}
+
+// NewestTimestamp returns the newest stored timestamp of ref's series
+// from index metadata alone — head, sealed blocks, disk chunks — and
+// false when the series holds no points.
+func (db *DB) NewestTimestamp(ref *Ref) (int64, bool) {
+	s, sh := ref.s, &db.shards[ref.shard]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	newest, ok := int64(0), false
+	note := func(ts int64) {
+		if !ok || ts > newest {
+			newest, ok = ts, true
+		}
+	}
+	if n := len(s.head); n > 0 {
+		note(s.head[n-1].Timestamp)
+	}
+	for _, b := range s.blocks {
+		note(b.maxTS)
+	}
+	if db.disk != nil {
+		for _, c := range db.disk.chunksFor(ref.id, math.MinInt64, math.MaxInt64) {
+			note(c.maxTS)
+		}
+	}
+	return newest, ok
 }
 
 // downsampleSource folds a raw source into fixed epoch-aligned

@@ -3,8 +3,10 @@ package tsdb
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -773,4 +775,42 @@ func TestConcurrentFlushRetentionCompactWAL(t *testing.T) {
 	}
 	close(stop)
 	<-done
+}
+
+// TestNewestTimestamp: the newest-timestamp read finds a series' last
+// point in whichever layer holds it — sealed blocks, the head, disk
+// chunks — and reports a series without points as empty; Refs lists
+// every series either way.
+func TestNewestTimestamp(t *testing.T) {
+	db := mustOpenDisk(t, t.TempDir())
+	defer db.Close()
+	tags := map[string]string{"sensor": "a", "city": "trondheim"}
+	newest := func(want int64) {
+		t.Helper()
+		ts, ok := db.NewestTimestamp(db.Lookup("m.newest", tags))
+		if !ok || ts != want {
+			t.Fatalf("NewestTimestamp = %d, %v; want %d", ts, ok, want)
+		}
+	}
+	fillDiskSeries(t, db, "m.newest", "a", 2*headSealSize) // sealed blocks, empty head
+	newest(pt("m.newest", "a", 2*headSealSize-1, 0).Timestamp)
+	if err := put(db, pt("m.newest", "a", 2*headSealSize, 0)); err != nil {
+		t.Fatal(err)
+	}
+	newest(pt("m.newest", "a", 2*headSealSize, 0).Timestamp)
+	if _, err := db.flushBefore(math.MaxInt64, true); err != nil {
+		t.Fatal(err)
+	}
+	newest(pt("m.newest", "a", 2*headSealSize, 0).Timestamp)
+
+	empty, err := db.Intern("m.empty", tags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts, ok := db.NewestTimestamp(empty); ok {
+		t.Fatalf("series without points: NewestTimestamp = %d, true", ts)
+	}
+	if refs := db.Refs(); len(refs) != 2 || !slices.Contains(refs, empty) || !slices.Contains(refs, db.Lookup("m.newest", tags)) {
+		t.Fatalf("Refs = %v, want m.newest and m.empty", refs)
+	}
 }

@@ -1,6 +1,6 @@
 // Package fsio is the filesystem seam under the storage engine. The
-// WAL, the block layer, and the rollup state file perform every
-// filesystem operation through the FS interface instead of calling the
+// WAL, the block layer and the replication snapshot receiver perform
+// every filesystem operation through the FS interface instead of calling the
 // os package directly, so a test can substitute an implementation that
 // fails — a specific write returns ENOSPC, an fsync reports EIO, a
 // crash discards everything after the Nth operation — and prove the

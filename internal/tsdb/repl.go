@@ -257,9 +257,8 @@ scan:
 }
 
 // SnapshotFile is one file of a replication snapshot stream: the
-// node's WAL ("wal", Dir/tsdb.wal), a block file ("block",
-// Dir/blocks/Name) or an auxiliary state file ("aux", Dir/Name, e.g.
-// rollup.state). R reads exactly Size bytes.
+// node's WAL ("wal", Dir/tsdb.wal) or a block file ("block",
+// Dir/blocks/Name). R reads exactly Size bytes.
 type SnapshotFile struct {
 	Kind string
 	Name string
@@ -268,16 +267,15 @@ type SnapshotFile struct {
 }
 
 // StreamSnapshot sends a consistent full-state snapshot — every block
-// file, the named aux files (missing ones are skipped), and the WAL
-// prefix up to a frozen watermark — and registers a live tailer lease
-// at that watermark, so the caller can continue streaming appends
-// with no gap. It holds opMu for the whole transfer: flush,
-// compaction and retention wait (ingest does not), which is what
-// freezes the block-file set and the WAL generation. The shipped
+// file, then the WAL prefix up to a frozen watermark — and registers a
+// live tailer lease at that watermark, so the caller can continue
+// streaming appends with no gap. It holds opMu for the whole transfer:
+// flush, compaction and retention wait (ingest does not), which is
+// what freezes the block-file set and the WAL generation. The shipped
 // files carry their own CRCs (per-record for the WAL, per-chunk plus
 // tail index for blocks), so the receiver verifies them by simply
 // opening the copied directory.
-func (db *DB) StreamSnapshot(aux []string, maxLag int64, send func(SnapshotFile) error) (*WALReader, error) {
+func (db *DB) StreamSnapshot(maxLag int64, send func(SnapshotFile) error) (*WALReader, error) {
 	l := db.wal
 	if l == nil {
 		return nil, errors.New("tsdb: snapshot requires a WAL")
@@ -313,22 +311,6 @@ func (db *DB) StreamSnapshot(aux []string, maxLag int64, send func(SnapshotFile)
 			if err != nil {
 				return nil, err
 			}
-		}
-	}
-	for _, name := range aux {
-		f, err := db.opts.FS.Open(filepath.Join(db.opts.Dir, name))
-		if err != nil {
-			continue // aux files are optional
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		err = send(SnapshotFile{Kind: "aux", Name: name, Size: st.Size(), R: io.NewSectionReader(f, 0, st.Size())})
-		f.Close()
-		if err != nil {
-			return nil, err
 		}
 	}
 	// The WAL goes last: pread within [0, eof) is safe against

@@ -369,6 +369,22 @@ func (db *DB) SeriesCount() int {
 	return n
 }
 
+// Refs returns the handle of every stored series, in no particular
+// order — the walk a subscriber that keys state by series rebuilds it
+// from at start.
+func (db *DB) Refs() []*Ref {
+	var out []*Ref
+	for i := range db.shards {
+		sh := &db.shards[i]
+		sh.mu.RLock()
+		for _, s := range sh.series {
+			out = append(out, s.ref)
+		}
+		sh.mu.RUnlock()
+	}
+	return out
+}
+
 // PointCount returns the total number of stored points, including
 // points flushed to disk.
 func (db *DB) PointCount() int {

@@ -342,7 +342,7 @@ func TestSnapshotPlusTailCoversEverything(t *testing.T) {
 	}
 
 	var kinds = map[string]int{}
-	rd, err := db.StreamSnapshot([]string{"rollup.state"}, 1<<20, func(sf SnapshotFile) error {
+	rd, err := db.StreamSnapshot(1<<20, func(sf SnapshotFile) error {
 		kinds[sf.Kind]++
 		// Consume the reader fully, as the server would.
 		buf := make([]byte, 32<<10)
@@ -363,11 +363,8 @@ func TestSnapshotPlusTailCoversEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	if kinds["wal"] != 1 || kinds["block"] == 0 {
+	if kinds["wal"] != 1 || kinds["block"] == 0 || len(kinds) != 2 {
 		t.Fatalf("snapshot kinds = %v, want 1 wal + blocks", kinds)
-	}
-	if kinds["aux"] != 0 {
-		t.Fatalf("missing aux file should be skipped, got %d", kinds["aux"])
 	}
 
 	// Appends after the watermark stream through the lease with no gap.
