@@ -432,6 +432,7 @@ func main() {
 	dash.SetNow(sys.Now)
 	dash.SetSelfPrefix(*selfPrefix)
 	dash.SendCommand = sys.SendCommand
+	dash.Render = gw.Render
 	window := time.Duration(*days) * 24 * time.Hour
 	for _, p := range []dashboard.Panel{
 		{Name: "co2", Title: "Air quality — CO2 by sensor", Metric: core.MetricCO2,

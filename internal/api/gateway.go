@@ -177,6 +177,7 @@ type Gateway struct {
 	// per-endpoint request latency plus the ingest queue-wait
 	// histogram (marks recorded in EnqueueRefs, popped in worker).
 	histQuery     *obs.Histogram // ctt_http_request_seconds{endpoint="query"}
+	histPanel     *obs.Histogram // ctt_http_request_seconds{endpoint="panel"}
 	histPut       *obs.Histogram // ctt_http_request_seconds{endpoint="put"}
 	histSuggest   *obs.Histogram // ctt_http_request_seconds{endpoint="suggest"}
 	histQueueWait *obs.Histogram // ctt_ingest_queue_wait_seconds
@@ -208,6 +209,7 @@ type Gateway struct {
 	putReqs     atomic.Uint64
 	queryReqs   atomic.Uint64
 	queryErrs   atomic.Uint64
+	panelReqs   atomic.Uint64 // Render calls, for TraceSample
 	authFails   atomic.Uint64 // requests refused: missing/wrong API key
 	panics      atomic.Uint64 // handler panics recovered by the middleware
 
@@ -361,6 +363,7 @@ func (g *Gateway) initObs() {
 	}
 
 	g.histQuery = reg.Histogram("ctt_http_request_seconds", `endpoint="query"`, nil)
+	g.histPanel = reg.Histogram("ctt_http_request_seconds", `endpoint="panel"`, nil)
 	g.histPut = reg.Histogram("ctt_http_request_seconds", `endpoint="put"`, nil)
 	g.histSuggest = reg.Histogram("ctt_http_request_seconds", `endpoint="suggest"`, nil)
 	g.histQueueWait = reg.Histogram("ctt_ingest_queue_wait_seconds", "", nil)

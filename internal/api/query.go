@@ -193,7 +193,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		elapsed := tr.Elapsed()
 		g.recordTrace(tr, g.histQuery, elapsed)
 		untrack()
-		g.maybeLogSlow(tr, r, &st, elapsed)
+		g.maybeLogSlow(tr, &st, elapsed)
 		tr.Release()
 	}()
 
@@ -302,11 +302,85 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// Render answers q through the read path /api/query takes (the same
+// exec, trace stages and rollup planner) and returns what render makes
+// of the result series, cached beside the JSON answers: the key is the
+// query's aligned canonical form prefixed by kind, a hit is a lookup,
+// and an entry is dropped by a write into its range like any other —
+// a write during the read poisons the fill. kind names the rendering
+// (the dashboard passes its panel's path); one kind and query must
+// always render the same bytes from the same series. Each call is an
+// obs trace named "panel" with kind as its detail, visible in
+// /api/inflight, the flight recorder and the slow-query log.
+func (g *Gateway) Render(kind string, q tsdb.Query, render func([]tsdb.ResultSeries) []byte) ([]byte, error) {
+	tr := obs.NewTrace("panel", kind)
+	if s := g.cfg.TraceSample; s > 0 && g.panelReqs.Add(1)%uint64(s) == 0 {
+		tr.SetDetailed(true)
+	}
+	untrack := g.inflight.Track(tr)
+	st := queryState{cacheStatus: "miss"}
+	defer func() {
+		elapsed := tr.Elapsed()
+		g.recordTrace(tr, g.histPanel, elapsed)
+		untrack()
+		g.maybeLogSlow(tr, &st, elapsed)
+		tr.Release()
+	}()
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	key := strconv.Quote(kind) + "|" + g.cacheKey(q.Start, q.End, []subQuery{toSubQuery(q)}, false)
+	if body, ok := g.cache.get(key, false); ok {
+		st.cacheStatus = "hit"
+		return body, nil
+	}
+	metrics := []string{q.Metric}
+	fill := g.cache.beginFill(q.Start, q.End, metrics)
+	defer g.cache.endFill(fill)
+	q.Trace = tr
+	var res []tsdb.ResultSeries
+	scan := tr.StartSpan("scan")
+	err := g.exec(q, func(rs tsdb.ResultSeries) error {
+		st.series++
+		st.points += len(rs.Points)
+		res = append(res, rs)
+		return nil
+	})
+	scan.End()
+	if err != nil {
+		return nil, err
+	}
+	sp := tr.StartSpan("render")
+	body := render(res)
+	sp.End()
+	g.cache.put(key, body, q.Start, q.End, metrics, fill)
+	return body, nil
+}
+
+// toSubQuery is the request form of a store query, for its cache key.
+func toSubQuery(q tsdb.Query) subQuery {
+	sq := subQuery{Aggregator: string(q.Aggregator), Metric: q.Metric, Tags: q.Tags, Rate: q.Rate}
+	if q.Downsample > 0 {
+		fn := q.DownsampleFn
+		if fn == "" {
+			fn = q.Aggregator
+		}
+		sq.Downsample = q.Downsample.String() + "-" + string(fn)
+	}
+	if q.LimitLowest {
+		sq.BottomK = q.SeriesLimit
+	} else {
+		sq.TopK = q.SeriesLimit
+	}
+	return sq
+}
+
 // maybeLogSlow emits the slow-query record: one structured line with
 // the full span tree (per-stage durations and counts), result sizes,
 // cache status and the planner decision — whether the range was served
-// from rollup tiers, raw block scans, or a mix.
-func (g *Gateway) maybeLogSlow(tr *obs.Trace, r *http.Request, st *queryState, elapsed time.Duration) {
+// from rollup tiers, raw block scans, or a mix. Its uri is the trace's
+// detail: the request URI of a query, the path of a panel.
+func (g *Gateway) maybeLogSlow(tr *obs.Trace, st *queryState, elapsed time.Duration) {
 	if g.cfg.SlowQuery <= 0 || elapsed < g.cfg.SlowQuery {
 		return
 	}
@@ -319,7 +393,7 @@ func (g *Gateway) maybeLogSlow(tr *obs.Trace, r *http.Request, st *queryState, e
 		planner = "rollup"
 	}
 	g.cfg.Logger.Warn("slow query",
-		"uri", r.URL.RequestURI(),
+		"uri", tr.Detail(),
 		"trace_id", tr.ID(),
 		"elapsed", elapsed.Round(time.Microsecond).String(),
 		"cache", st.cacheStatus,

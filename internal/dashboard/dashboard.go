@@ -4,8 +4,9 @@
 // queries, serving rendered SVG charts, a live network map, JSON panel
 // and alarm APIs, and a combined "wall display" view. Attendees of the
 // demo "can vary system and analysis properties, and observe the
-// reflection on the dashboard" — panels re-query the database on every
-// render, so data arriving through the pipeline shows up immediately.
+// reflection on the dashboard" — a panel is re-rendered whenever data
+// arriving through the pipeline lands in its window, so it shows up
+// immediately.
 package dashboard
 
 import (
@@ -64,13 +65,34 @@ type Server struct {
 	// centers", §2.1). It receives a device ID and a downlink payload.
 	SendCommand func(devID string, payload []byte) error
 
+	// Render answers a panel: it runs the query, hands the result
+	// series to render and returns the bytes. New sets it to read the
+	// store directly and render every request; ctt-server points it at
+	// api.Gateway.Render, the gateway's read path, which caches the
+	// bytes until a write lands in the query's range.
+	Render func(kind string, q tsdb.Query, render func([]tsdb.ResultSeries) []byte) ([]byte, error)
+
 	srv *http.Server
 	ln  net.Listener
 }
 
 // New creates a dashboard over a database. dp may be nil.
 func New(db *tsdb.DB, dp *dataport.Dataport) *Server {
-	return &Server{db: db, dp: dp, now: time.Now}
+	s := &Server{db: db, dp: dp, now: time.Now}
+	s.Render = s.renderStore
+	return s
+}
+
+// renderStore is the default Render: one store read, one render.
+func (s *Server) renderStore(_ string, q tsdb.Query, render func([]tsdb.ResultSeries) []byte) ([]byte, error) {
+	var res []tsdb.ResultSeries
+	if err := s.db.ExecuteStream(q, func(rs tsdb.ResultSeries) error {
+		res = append(res, rs)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return render(res), nil
 }
 
 // SetNow injects the simulation clock so trailing windows work on
@@ -163,10 +185,11 @@ func (s *Server) clock() time.Time {
 	return s.now()
 }
 
-// panelSeries runs a panel's query and converts it to viz series.
-func (s *Server) panelSeries(p Panel) ([]viz.Series, error) {
+// panelQuery is the store query behind a panel: its trailing window
+// ending now.
+func (s *Server) panelQuery(p Panel) tsdb.Query {
 	now := s.clock()
-	res, err := s.db.Execute(tsdb.Query{
+	return tsdb.Query{
 		Metric:      p.Metric,
 		Tags:        p.Tags,
 		Start:       now.Add(-p.Window).UnixMilli(),
@@ -174,10 +197,11 @@ func (s *Server) panelSeries(p Panel) ([]viz.Series, error) {
 		Aggregator:  p.Agg,
 		Downsample:  p.Downsample,
 		SeriesLimit: p.TopK,
-	})
-	if err != nil {
-		return nil, err
 	}
+}
+
+// panelSeries converts a panel's query result to viz series.
+func panelSeries(res []tsdb.ResultSeries) []viz.Series {
 	var out []viz.Series
 	for _, rs := range res {
 		name := rs.Metric
@@ -200,7 +224,7 @@ func (s *Server) panelSeries(p Panel) ([]viz.Series, error) {
 		}
 		out = append(out, vs)
 	}
-	return out, nil
+	return out
 }
 
 // --- handlers ----------------------------------------------------------
@@ -237,14 +261,16 @@ func (s *Server) handlePanelSVG(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown panel", http.StatusNotFound)
 		return
 	}
-	series, err := s.panelSeries(*panel)
+	render := func(res []tsdb.ResultSeries) []byte {
+		return viz.LineChartSVG(panelSeries(res), viz.ChartOptions{
+			Title: panel.Title, YLabel: panel.YLabel, Width: 800, Height: 300,
+		})
+	}
+	svg, err := s.Render("/panel/"+panel.Name+".svg", s.panelQuery(*panel), render)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	svg := viz.LineChartSVG(series, viz.ChartOptions{
-		Title: panel.Title, YLabel: panel.YLabel, Width: 800, Height: 300,
-	})
 	w.Header().Set("Content-Type", "image/svg+xml")
 	w.Write(svg)
 }

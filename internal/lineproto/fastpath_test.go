@@ -12,8 +12,9 @@ import (
 
 // ParseLine is the reference the zero-copy parser is held to: the same
 // grammar written the plain way — strings, a tag map, a DataPoint —
-// with the same error messages. Only tests use it.
-func ParseLine(line string) (tsdb.DataPoint, error) {
+// with the same error messages. The series is checked by interning it
+// into db, a store of the reference's own. Only tests use it.
+func ParseLine(db *tsdb.DB, line string) (tsdb.DataPoint, error) {
 	var dp tsdb.DataPoint
 	// The protocol is ASCII: only ASCII whitespace separates fields,
 	// so a Unicode space (U+0085, U+00A0) stays inside its field.
@@ -58,7 +59,7 @@ func ParseLine(line string) (tsdb.DataPoint, error) {
 		Tags:   tags,
 		Point:  tsdb.Point{Timestamp: tsMS, Value: val},
 	}
-	if err := dp.Validate(); err != nil {
+	if _, err := db.Intern(dp.Metric, dp.Tags); err != nil {
 		return dp, err
 	}
 	return dp, nil
@@ -83,14 +84,15 @@ var fastPathLines = []string{
 	"put air.co2 1488326400 415 a=b c=",
 }
 
-// comparePutParsers parses line with both parsers and fails t unless
-// they agree on the verdict, the exact error message, and the metric,
-// tags, timestamp and value bits of an accepted point.
-func comparePutParsers(t *testing.T, s *Server, st *connState, line string) {
+// comparePutParsers parses line with both parsers — the reference
+// interning into its own store, ref — and fails t unless they agree on
+// the verdict, the exact error message, and the metric, tags,
+// timestamp and value bits of an accepted point.
+func comparePutParsers(t *testing.T, s *Server, st *connState, ref *tsdb.DB, line string) {
 	t.Helper()
 	st.refs = st.refs[:0]
 	fastErr := s.parsePutFast([]byte(line), st)
-	dp, slowErr := ParseLine(line)
+	dp, slowErr := ParseLine(ref, line)
 	if (fastErr == nil) != (slowErr == nil) {
 		t.Fatalf("%q: fast err=%v, slow err=%v", line, fastErr, slowErr)
 	}
@@ -133,18 +135,19 @@ func openSink(tb testing.TB) *benchSink {
 // reference string parser agree on every accepted point and every
 // rejection message, line for line.
 func TestParsePutFastMatchesParseLine(t *testing.T) {
-	sink := openSink(t)
+	sink, ref := openSink(t), openSink(t)
 	defer sink.db.Close()
+	defer ref.db.Close()
 	s, st := New(sink, Config{}), &connState{}
 	for _, line := range fastPathLines {
-		comparePutParsers(t, s, st, line)
+		comparePutParsers(t, s, st, ref.db, line)
 	}
 }
 
 // FuzzParsePutLine holds the zero-copy parser to the reference on
 // arbitrary lines. Series interned by earlier inputs stay in the
-// store, so a line can also hit a series another line created; the
-// store is replaced every 10000 inputs to bound a long run's memory.
+// stores, so a line can also hit a series another line created; the
+// stores are replaced every 10000 inputs to bound a long run's memory.
 func FuzzParsePutLine(f *testing.F) {
 	for _, g := range parseLineGood {
 		f.Add(g.line)
@@ -177,15 +180,20 @@ func FuzzParsePutLine(f *testing.F) {
 	} {
 		f.Add(line)
 	}
-	sink := openSink(f)
-	f.Cleanup(func() { sink.db.Close() })
+	sink, ref := openSink(f), openSink(f)
+	f.Cleanup(func() {
+		sink.db.Close()
+		ref.db.Close()
+	})
 	s, st := New(sink, Config{}), &connState{}
 	inputs := 0
 	f.Fuzz(func(t *testing.T, line string) {
 		if inputs++; inputs%10000 == 0 {
-			sink.db.Close()
-			sink.db = openSink(t).db
+			for _, db := range []*benchSink{sink, ref} {
+				db.db.Close()
+				db.db = openSink(t).db
+			}
 		}
-		comparePutParsers(t, s, st, line)
+		comparePutParsers(t, s, st, ref.db, line)
 	})
 }

@@ -47,8 +47,10 @@ var parseLineBad = []string{
 }
 
 func TestParseLine(t *testing.T) {
+	ref := openSink(t)
+	defer ref.db.Close()
 	for _, g := range parseLineGood {
-		dp, err := ParseLine(g.line)
+		dp, err := ParseLine(ref.db, g.line)
 		if err != nil {
 			t.Fatalf("ParseLine(%q): %v", g.line, err)
 		}
@@ -62,7 +64,7 @@ func TestParseLine(t *testing.T) {
 		}
 	}
 	for _, line := range parseLineBad {
-		if _, err := ParseLine(line); err == nil {
+		if _, err := ParseLine(ref.db, line); err == nil {
 			t.Fatalf("ParseLine(%q) accepted", line)
 		}
 	}

@@ -410,9 +410,8 @@ func (db *DB) resurrect(ref *Ref) *Ref {
 	return next
 }
 
-// validateSeries runs the DataPoint name/tag checks without a
-// timestamp — the series-shaped half of Validate, applied once per
-// interned series instead of once per point.
+// validateSeries checks a series' metric and tag names — applied once
+// per interned series instead of once per point.
 func validateSeries(metric string, tags map[string]string) error {
 	if metric == "" {
 		return ErrEmptyMetric

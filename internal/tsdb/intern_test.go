@@ -96,8 +96,7 @@ func TestInternDuplicateKeyAlias(t *testing.T) {
 	}
 }
 
-// TestInternValidation: the miss path applies the series-shaped half
-// of DataPoint.Validate.
+// TestInternValidation: the miss path checks the metric and tag names.
 func TestInternValidation(t *testing.T) {
 	db := mustOpen(t)
 	if _, err := db.Intern("", map[string]string{"a": "b"}); err == nil {

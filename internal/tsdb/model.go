@@ -11,7 +11,6 @@ package tsdb
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -97,9 +96,8 @@ const (
 )
 
 // ValidTimestamp reports whether a millisecond timestamp is inside
-// the store's accepted range — the per-point half of Validate, for
-// edges that resolve series through Intern and so never build a
-// DataPoint.
+// the store's accepted range — the per-point check every write edge
+// makes; the series-shaped one is Intern's, once per new series.
 func ValidTimestamp(ms int64) bool { return ms >= minTS && ms <= maxTS }
 
 // NormalizeMillis interprets an epoch timestamp that may be in
@@ -112,15 +110,4 @@ func NormalizeMillis(n int64) int64 {
 		return n * 1000
 	}
 	return n
-}
-
-// Validate checks a data point before storage.
-func (d *DataPoint) Validate() error {
-	if err := validateSeries(d.Metric, d.Tags); err != nil {
-		return err
-	}
-	if d.Timestamp < minTS || d.Timestamp > maxTS {
-		return fmt.Errorf("%w: %d", ErrBadTimestamp, d.Timestamp)
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -47,9 +48,21 @@ func put(db *DB, dp DataPoint) error {
 	return nil
 }
 
+// TestValidate: a point is stored only with a valid series, which
+// Intern checks once per new series, and a timestamp ValidTimestamp
+// accepts.
 func TestValidate(t *testing.T) {
-	good := pt("air.co2", "node1", 0, 412.5)
-	if err := good.Validate(); err != nil {
+	db := mustOpen(t)
+	valid := func(dp DataPoint) error {
+		if _, err := db.Intern(dp.Metric, dp.Tags); err != nil {
+			return err
+		}
+		if !ValidTimestamp(dp.Timestamp) {
+			return fmt.Errorf("%w: %d", ErrBadTimestamp, dp.Timestamp)
+		}
+		return nil
+	}
+	if err := valid(pt("air.co2", "node1", 0, 412.5)); err != nil {
 		t.Fatal(err)
 	}
 	cases := []DataPoint{
@@ -62,7 +75,7 @@ func TestValidate(t *testing.T) {
 		{Metric: "m", Tags: map[string]string{"a": "b"}, Point: Point{Timestamp: maxTS + 1}},
 	}
 	for i, dp := range cases {
-		if err := dp.Validate(); err == nil {
+		if err := valid(dp); err == nil {
 			t.Errorf("case %d should fail validation", i)
 		}
 	}

@@ -11,6 +11,7 @@ package viz
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -62,9 +63,8 @@ const chartMargin = 50
 // LineChartSVG renders one or more time series as an SVG line chart.
 func LineChartSVG(series []Series, opt ChartOptions) []byte {
 	opt.defaults()
-	var b strings.Builder
-	openSVG(&b, opt.Width, opt.Height)
-	writeTitle(&b, opt)
+	b := openSVG(nil, opt.Width, opt.Height)
+	b = writeTitle(b, opt)
 
 	// Bounds.
 	var tMin, tMax time.Time
@@ -91,9 +91,8 @@ func LineChartSVG(series []Series, opt ChartOptions) []byte {
 		}
 	}
 	if empty {
-		b.WriteString(`<text x="20" y="40" class="axis">no data</text>`)
-		closeSVG(&b)
-		return []byte(b.String())
+		b = append(b, `<text x="20" y="40" class="axis">no data</text>`...)
+		return closeSVG(b)
 	}
 	if vMax == vMin {
 		vMax = vMin + 1
@@ -110,44 +109,50 @@ func LineChartSVG(series []Series, opt ChartOptions) []byte {
 		return float64(opt.Height-chartMargin) - (v-vMin)/(vMax-vMin)*float64(opt.Height-2*chartMargin)
 	}
 
-	drawAxes(&b, opt, vMin, vMax, tMin, tMax)
+	b = drawAxes(b, opt, vMin, vMax, tMin, tMax)
 
 	for si, s := range series {
 		color := s.Color
 		if color == "" {
 			color = defaultPalette[si%len(defaultPalette)]
 		}
-		var pts []string
+		// The polyline's points go straight into the document; an
+		// element with no points is not drawn, so the opening tag is
+		// taken back if no value follows it.
+		open := len(b)
+		b = fmt.Appendf(b, `<polyline fill="none" stroke="%s" stroke-width="1.5" points="`, color)
+		pointsAt := len(b)
 		for i, tm := range s.Times {
 			if i >= len(s.Values) || math.IsNaN(s.Values[i]) {
 				continue
 			}
-			pts = append(pts, fmt.Sprintf("%.1f,%.1f", px(tm), py(s.Values[i])))
+			if len(b) > pointsAt {
+				b = append(b, ' ')
+			}
+			b = appendPoint(b, px(tm), py(s.Values[i]))
 		}
-		if len(pts) > 0 {
-			fmt.Fprintf(&b, `<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>`,
-				color, strings.Join(pts, " "))
+		if len(b) > pointsAt {
+			b = append(b, `"/>`...)
+		} else {
+			b = b[:open]
 		}
 		// Legend entry.
 		ly := 16 + si*16
-		fmt.Fprintf(&b, `<rect x="%d" y="%d" width="10" height="10" fill="%s"/>`, opt.Width-150, ly, color)
-		fmt.Fprintf(&b, `<text x="%d" y="%d" class="axis">%s</text>`, opt.Width-135, ly+9, escape(s.Name))
+		b = fmt.Appendf(b, `<rect x="%d" y="%d" width="10" height="10" fill="%s"/>`, opt.Width-150, ly, color)
+		b = fmt.Appendf(b, `<text x="%d" y="%d" class="axis">%s</text>`, opt.Width-135, ly+9, escape(s.Name))
 	}
-	closeSVG(&b)
-	return []byte(b.String())
+	return closeSVG(b)
 }
 
 // ScatterSVG renders a class-coloured scatter plot (Fig. 4 right
 // panel: Δbattery vs time-of-day, coloured by sunlight).
 func ScatterSVG(points []ScatterPoint, classNames []string, opt ChartOptions) []byte {
 	opt.defaults()
-	var b strings.Builder
-	openSVG(&b, opt.Width, opt.Height)
-	writeTitle(&b, opt)
+	b := openSVG(nil, opt.Width, opt.Height)
+	b = writeTitle(b, opt)
 	if len(points) == 0 {
-		b.WriteString(`<text x="20" y="40" class="axis">no data</text>`)
-		closeSVG(&b)
-		return []byte(b.String())
+		b = append(b, `<text x="20" y="40" class="axis">no data</text>`...)
+		return closeSVG(b)
 	}
 	xMin, xMax := math.Inf(1), math.Inf(-1)
 	yMin, yMax := math.Inf(1), math.Inf(-1)
@@ -169,32 +174,32 @@ func ScatterSVG(points []ScatterPoint, classNames []string, opt ChartOptions) []
 	py := func(y float64) float64 {
 		return float64(opt.Height-chartMargin) - (y-yMin)/(yMax-yMin)*float64(opt.Height-2*chartMargin)
 	}
-	drawAxesNumeric(&b, opt, xMin, xMax, yMin, yMax)
+	b = drawAxesNumeric(b, opt, xMin, xMax, yMin, yMax)
 	for _, p := range points {
-		color := classPalette[p.Class%len(classPalette)]
-		fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="2.2" fill="%s" fill-opacity="0.7"/>`,
-			px(p.X), py(p.Y), color)
+		b = append(b, `<circle`...)
+		b = appendAttr(b, "cx", px(p.X))
+		b = appendAttr(b, "cy", py(p.Y))
+		b = append(b, ` r="2.2" fill="`...)
+		b = append(b, classPalette[p.Class%len(classPalette)]...)
+		b = append(b, `" fill-opacity="0.7"/>`...)
 	}
 	for ci, name := range classNames {
 		ly := 16 + ci*16
-		fmt.Fprintf(&b, `<circle cx="%d" cy="%d" r="5" fill="%s"/>`, opt.Width-145, ly+5, classPalette[ci%len(classPalette)])
-		fmt.Fprintf(&b, `<text x="%d" y="%d" class="axis">%s</text>`, opt.Width-135, ly+9, escape(name))
+		b = fmt.Appendf(b, `<circle cx="%d" cy="%d" r="5" fill="%s"/>`, opt.Width-145, ly+5, classPalette[ci%len(classPalette)])
+		b = fmt.Appendf(b, `<text x="%d" y="%d" class="axis">%s</text>`, opt.Width-135, ly+9, escape(name))
 	}
-	closeSVG(&b)
-	return []byte(b.String())
+	return closeSVG(b)
 }
 
 // BarChartSVG renders labeled values (used for diurnal profiles and
 // the Table 1 national-statistics panel).
 func BarChartSVG(labels []string, values []float64, opt ChartOptions) []byte {
 	opt.defaults()
-	var b strings.Builder
-	openSVG(&b, opt.Width, opt.Height)
-	writeTitle(&b, opt)
+	b := openSVG(nil, opt.Width, opt.Height)
+	b = writeTitle(b, opt)
 	if len(values) == 0 {
-		b.WriteString(`<text x="20" y="40" class="axis">no data</text>`)
-		closeSVG(&b)
-		return []byte(b.String())
+		b = append(b, `<text x="20" y="40" class="axis">no data</text>`...)
+		return closeSVG(b)
 	}
 	vMax := math.Inf(-1)
 	vMin := 0.0
@@ -219,84 +224,96 @@ func BarChartSVG(labels []string, values []float64, opt ChartOptions) []byte {
 		if h < 0 {
 			top, h = zero, -h
 		}
-		fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"/>`,
-			x+1, top, bw-2, h, defaultPalette[0])
+		b = append(b, `<rect`...)
+		b = appendAttr(b, "x", x+1)
+		b = appendAttr(b, "y", top)
+		b = appendAttr(b, "width", bw-2)
+		b = appendAttr(b, "height", h)
+		b = fmt.Appendf(b, ` fill="%s"/>`, defaultPalette[0])
 		if i < len(labels) && (len(values) <= 30 || i%4 == 0) {
-			fmt.Fprintf(&b, `<text x="%.1f" y="%d" class="axis" text-anchor="middle">%s</text>`,
-				x+bw/2, opt.Height-chartMargin+15, escape(labels[i]))
+			b = append(b, `<text`...)
+			b = appendAttr(b, "x", x+bw/2)
+			b = fmt.Appendf(b, ` y="%d" class="axis" text-anchor="middle">%s</text>`,
+				opt.Height-chartMargin+15, escape(labels[i]))
 		}
 	}
-	closeSVG(&b)
-	return []byte(b.String())
+	return closeSVG(b)
 }
 
 // --- shared SVG helpers ------------------------------------------------
 
-func openSVG(b *strings.Builder, w, h int) {
-	fmt.Fprintf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`, w, h, w, h)
-	b.WriteString(`<style>.axis{font:10px sans-serif;fill:#444}.title{font:bold 13px sans-serif;fill:#111}</style>`)
-	fmt.Fprintf(b, `<rect width="%d" height="%d" fill="white"/>`, w, h)
+func openSVG(b []byte, w, h int) []byte {
+	b = fmt.Appendf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`, w, h, w, h)
+	b = append(b, `<style>.axis{font:10px sans-serif;fill:#444}.title{font:bold 13px sans-serif;fill:#111}</style>`...)
+	return fmt.Appendf(b, `<rect width="%d" height="%d" fill="white"/>`, w, h)
 }
 
-func closeSVG(b *strings.Builder) { b.WriteString(`</svg>`) }
+func closeSVG(b []byte) []byte { return append(b, `</svg>`...) }
 
-func writeTitle(b *strings.Builder, opt ChartOptions) {
+func writeTitle(b []byte, opt ChartOptions) []byte {
 	if opt.Title != "" {
-		fmt.Fprintf(b, `<text x="%d" y="18" class="title">%s</text>`, chartMargin, escape(opt.Title))
+		b = fmt.Appendf(b, `<text x="%d" y="18" class="title">%s</text>`, chartMargin, escape(opt.Title))
 	}
 	if opt.YLabel != "" {
-		fmt.Fprintf(b, `<text x="8" y="%d" class="axis" transform="rotate(-90 8 %d)">%s</text>`,
+		b = fmt.Appendf(b, `<text x="8" y="%d" class="axis" transform="rotate(-90 8 %d)">%s</text>`,
 			opt.Height/2, opt.Height/2, escape(opt.YLabel))
 	}
 	if opt.XLabel != "" {
-		fmt.Fprintf(b, `<text x="%d" y="%d" class="axis" text-anchor="middle">%s</text>`,
+		b = fmt.Appendf(b, `<text x="%d" y="%d" class="axis" text-anchor="middle">%s</text>`,
 			opt.Width/2, opt.Height-8, escape(opt.XLabel))
 	}
+	return b
 }
 
-func drawAxes(b *strings.Builder, opt ChartOptions, vMin, vMax float64, tMin, tMax time.Time) {
-	fmt.Fprintf(b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#999"/>`,
+// drawFrame draws the two axis lines and the five y ticks of a chart.
+func drawFrame(b []byte, opt ChartOptions, yMin, yMax float64) []byte {
+	b = fmt.Appendf(b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#999"/>`,
 		chartMargin, opt.Height-chartMargin, opt.Width-chartMargin, opt.Height-chartMargin)
-	fmt.Fprintf(b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#999"/>`,
-		chartMargin, chartMargin, chartMargin, opt.Height-chartMargin)
-	// Y ticks.
-	for i := 0; i <= 4; i++ {
-		v := vMin + float64(i)/4*(vMax-vMin)
-		y := float64(opt.Height-chartMargin) - float64(i)/4*float64(opt.Height-2*chartMargin)
-		fmt.Fprintf(b, `<text x="%d" y="%.1f" class="axis" text-anchor="end">%.4g</text>`,
-			chartMargin-4, y+3, v)
-	}
-	// X ticks: start, middle, end.
-	for i := 0; i <= 2; i++ {
-		tm := tMin.Add(time.Duration(float64(tMax.Sub(tMin)) * float64(i) / 2))
-		x := chartMargin + float64(i)/2*float64(opt.Width-2*chartMargin)
-		fmt.Fprintf(b, `<text x="%.1f" y="%d" class="axis" text-anchor="middle">%s</text>`,
-			x, opt.Height-chartMargin+15, tm.Format("01-02 15:04"))
-	}
-}
-
-func drawAxesNumeric(b *strings.Builder, opt ChartOptions, xMin, xMax, yMin, yMax float64) {
-	fmt.Fprintf(b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#999"/>`,
-		chartMargin, opt.Height-chartMargin, opt.Width-chartMargin, opt.Height-chartMargin)
-	fmt.Fprintf(b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#999"/>`,
+	b = fmt.Appendf(b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#999"/>`,
 		chartMargin, chartMargin, chartMargin, opt.Height-chartMargin)
 	for i := 0; i <= 4; i++ {
 		v := yMin + float64(i)/4*(yMax-yMin)
 		y := float64(opt.Height-chartMargin) - float64(i)/4*float64(opt.Height-2*chartMargin)
-		fmt.Fprintf(b, `<text x="%d" y="%.1f" class="axis" text-anchor="end">%.4g</text>`, chartMargin-4, y+3, v)
+		b = fmt.Appendf(b, `<text x="%d"`, chartMargin-4)
+		b = appendAttr(b, "y", y+3)
+		b = fmt.Appendf(b, ` class="axis" text-anchor="end">%.4g</text>`, v)
 	}
+	return b
+}
+
+// appendXTick appends one x-axis label centred on x.
+func appendXTick(b []byte, opt ChartOptions, x float64, label string) []byte {
+	b = append(b, `<text`...)
+	b = appendAttr(b, "x", x)
+	return fmt.Appendf(b, ` y="%d" class="axis" text-anchor="middle">%s</text>`, opt.Height-chartMargin+15, label)
+}
+
+func drawAxes(b []byte, opt ChartOptions, vMin, vMax float64, tMin, tMax time.Time) []byte {
+	b = drawFrame(b, opt, vMin, vMax)
+	// X ticks: start, middle, end.
+	for i := 0; i <= 2; i++ {
+		tm := tMin.Add(time.Duration(float64(tMax.Sub(tMin)) * float64(i) / 2))
+		x := chartMargin + float64(i)/2*float64(opt.Width-2*chartMargin)
+		b = appendXTick(b, opt, x, tm.Format("01-02 15:04"))
+	}
+	return b
+}
+
+func drawAxesNumeric(b []byte, opt ChartOptions, xMin, xMax, yMin, yMax float64) []byte {
+	b = drawFrame(b, opt, yMin, yMax)
 	for i := 0; i <= 4; i++ {
 		v := xMin + float64(i)/4*(xMax-xMin)
 		x := chartMargin + float64(i)/4*float64(opt.Width-2*chartMargin)
-		fmt.Fprintf(b, `<text x="%.1f" y="%d" class="axis" text-anchor="middle">%.4g</text>`,
-			x, opt.Height-chartMargin+15, v)
+		b = appendXTick(b, opt, x, strconv.FormatFloat(v, 'g', 4, 64))
 	}
+	return b
 }
 
-func escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// escaper escapes the characters SVG text and attribute values cannot
+// carry literally.
+var escaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func escape(s string) string { return escaper.Replace(s) }
 
 // ASCIIChart renders a single series as a terminal chart of the given
 // size — the quick-look view used by the CLI tools.

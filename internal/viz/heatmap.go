@@ -2,7 +2,6 @@ package viz
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/analytics"
 	"repro/internal/geo"
@@ -19,13 +18,11 @@ func HeatmapSVG(surf *analytics.Surface, readings []analytics.SensorReading, tit
 	if height <= 0 {
 		height = 600
 	}
-	var b strings.Builder
-	openSVG(&b, width, height)
-	fmt.Fprintf(&b, `<text x="10" y="18" class="title">%s</text>`, escape(title))
+	b := openSVG(nil, width, height)
+	b = fmt.Appendf(b, `<text x="10" y="18" class="title">%s</text>`, escape(title))
 	if surf == nil || surf.NX == 0 || surf.NY == 0 {
-		b.WriteString(`<text x="20" y="40" class="axis">no surface</text>`)
-		closeSVG(&b)
-		return []byte(b.String())
+		b = append(b, `<text x="20" y="40" class="axis">no surface</text>`...)
+		return closeSVG(b)
 	}
 
 	lo, hi := surf.MinMax()
@@ -39,39 +36,39 @@ func HeatmapSVG(surf *analytics.Surface, readings []analytics.SensorReading, tit
 			// North (max cy) at the top of the image.
 			x := float64(pad) + float64(cx)*cellW
 			y := float64(height-pad) - float64(cy+1)*cellH
-			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.2f" height="%.2f" fill="%s" fill-opacity="0.85"/>`,
-				x, y, cellW+0.5, cellH+0.5, PollutionColor(v, lo, hi))
+			b = append(b, `<rect`...)
+			b = appendAttr(b, "x", x)
+			b = appendAttr(b, "y", y)
+			b = fmt.Appendf(b, ` width="%.2f" height="%.2f" fill="%s" fill-opacity="0.85"/>`,
+				cellW+0.5, cellH+0.5, PollutionColor(v, lo, hi))
 		}
 	}
 
-	// Overlay sensors with their measured values.
-	var pts []geo.LatLon
+	// Overlay sensors with their measured values, projected onto the
+	// same grid frame.
+	enu := geo.NewENU(surf.Origin)
 	for _, r := range readings {
-		pts = append(pts, r.Pos)
-	}
-	if len(pts) > 0 {
-		// Project sensors onto the same grid frame.
-		enu := geo.NewENU(surf.Origin)
-		for _, r := range readings {
-			sx, sy := enu.Forward(r.Pos)
-			px := float64(pad) + sx/surf.CellM*cellW
-			py := float64(height-pad) - sy/surf.CellM*cellH
-			fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="6" fill="white" stroke="#111" stroke-width="1.5"><title>%s %.1f</title></circle>`,
-				px, py, escape(r.ID), r.Value)
-			fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" class="axis" text-anchor="middle">%.0f</text>`,
-				px, py-10, r.Value)
-		}
+		sx, sy := enu.Forward(r.Pos)
+		px := float64(pad) + sx/surf.CellM*cellW
+		py := float64(height-pad) - sy/surf.CellM*cellH
+		b = append(b, `<circle`...)
+		b = appendAttr(b, "cx", px)
+		b = appendAttr(b, "cy", py)
+		b = fmt.Appendf(b, ` r="6" fill="white" stroke="#111" stroke-width="1.5"><title>%s `, escape(r.ID))
+		b = AppendTenths(b, r.Value)
+		b = append(b, `</title></circle><text`...)
+		b = appendAttr(b, "x", px)
+		b = appendAttr(b, "y", py-10)
+		b = fmt.Appendf(b, ` class="axis" text-anchor="middle">%.0f</text>`, r.Value)
 	}
 
 	// Colour legend.
 	for i := 0; i <= 20; i++ {
 		v := lo + float64(i)/20*(hi-lo)
-		fmt.Fprintf(&b, `<rect x="%d" y="%d" width="10" height="8" fill="%s"/>`,
+		b = fmt.Appendf(b, `<rect x="%d" y="%d" width="10" height="8" fill="%s"/>`,
 			width-30, height-40-i*8, PollutionColor(v, lo, hi))
 	}
-	fmt.Fprintf(&b, `<text x="%d" y="%d" class="axis" text-anchor="end">%.0f</text>`, width-34, height-36, lo)
-	fmt.Fprintf(&b, `<text x="%d" y="%d" class="axis" text-anchor="end">%.0f</text>`, width-34, height-40-20*8+8, hi)
-
-	closeSVG(&b)
-	return []byte(b.String())
+	b = fmt.Appendf(b, `<text x="%d" y="%d" class="axis" text-anchor="end">%.0f</text>`, width-34, height-36, lo)
+	b = fmt.Appendf(b, `<text x="%d" y="%d" class="axis" text-anchor="end">%.0f</text>`, width-34, height-40-20*8+8, hi)
+	return closeSVG(b)
 }

@@ -3,7 +3,6 @@ package viz
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"repro/internal/citygml"
 	"repro/internal/dataport"
@@ -37,9 +36,8 @@ func NetworkMapSVG(snap dataport.NetworkSnapshot, width, height int) []byte {
 	if height <= 0 {
 		height = 600
 	}
-	var b strings.Builder
-	openSVG(&b, width, height)
-	fmt.Fprintf(&b, `<text x="10" y="18" class="title">CTT network — %s</text>`,
+	b := openSVG(nil, width, height)
+	b = fmt.Appendf(b, `<text x="10" y="18" class="title">CTT network — %s</text>`,
 		snap.Time.Format("2006-01-02 15:04"))
 
 	// Projection over all device positions.
@@ -51,9 +49,8 @@ func NetworkMapSVG(snap dataport.NetworkSnapshot, width, height int) []byte {
 		pts = append(pts, g.Pos)
 	}
 	if len(pts) == 0 {
-		b.WriteString(`<text x="20" y="40" class="axis">no devices</text>`)
-		closeSVG(&b)
-		return []byte(b.String())
+		b = append(b, `<text x="20" y="40" class="axis">no devices</text>`...)
+		return closeSVG(b)
 	}
 	project := newProjector(pts, width, height, 40)
 
@@ -78,24 +75,36 @@ func NetworkMapSVG(snap dataport.NetworkSnapshot, width, height int) []byte {
 		if l.Live {
 			stroke, dash = "#1f77b4", ` stroke-dasharray="5,3"`
 		}
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1.2"%s/>`,
-			x1, y1, x2, y2, stroke, dash)
+		b = append(b, `<line`...)
+		b = appendAttr(b, "x1", x1)
+		b = appendAttr(b, "y1", y1)
+		b = appendAttr(b, "x2", x2)
+		b = appendAttr(b, "y2", y2)
+		b = fmt.Appendf(b, ` stroke="%s" stroke-width="1.2"%s/>`, stroke, dash)
 	}
 
 	// Gateways as squares, sensors as circles.
 	for _, g := range snap.Gateways {
 		x, y := project(g.Pos)
-		fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="14" height="14" fill="%s" stroke="#333"><title>%s (%s)</title></rect>`,
-			x-7, y-7, statusColor(g.Status), escape(g.ID), g.Status)
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" class="axis" text-anchor="middle">%s</text>`, x, y-10, escape(g.ID))
+		b = append(b, `<rect`...)
+		b = appendAttr(b, "x", x-7)
+		b = appendAttr(b, "y", y-7)
+		b = fmt.Appendf(b, ` width="14" height="14" fill="%s" stroke="#333"><title>%s (%s)</title></rect>`,
+			statusColor(g.Status), escape(g.ID), g.Status)
+		b = append(b, `<text`...)
+		b = appendAttr(b, "x", x)
+		b = appendAttr(b, "y", y-10)
+		b = fmt.Appendf(b, ` class="axis" text-anchor="middle">%s</text>`, escape(g.ID))
 	}
 	for _, s := range snap.Sensors {
 		x, y := project(s.Pos)
-		fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="6" fill="%s" stroke="#333"><title>%s (%s) batt %.0f%%</title></circle>`,
-			x, y, statusColor(s.Status), escape(s.ID), s.Status, s.BatteryPct)
+		b = append(b, `<circle`...)
+		b = appendAttr(b, "cx", x)
+		b = appendAttr(b, "cy", y)
+		b = fmt.Appendf(b, ` r="6" fill="%s" stroke="#333"><title>%s (%s) batt %.0f%%</title></circle>`,
+			statusColor(s.Status), escape(s.ID), s.Status, s.BatteryPct)
 	}
-	closeSVG(&b)
-	return []byte(b.String())
+	return closeSVG(b)
 }
 
 // newProjector maps geographic coordinates into the SVG viewport with
@@ -171,9 +180,8 @@ func CityModelSVG(m *citygml.Model, loVal, hiVal float64, width, height int) []b
 	if height <= 0 {
 		height = 650
 	}
-	var b strings.Builder
-	openSVG(&b, width, height)
-	fmt.Fprintf(&b, `<text x="10" y="18" class="title">%s — 3D city model with sensor data</text>`, escape(m.Name))
+	b := openSVG(nil, width, height)
+	b = fmt.Appendf(b, `<text x="10" y="18" class="title">%s — 3D city model with sensor data</text>`, escape(m.Name))
 
 	var pts []geo.LatLon
 	for i := range m.Buildings {
@@ -183,9 +191,8 @@ func CityModelSVG(m *citygml.Model, loVal, hiVal float64, width, height int) []b
 		pts = append(pts, s.Pos)
 	}
 	if len(pts) == 0 {
-		b.WriteString(`<text x="20" y="40" class="axis">empty model</text>`)
-		closeSVG(&b)
-		return []byte(b.String())
+		b = append(b, `<text x="20" y="40" class="axis">empty model</text>`...)
+		return closeSVG(b)
 	}
 	project := newProjector(pts, width, height, 50)
 
@@ -203,37 +210,52 @@ func CityModelSVG(m *citygml.Model, loVal, hiVal float64, width, height int) []b
 		if len(bld.Footprint) < 3 {
 			continue
 		}
-		// Footprint polygon.
-		var base []string
-		for _, p := range bld.Footprint {
-			x, y := project(p)
-			base = append(base, fmt.Sprintf("%.1f,%.1f", x, y))
-		}
-		// Roof: base shifted up by height.
-		dz := bld.HeightM * hScale
-		var roof []string
-		for _, p := range bld.Footprint {
-			x, y := project(p)
-			roof = append(roof, fmt.Sprintf("%.1f,%.1f", x, y-dz))
-		}
+		// Footprint polygon, then the roof: the base shifted up by
+		// height.
 		shade := 200 - int(minF(bld.HeightM, 40)*2.5)
-		fmt.Fprintf(&b, `<polygon points="%s" fill="#%02x%02x%02x" stroke="#666" stroke-width="0.4"/>`,
-			strings.Join(base, " "), shade, shade, shade)
-		fmt.Fprintf(&b, `<polygon points="%s" fill="#%02x%02x%02x" stroke="#444" stroke-width="0.5"><title>%s %s %.0fm</title></polygon>`,
-			strings.Join(roof, " "), shade+25, shade+25, shade+30, escape(bld.ID), bld.Function, bld.HeightM)
+		b = appendPolygon(b, bld.Footprint, project, 0)
+		b = fmt.Appendf(b, `" fill="#%02x%02x%02x" stroke="#666" stroke-width="0.4"/>`, shade, shade, shade)
+		b = appendPolygon(b, bld.Footprint, project, bld.HeightM*hScale)
+		b = fmt.Appendf(b, `" fill="#%02x%02x%02x" stroke="#444" stroke-width="0.5"><title>%s %s %.0fm</title></polygon>`,
+			shade+25, shade+25, shade+30, escape(bld.ID), bld.Function, bld.HeightM)
 	}
 
 	// Sensor measuring points: masts with value-coloured heads.
 	for _, s := range m.Sensors {
 		x, y := project(s.Pos)
 		top := y - 28
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#333" stroke-width="2"/>`, x, y, x, top)
-		fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="8" fill="%s" stroke="#111"><title>%s %s=%.1f</title></circle>`,
-			x, top, PollutionColor(s.Value, loVal, hiVal), escape(s.ID), escape(s.Species), s.Value)
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" class="axis" text-anchor="middle">%.0f</text>`, x, top-11, s.Value)
+		b = append(b, `<line`...)
+		b = appendAttr(b, "x1", x)
+		b = appendAttr(b, "y1", y)
+		b = appendAttr(b, "x2", x)
+		b = appendAttr(b, "y2", top)
+		b = append(b, ` stroke="#333" stroke-width="2"/><circle`...)
+		b = appendAttr(b, "cx", x)
+		b = appendAttr(b, "cy", top)
+		b = fmt.Appendf(b, ` r="8" fill="%s" stroke="#111"><title>%s %s=`,
+			PollutionColor(s.Value, loVal, hiVal), escape(s.ID), escape(s.Species))
+		b = AppendTenths(b, s.Value)
+		b = append(b, `</title></circle><text`...)
+		b = appendAttr(b, "x", x)
+		b = appendAttr(b, "y", top-11)
+		b = fmt.Appendf(b, ` class="axis" text-anchor="middle">%.0f</text>`, s.Value)
 	}
-	closeSVG(&b)
-	return []byte(b.String())
+	return closeSVG(b)
+}
+
+// appendPolygon opens a <polygon> element and appends its points
+// attribute up to the closing quote: the footprint projected and
+// raised by dz pixels.
+func appendPolygon(b []byte, footprint []geo.LatLon, project func(geo.LatLon) (float64, float64), dz float64) []byte {
+	b = append(b, `<polygon points="`...)
+	for i, p := range footprint {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		x, y := project(p)
+		b = appendPoint(b, x, y-dz)
+	}
+	return b
 }
 
 func sortByLatDesc(order []int, m *citygml.Model) {
