@@ -73,9 +73,9 @@ var (
 		"fsync the WAL this often (0 = only on shutdown); group commits buffer between syncs")
 	dataDir = flag.String("data-dir", "",
 		`persist the store in this directory: writes go to a WAL, cold data is
-flushed to immutable block files under <dir>/blocks, the WAL truncates
-to the unflushed tail, and rollup open-window state persists across
-restarts (see docs/OPERATIONS.md)`)
+flushed to immutable block files under <dir>/blocks, and the WAL
+truncates to the unflushed tail; at start the rollup engine rebuilds
+its open windows from what the store holds (see docs/OPERATIONS.md)`)
 	flushAge = flag.Duration("flush-age", 30*time.Minute,
 		"points older than this (by simulated time) are flushed to block files")
 	flushInterval = flag.Duration("flush-interval", time.Minute,
@@ -465,15 +465,96 @@ func main() {
 	}
 	root.Handle("/", dash.Handler())
 
-	// Serve failures are signalled back to main rather than
-	// log.Fatal'd in the goroutine: os.Exit would skip the deferred
-	// closes and drop the buffered WAL tail.
+	// Live feed: keep the pilot stepping so /api/stream subscribers
+	// and dashboard panels see fresh data.
+	loops := newLoops()
+	if *dataDir != "" {
+		loops.syncWAL(sys.DB, logger)
+	}
+	loops.every(*tick, func() {
+		if err := sys.Step(); err != nil {
+			logger.Error("pilot step", "err", err)
+		}
+	})
+
+	fmt.Printf("\ngateway     http://%s/api/put · /api/query · /api/suggest · /api/stream · /metrics · /healthz\n", *addr)
+	fmt.Printf("dashboards  http://%s/  ·  wall http://%s/wall  ·  live http://%s/live\n", *addr, *addr, *addr)
+	fmt.Printf("stepping %v of simulated time every %v — Ctrl-C to stop\n", sys.Interval, *tick)
+
+	// The stepper is joined before the deferred closes tear down the
+	// WAL and dataport an in-flight Step may still be writing to. SSE
+	// streams and telnet sessions never finish on their own, so the
+	// gateway (whose Close tears down the stream hub) and the
+	// line-protocol listener close beside the HTTP drain; followers get
+	// a shutdown frame and reconnect to whoever serves next. The
+	// deferred closes above then find everything already shut and
+	// no-op.
+	serve(logger, root, loops, func() {
+		if replSrv != nil {
+			replSrv.Close()
+		}
+		gw.Close()
+		if lp != nil {
+			lp.Close()
+		}
+	})
+}
+
+// loops runs the server's periodic background work — the WAL sync,
+// the pilot's stepper — until serve stops and joins it.
+type loops struct {
+	stop chan struct{}
+	wg   sync.WaitGroup
+}
+
+func newLoops() *loops { return &loops{stop: make(chan struct{})} }
+
+// every runs fn each d until the loops stop; d <= 0 runs nothing.
+func (l *loops) every(d time.Duration, fn func()) {
+	if d <= 0 {
+		return
+	}
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		ticker := time.NewTicker(d)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-l.stop:
+				return
+			case <-ticker.C:
+				fn()
+			}
+		}
+	}()
+}
+
+// syncWAL fsyncs db's WAL every -wal-sync-interval (0 = only on
+// shutdown): group commits land in the OS buffer per batch, and the
+// periodic sync bounds what a power loss can lose.
+func (l *loops) syncWAL(db *tsdb.DB, logger *slog.Logger) {
+	l.every(*walSync, func() {
+		if err := db.Sync(); err != nil {
+			logger.Error("wal sync", "err", err)
+		}
+	})
+}
+
+// serve runs handler on -addr until an interrupt or a serve failure,
+// stops and joins the loops, then shuts the server down gracefully:
+// in-flight requests may finish within -shutdown-timeout while closers
+// run concurrently, and whatever remains past the deadline is
+// force-closed. Serve failures come back here rather than being
+// log.Fatal'd in the goroutine: os.Exit would skip the caller's
+// deferred closes and drop the buffered WAL tail.
+func serve(logger *slog.Logger, handler http.Handler, loops *loops, closers func()) {
 	// No WriteTimeout: /api/stream holds SSE responses open for the
 	// life of the subscriber. Slow-loris headers and abandoned
 	// keep-alives are still bounded.
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           root,
+		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
@@ -483,54 +564,6 @@ func main() {
 			serveErr <- err
 		}
 	}()
-
-	// Live feed: keep the pilot stepping so /api/stream subscribers
-	// and dashboard panels see fresh data.
-	stop := make(chan struct{})
-	var stepper sync.WaitGroup
-	// Periodic WAL fsync: group commits land in the OS buffer per
-	// batch; this bounds how much a power loss can lose.
-	if *dataDir != "" && *walSync > 0 {
-		stepper.Add(1)
-		go func() {
-			defer stepper.Done()
-			ticker := time.NewTicker(*walSync)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					if err := sys.DB.Sync(); err != nil {
-						logger.Error("wal sync", "err", err)
-					}
-				}
-			}
-		}()
-	}
-	if *tick > 0 {
-		stepper.Add(1)
-		go func() {
-			defer stepper.Done()
-			ticker := time.NewTicker(*tick)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					if err := sys.Step(); err != nil {
-						logger.Error("pilot step", "err", err)
-					}
-				}
-			}
-		}()
-	}
-
-	fmt.Printf("\ngateway     http://%s/api/put · /api/query · /api/suggest · /api/stream · /metrics · /healthz\n", *addr)
-	fmt.Printf("dashboards  http://%s/  ·  wall http://%s/wall  ·  live http://%s/live\n", *addr, *addr, *addr)
-	fmt.Printf("stepping %v of simulated time every %v — Ctrl-C to stop\n", sys.Interval, *tick)
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	select {
@@ -538,31 +571,15 @@ func main() {
 	case err := <-serveErr:
 		logger.Error("serve", "err", err)
 	}
-	close(stop)
-	// Join the stepper before the deferred closes tear down the WAL
-	// and dataport an in-flight Step may still be writing to.
-	stepper.Wait()
+	close(loops.stop)
+	loops.wg.Wait()
 
-	// Bounded graceful shutdown: let in-flight requests finish, up to
-	// -shutdown-timeout. SSE streams and telnet sessions never finish
-	// on their own, so the gateway (whose Close tears down the stream
-	// hub) and the line-protocol listener close concurrently; past the
-	// deadline whatever remains is force-closed. The deferred closes
-	// above then find everything already shut and no-op.
 	shCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
 	defer cancel()
 	closersDone := make(chan struct{})
 	go func() {
 		defer close(closersDone)
-		if replSrv != nil {
-			// Followers get a shutdown frame and their connections are
-			// force-closed; they reconnect to whoever serves next.
-			replSrv.Close()
-		}
-		gw.Close()
-		if lp != nil {
-			lp.Close()
-		}
+		closers()
 	}()
 	if err := srv.Shutdown(shCtx); err != nil {
 		logger.Warn("graceful shutdown incomplete; force-closing", "err", err)

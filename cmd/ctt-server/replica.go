@@ -16,12 +16,8 @@ package main
 // re-enable continuous aggregation and the full write surface.
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
-	"net/http"
-	"os"
-	"os/signal"
 	"time"
 
 	"repro/internal/api"
@@ -125,69 +121,15 @@ func runReplica(logger *slog.Logger) {
 		}
 	})
 
-	// Periodic WAL fsync bounds what a power loss can lose, exactly as
-	// on the primary (the durable replication position rides in the
-	// same writes it covers).
-	stop := make(chan struct{})
-	syncDone := make(chan struct{})
-	if *walSync > 0 {
-		go func() {
-			defer close(syncDone)
-			ticker := time.NewTicker(*walSync)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					if err := db.Sync(); err != nil {
-						logger.Error("wal sync", "err", err)
-					}
-				}
-			}
-		}()
-	} else {
-		close(syncDone)
-	}
-
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           gw.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	serveErr := make(chan error, 1)
-	go func() {
-		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			serveErr <- err
-		}
-	}()
+	// Periodic WAL fsync, as on the primary (the durable replication
+	// position rides in the same writes it covers).
+	loops := newLoops()
+	loops.syncWAL(db, logger)
 	fmt.Printf("\nreplica of %s — http://%s/api/query · /api/stream · /metrics · /healthz · POST /api/promote\n", *replicaOf, *addr)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	select {
-	case <-sig:
-	case err := <-serveErr:
-		logger.Error("serve", "err", err)
-	}
-	close(stop)
-	<-syncDone
-
-	// Bounded graceful shutdown mirrors the primary: the follower's
-	// link and any SSE subscribers are torn down concurrently with the
-	// HTTP drain, all inside -shutdown-timeout.
-	shCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-	defer cancel()
-	closersDone := make(chan struct{})
-	go func() {
-		defer close(closersDone)
+	// The follower's link and any SSE subscribers are torn down
+	// concurrently with the HTTP drain.
+	serve(logger, gw.Handler(), loops, func() {
 		fol.Close()
 		gw.Close()
-	}()
-	if err := srv.Shutdown(shCtx); err != nil {
-		logger.Warn("graceful shutdown incomplete; force-closing", "err", err)
-		srv.Close()
-	}
-	<-closersDone
+	})
 }

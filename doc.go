@@ -48,10 +48,10 @@
 // seconds of log instead of months. A background compactor merges
 // small adjacent files, applies retention by whole-partition deletes,
 // and finishes interrupted truncations; corrupt files are quarantined
-// (never deleted) with their points recovered from the WAL, and the
-// rollup engine persists its open-window state so the unsealed
-// aggregation tail survives restarts too. docs/FORMAT.md is the
-// normative byte-level spec of all three on-disk formats;
+// (never deleted) with their points recovered from the WAL. The rollup
+// engine keeps no file of its own: at start it rebuilds its unsealed
+// aggregation tail from the points the store restored. docs/FORMAT.md
+// is the normative byte-level spec of all three on-disk formats;
 // docs/ARCHITECTURE.md walks the write/read/flush paths and
 // docs/OPERATIONS.md covers running and tuning the server.
 //

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
@@ -181,21 +182,31 @@ type queryState struct {
 	points      int
 }
 
-func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
-	nreq := g.queryReqs.Add(1)
-	tr := obs.NewTrace("query", r.URL.RequestURI())
-	if s := g.cfg.TraceSample; s > 0 && nreq%uint64(s) == 0 {
+// startTrace opens the trace of one read — a query or a panel — and
+// returns it with the state the read fills in and the epilogue to
+// defer: the latency on hist, the flight recorder, the slow-query log,
+// and the trace's release. Every TraceSample'th read counted by reqs
+// is traced in detail, and the read is listed in /api/inflight until
+// the epilogue runs.
+func (g *Gateway) startTrace(name, detail string, reqs *atomic.Uint64, hist *obs.Histogram) (*obs.Trace, *queryState, func()) {
+	tr, n := obs.NewTrace(name, detail), reqs.Add(1)
+	if s := g.cfg.TraceSample; s > 0 && n%uint64(s) == 0 {
 		tr.SetDetailed(true)
 	}
 	untrack := g.inflight.Track(tr)
-	st := queryState{cacheStatus: "miss"}
-	defer func() {
+	st := &queryState{cacheStatus: "miss"}
+	return tr, st, func() {
 		elapsed := tr.Elapsed()
-		g.recordTrace(tr, g.histQuery, elapsed)
+		g.recordTrace(tr, hist, elapsed)
 		untrack()
-		g.maybeLogSlow(tr, &st, elapsed)
+		g.maybeLogSlow(tr, st, elapsed)
 		tr.Release()
-	}()
+	}
+}
+
+func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
+	tr, st, done := g.startTrace("query", r.URL.RequestURI(), &g.queryReqs, g.histQuery)
+	defer done()
 
 	sp := tr.StartSpan("parse")
 	var (
@@ -313,19 +324,8 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 // obs trace named "panel" with kind as its detail, visible in
 // /api/inflight, the flight recorder and the slow-query log.
 func (g *Gateway) Render(kind string, q tsdb.Query, render func([]tsdb.ResultSeries) []byte) ([]byte, error) {
-	tr := obs.NewTrace("panel", kind)
-	if s := g.cfg.TraceSample; s > 0 && g.panelReqs.Add(1)%uint64(s) == 0 {
-		tr.SetDetailed(true)
-	}
-	untrack := g.inflight.Track(tr)
-	st := queryState{cacheStatus: "miss"}
-	defer func() {
-		elapsed := tr.Elapsed()
-		g.recordTrace(tr, g.histPanel, elapsed)
-		untrack()
-		g.maybeLogSlow(tr, &st, elapsed)
-		tr.Release()
-	}()
+	tr, st, done := g.startTrace("panel", kind, &g.panelReqs, g.histPanel)
+	defer done()
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -377,14 +377,22 @@ func toSubQuery(q tsdb.Query) subQuery {
 
 // maybeLogSlow emits the slow-query record: one structured line with
 // the full span tree (per-stage durations and counts), result sizes,
-// cache status and the planner decision — whether the range was served
-// from rollup tiers, raw block scans, or a mix. Its uri is the trace's
-// detail: the request URI of a query, the path of a panel.
+// cache status, the planner decision — whether the plans read rollup
+// tiers, raw block scans, or a mix — and the plans themselves, each
+// member's source and decline reason. Its uri is the trace's detail:
+// the request URI of a query, the path of a panel.
 func (g *Gateway) maybeLogSlow(tr *obs.Trace, st *queryState, elapsed time.Duration) {
 	if g.cfg.SlowQuery <= 0 || elapsed < g.cfg.SlowQuery {
 		return
 	}
-	served, raw := tr.StageCount("rollup_serve"), tr.StageCount("rollup_fallback")
+	served, raw := 0, 0
+	plans := make([]string, 0, len(tr.Plans()))
+	for _, p := range tr.Plans() {
+		if p, ok := p.(*tsdb.Plan); ok {
+			served, raw = served+p.Tiered, raw+p.Raw
+		}
+		plans = append(plans, p.String())
+	}
 	planner := "raw"
 	switch {
 	case served > 0 && raw > 0:
@@ -400,6 +408,7 @@ func (g *Gateway) maybeLogSlow(tr *obs.Trace, st *queryState, elapsed time.Durat
 		"series", st.series,
 		"points", st.points,
 		"planner", planner,
+		"plan", strings.Join(plans, " | "),
 		"trace", tr.RenderTree(),
 	)
 }

@@ -30,7 +30,9 @@ type traceSummary struct {
 }
 
 // traceDetail is the /api/traces/{id} body: the summary fields plus
-// the span tree and per-stage counts.
+// the span tree, per-stage counts and the plan note — one plan per
+// query the request ran, naming each member's source and decline
+// reason.
 type traceDetail struct {
 	ID         string       `json:"id"`
 	Name       string       `json:"name"`
@@ -41,6 +43,7 @@ type traceDetail struct {
 	Dropped    int          `json:"dropped,omitempty"`
 	Spans      []*spanNode  `json:"spans"`
 	Stages     []stageEntry `json:"stages"`
+	Plans      []string     `json:"plans,omitempty"`
 }
 
 type spanNode struct {
@@ -120,6 +123,7 @@ func captureDetail(c *obs.TraceCapture) traceDetail {
 		Dropped:    c.Dropped,
 		Spans:      []*spanNode{},
 		Stages:     make([]stageEntry, 0, len(c.Stages)),
+		Plans:      c.Plans,
 	}
 	captureNS := c.Duration.Nanoseconds()
 	nodes := make([]*spanNode, len(c.Spans))

@@ -12,6 +12,7 @@ package obs
 
 import (
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -58,15 +59,26 @@ type TraceCapture struct {
 	Dropped  int
 	Spans    []CapturedSpan
 	Stages   []CapturedStage
+	Plans    []string // the plan note, one rendered plan per query
 }
 
 // Capture snapshots the trace onto the heap: published spans, stage
-// totals, drop count and elapsed time as of now. Call it just before
-// Release; the result shares nothing with the pooled trace. Nil-safe.
+// totals, the rendered plan note, drop count and elapsed time as of
+// now. Call it just before Release; the result shares nothing with the
+// pooled trace. Nil-safe.
 func (t *Trace) Capture() *TraceCapture {
 	if t == nil {
 		return nil
 	}
+	c := t.capture()
+	for _, p := range t.plans {
+		c.Plans = append(c.Plans, p.String())
+	}
+	return c
+}
+
+// capture is Capture without the plan note.
+func (t *Trace) capture() *TraceCapture {
 	c := &TraceCapture{
 		ID:       t.ID(),
 		Name:     t.name,
@@ -119,6 +131,55 @@ func (t *Trace) Capture() *TraceCapture {
 		}
 	}
 	return c
+}
+
+// String renders the capture as one line, the slow-query log's trace:
+//
+//	query 12.4ms {parse 81µs; scan 12.1ms {flush 0.3ms}} stages{member_prime=9.1ms/48 ...}
+//
+// A span open at capture renders its duration so far and a trailing
+// "+"; spans the trace dropped render as a trailing "dropped=N".
+func (c *TraceCapture) String() string {
+	b := appendDur(append([]byte(c.Name), ' '), c.Duration)
+	if len(c.Spans) > 0 {
+		b = append(c.appendSpans(append(b, " {"...), -1), '}')
+	}
+	sep := " stages{"
+	for _, st := range c.Stages {
+		b = appendDur(append(append(append(b, sep...), st.Name...), '='), st.Duration)
+		b = strconv.AppendInt(append(b, '/'), st.Count, 10)
+		sep = " "
+	}
+	if len(c.Stages) > 0 {
+		b = append(b, '}')
+	}
+	if c.Dropped > 0 {
+		b = strconv.AppendInt(append(b, " dropped="...), int64(c.Dropped), 10)
+	}
+	return string(b)
+}
+
+// appendSpans renders the children of span parent (-1: the trace
+// root), each followed by its own children in braces.
+func (c *TraceCapture) appendSpans(b []byte, parent int) []byte {
+	sep := ""
+	for i, sp := range c.Spans {
+		if sp.Parent != parent {
+			continue
+		}
+		b = appendDur(append(append(append(b, sep...), sp.Name...), ' '), sp.Duration(c.Duration.Nanoseconds()))
+		sep = "; "
+		if sp.Open() {
+			b = append(b, '+')
+		}
+		n := len(b)
+		if b = c.appendSpans(append(b, " {"...), i); len(b) > n+2 {
+			b = append(b, '}')
+		} else {
+			b = b[:n] // no children
+		}
+	}
+	return b
 }
 
 // DefaultRecorderSize is the ring capacity NewRecorder uses when the

@@ -14,8 +14,8 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,14 +48,6 @@ func (s *Stage) Add(d time.Duration) {
 		s.ns.Add(int64(d))
 		s.n.Add(1)
 	}
-}
-
-// Duration returns the accumulated time.
-func (s *Stage) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Duration(s.ns.Load())
 }
 
 // Count returns the number of Add calls.
@@ -92,6 +84,11 @@ type Trace struct {
 	// inflight listing's "current stage" column. Best-effort under
 	// concurrency.
 	cur atomic.Int32
+
+	// plans is the plan note: each query plan the request ran, in
+	// order, rendered only by Capture and the slow-query log. Unlike
+	// spans and stages it belongs to the request's goroutine.
+	plans []fmt.Stringer
 }
 
 var tracePool = sync.Pool{New: func() any { return new(Trace) }}
@@ -129,6 +126,8 @@ func (t *Trace) Release() {
 	}
 	t.nstages.Store(0)
 	t.dropped.Store(0)
+	clear(t.plans)
+	t.plans = t.plans[:0]
 	t.name, t.detail = "", ""
 	tracePool.Put(t)
 }
@@ -278,10 +277,22 @@ func (t *Trace) Stage(name string) *Stage {
 	return st
 }
 
-// StageDuration returns the accumulated time of the named stage (0 if
-// absent).
-func (t *Trace) StageDuration(name string) time.Duration {
-	return t.findStage(name).Duration()
+// AddPlan appends a query plan to the trace's plan note. The plan is
+// kept as it is and rendered only when the trace is captured or logged,
+// so an uncaptured request pays nothing to format it.
+func (t *Trace) AddPlan(p fmt.Stringer) {
+	if t != nil {
+		t.plans = append(t.plans, p)
+	}
+}
+
+// Plans returns the trace's plan note in the order it was added; the
+// slice is the trace's own, valid until Release.
+func (t *Trace) Plans() []fmt.Stringer {
+	if t == nil {
+		return nil
+	}
+	return t.plans
 }
 
 // StageCount returns the invocation count of the named stage (0 if
@@ -318,92 +329,14 @@ func (t *Trace) CurrentStage() string {
 	return t.name
 }
 
-// RenderTree renders the span tree and stage totals as one line:
-//
-//	query 12.4ms {parse 81µs; scan 12.1ms {flush 0.3ms}} stages{member_prime=9.1ms/48 ...}
-//
-// Open spans render with the elapsed-so-far duration and a trailing
-// "+". Safe to call on a live trace: only published spans appear.
+// RenderTree renders the span tree and stage totals as one line (see
+// TraceCapture.String). Safe to call on a live trace: only published
+// spans appear.
 func (t *Trace) RenderTree() string {
 	if t == nil {
 		return ""
 	}
-	n := t.spanCount()
-	b := make([]byte, 0, 256)
-	b = append(b, t.name...)
-	b = append(b, ' ')
-	b = appendDur(b, t.Elapsed())
-	if n > 0 {
-		b = append(b, " {"...)
-		b = t.appendChildren(b, -1, n)
-		b = append(b, '}')
-	}
-	if ns := int(t.nstages.Load()); ns > 0 {
-		b = append(b, " stages{"...)
-		first := true
-		for i := 0; i < ns; i++ {
-			st := &t.stages[i]
-			cnt := st.n.Load()
-			if cnt == 0 {
-				continue
-			}
-			if !first {
-				b = append(b, ' ')
-			}
-			first = false
-			b = append(b, st.name...)
-			b = append(b, '=')
-			b = appendDur(b, time.Duration(st.ns.Load()))
-			b = append(b, '/')
-			b = strconv.AppendInt(b, cnt, 10)
-		}
-		b = append(b, '}')
-	}
-	if d := t.dropped.Load(); d > 0 {
-		b = append(b, " dropped="...)
-		b = strconv.AppendInt(b, int64(d), 10)
-	}
-	return string(b)
-}
-
-func (t *Trace) appendChildren(b []byte, parent int32, n int) []byte {
-	first := true
-	for i := 0; i < n; i++ {
-		sd := &t.spans[i]
-		if !sd.ready.Load() || sd.parent != parent {
-			continue
-		}
-		if !first {
-			b = append(b, "; "...)
-		}
-		first = false
-		b = append(b, sd.name...)
-		b = append(b, ' ')
-		end := sd.end.Load()
-		open := end < 0
-		if open {
-			end = int64(time.Since(t.t0))
-		}
-		b = appendDur(b, time.Duration(end-sd.start))
-		if open {
-			b = append(b, '+')
-		}
-		if t.hasChild(int32(i), n) {
-			b = append(b, " {"...)
-			b = t.appendChildren(b, int32(i), n)
-			b = append(b, '}')
-		}
-	}
-	return b
-}
-
-func (t *Trace) hasChild(parent int32, n int) bool {
-	for i := 0; i < n; i++ {
-		if t.spans[i].ready.Load() && t.spans[i].parent == parent {
-			return true
-		}
-	}
-	return false
+	return t.capture().String()
 }
 
 // appendDur renders a duration rounded to the microsecond.

@@ -665,7 +665,7 @@ func TestServeSkipsDerivedAndReserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := eng.ServeDownsample(derivedRef, 0, 1, time.Minute, tsdb.AggAvg,
+	if ok, _ := serveDownsample(eng, derivedRef, 0, 1, time.Minute, tsdb.AggAvg,
 		func(tsdb.Point) error { return nil }); ok {
 		t.Fatal("served a downsample over the derived namespace")
 	}

@@ -1,14 +1,15 @@
 package rollup
 
 // Query-side planner: the engine implements tsdb.RollupPlanner, so
-// ExecuteStream hands it every downsampled per-series read. The
-// planner picks the coarsest tier whose resolution divides the
-// requested interval and whose statistics can reproduce the requested
-// aggregator, reads the derived stat series through the refs the seal
-// path cached (no lookup, no raw block decode), and folds them to the
-// query interval inside the store's own cursor — streaming each
-// finished bucket to the caller's yield instead of materializing the
-// window. The partial bucket at the range start is scanned raw, since
+// a query's plan asks it about every downsampled per-series read, once,
+// before the query reads a point; the read it returns serves the
+// decision when the query runs. The planner picks the coarsest tier
+// whose resolution divides the requested interval and whose
+// statistics can reproduce the requested aggregator, reads the derived
+// stat series through the refs the seal path cached (no lookup, no raw
+// block decode), and folds them to the query interval inside the
+// store's own cursor — streaming each finished bucket to the caller's
+// yield instead of materializing the window. The partial bucket at the range start is scanned raw, since
 // its tier windows hold points before the range. The bucket just past
 // the last one that tier covers (its sealed horizon, or the range end)
 // comes from the finest tier whose resolution divides the interval,
@@ -33,11 +34,10 @@ package rollup
 // sends the whole series to the raw scan; declining the finer one
 // leaves its part raw.
 //
-// The same ServeDownsample path also ranks topk/bottomk selection:
-// the query engine folds a candidate series' score straight off the
-// streamed buckets, so when a tier covers the range, selection is
-// served entirely from tier sums/counts and never decodes a raw
-// member block.
+// The same planned read also ranks topk/bottomk selection: the query
+// engine folds a candidate series' score straight off the streamed
+// buckets, so when a tier covers the range, selection is served
+// entirely from tier sums/counts and never decodes a raw member block.
 
 import (
 	"maps"
@@ -47,80 +47,131 @@ import (
 	"repro/internal/tsdb"
 )
 
-// ServeDownsample implements tsdb.RollupPlanner. The ok=false
-// decisions all precede the first yield, as the interface requires.
-func (e *Engine) ServeDownsample(series *tsdb.Ref, start, end int64, interval time.Duration, fn tsdb.Aggregator, yield func(tsdb.Point) error) (bool, error) {
+// whyRetention is why a read whose every bucket lies behind a tier's
+// retention is scanned raw.
+const whyRetention = "no tier serves a bucket: past the tier's retention"
+
+// PlanDownsample implements tsdb.RollupPlanner: from the tiers'
+// published horizons and the cost rule it decides which buckets of the
+// range each tier serves and which the raw scan reads, and returns that
+// read, or nil and why no tier serves a bucket. Decisions are counted
+// here: hits (and tail hits) and fallbacks, once per member per query.
+func (e *Engine) PlanDownsample(series *tsdb.Ref, start, end int64, interval time.Duration, fn tsdb.Aggregator) (tsdb.TierRead, string) {
 	if strings.HasPrefix(series.Metric(), MetricPrefix) {
-		return false, nil // direct reads of derived series stay raw
+		return nil, "derived series read directly"
 	}
 	iMS := interval.Milliseconds()
 	if iMS <= 0 || start < 0 {
-		return false, nil
+		return nil, "interval under 1ms or range before the epoch"
 	}
-	ti, rd := e.pickTier(iMS, fn)
+	ti, rd, why := e.pickTier(iMS, fn)
 	if ti < 0 {
-		e.fallbacks.Add(1)
-		return false, nil
+		return e.decline(why)
 	}
-	coarse, fine := tierView{ti: ti, rd: rd}, tierView{}
-	fine.ti, fine.rd = e.pickFiner(iMS, fn)
-	if !e.sealedViews(series.ID(), &coarse, &fine) {
-		e.fallbacks.Add(1)
-		return false, nil
+	r := &planned{e: e, series: series, start: start, end: end, interval: interval, fn: fn, coarse: tierView{ti: ti, rd: rd}}
+	r.fine.ti, r.fine.rd = e.pickFiner(iMS, fn)
+	if !e.sealedViews(series.ID(), &r.coarse, &r.fine) {
+		return e.decline("series not rolled up")
 	}
 
 	// bLo: first bucket boundary at or after start, and at or after the
 	// coarse tier's retention cutoff; the buckets before it are scanned.
-	bLo := max(alignUp(start, iMS), e.retentionFloor(ti, iMS))
+	r.bLo = max(alignUp(start, iMS), e.retentionFloor(ti, iMS))
 	// cut: first bucket boundary the coarse tier cannot fully cover —
 	// the bucket extends past its sealed horizon or past the requested
 	// end. At bLo when the tier covers nothing.
 	ecut := (end + 1) - (end+1)%iMS
-	cut := max(bLo, min(coarse.horizon-coarse.horizon%iMS, ecut))
-	stored := 0 // points of one coarse derived series over [bLo, cut)
-	if cut > bLo {
-		var ok bool
-		if stored, ok = e.weigh(series, &coarse, bLo, cut); !ok {
-			e.fallbacks.Add(1)
-			return false, nil
+	r.cut = max(r.bLo, min(r.coarse.horizon-r.coarse.horizon%iMS, ecut))
+	if r.cut > r.bLo {
+		if r.stored, r.points, why = e.weigh(series, &r.coarse, r.bLo, r.cut); why != "" {
+			return e.decline(why)
 		}
 	}
 	// edge: end of the finer tier's windows that serve the bucket at cut;
-	// cut when they serve none.
-	edge := e.finerEdge(series, &fine, cut, end, iMS)
-	if cut == bLo && edge == cut {
-		e.fallbacks.Add(1) // no tier serves a bucket of the range
-		return false, nil
-	}
-
-	if bLo > start { // partial head bucket from raw
-		if err := e.db.ReadRef(series, start, bLo-1, interval, fn, yield); err != nil {
-			return false, err
+	// cut when they serve none. rest: the first timestamp after the tiers.
+	var fineCost int
+	r.edge, fineCost, why = e.finerEdge(series, &r.fine, r.cut, end, iMS)
+	if r.cut == r.bLo && r.edge == r.cut {
+		switch {
+		case why != "": // the finer tier's reason
+		case r.bLo > alignUp(start, iMS): // the coarse tier's floor moved bLo
+			why = whyRetention
+		default:
+			why = "no tier serves a bucket"
 		}
+		return e.decline(why)
 	}
-	fold := interval
-	if iMS == e.tiers[ti].resMS {
-		fold = 0 // every stored window is one query bucket already
-	}
-	if err := e.yieldTier(&coarse, bLo, cut, fold, stored, yield); err != nil {
-		return false, err
-	}
-	rest := cut // first timestamp left to the raw scan
-	if edge > cut {
-		// The bucket at cut: the finer windows up to edge, raw after.
-		rest = cut + iMS
-		if err := e.yieldOpen(series, fn, &fine, cut, edge, min(end, rest-1), yield); err != nil {
-			return false, err
-		}
+	if r.rest = r.cut; r.edge > r.cut {
+		r.rest = r.cut + iMS
 		e.tailHits.Add(1)
 	}
-	if rest <= end {
-		if err := e.db.ReadRef(series, rest, end, interval, fn, yield); err != nil {
-			return false, err
+	// What Serve reads besides the tiers' derived series: the raw head
+	// bucket, the raw points in the bucket at cut, and the raw rest.
+	r.points += fineCost + e.db.PointEstimate(series, start, r.bLo-1) +
+		e.db.PointEstimate(series, r.edge, r.rest-1) + e.db.PointEstimate(series, r.rest, end)
+	e.hits.Add(1)
+	return r, ""
+}
+
+// decline counts a fallback and returns why no tier serves the read.
+func (e *Engine) decline(why string) (tsdb.TierRead, string) {
+	e.fallbacks.Add(1)
+	return nil, why
+}
+
+// planned is one series' downsample as PlanDownsample decided it: raw
+// before bLo, the coarse tier over [bLo, cut), the bucket at cut from
+// the finer tier's windows up to edge and raw after them (when edge >
+// cut), and raw from rest on.
+type planned struct {
+	e                    *Engine
+	series               *tsdb.Ref
+	start, end           int64
+	interval             time.Duration
+	fn                   tsdb.Aggregator
+	coarse, fine         tierView
+	bLo, cut, edge, rest int64
+	stored, points       int // coarse windows of one derived series; points read
+}
+
+// Points implements tsdb.TierRead.
+func (r *planned) Points() int { return r.points }
+
+// String implements tsdb.TierRead: the chosen tier, and the finer one
+// when it serves the bucket at cut.
+func (r *planned) String() string {
+	if r.edge > r.cut {
+		return "rollup " + r.e.tiers[r.coarse.ti].name + "+" + r.e.tiers[r.fine.ti].name
+	}
+	return "rollup " + r.e.tiers[r.coarse.ti].name
+}
+
+// Serve implements tsdb.TierRead, streaming the planned buckets in
+// timestamp order.
+func (r *planned) Serve(yield func(tsdb.Point) error) error {
+	e := r.e
+	if r.bLo > r.start { // partial head bucket from raw
+		if err := e.db.ReadRef(r.series, r.start, r.bLo-1, r.interval, r.fn, yield); err != nil {
+			return err
 		}
 	}
-	e.hits.Add(1)
-	return true, nil
+	fold := r.interval
+	if r.interval.Milliseconds() == e.tiers[r.coarse.ti].resMS {
+		fold = 0 // every stored window is one query bucket already
+	}
+	if err := e.yieldTier(&r.coarse, r.bLo, r.cut, fold, r.stored, yield); err != nil {
+		return err
+	}
+	if r.edge > r.cut {
+		// The bucket at cut: the finer windows up to edge, raw after.
+		if err := e.yieldOpen(r.series, r.fn, &r.fine, r.cut, r.edge, min(r.end, r.rest-1), yield); err != nil {
+			return err
+		}
+	}
+	if r.rest <= r.end {
+		return e.db.ReadRef(r.series, r.rest, r.end, r.interval, r.fn, yield)
+	}
+	return nil
 }
 
 // alignUp rounds ms up to a multiple of step.
@@ -151,41 +202,52 @@ func (e *Engine) retentionFloor(ti int, iMS int64) int64 {
 // derived series has a point per non-empty window, so at a cadence no
 // finer than the tier's resolution it is as long as the raw one — and
 // an average across windows reads two of them. stored is the points of
-// one derived series over the range.
-func (e *Engine) weigh(series *tsdb.Ref, v *tierView, lo, hi int64) (stored int, ok bool) {
+// one derived series over the range, cost those the read reads; why
+// says when the tier does not earn the read.
+func (e *Engine) weigh(series *tsdb.Ref, v *tierView, lo, hi int64) (stored, cost int, why string) {
 	if v.stat == nil {
-		return 0, true // nothing stored: reads as empty
+		return 0, 0, "" // nothing stored: reads as empty
 	}
 	stored = e.db.PointEstimate(v.stat, lo, hi-1)
-	cost := stored
+	cost = stored
 	if v.rd.avg {
 		cost *= 2
 	}
-	return stored, cost == 0 || cost < e.db.PointEstimate(series, lo, hi-1)
+	if cost != 0 && cost >= e.db.PointEstimate(series, lo, hi-1) {
+		why = "tier no cheaper than the raw scan"
+	}
+	return stored, cost, why
 }
 
 // finerEdge plans the finer tier's part of a read whose coarse tier
 // stops at cut: it returns the end of its windows that serve the bucket
 // starting there — its sealed horizon or the range end, whichever comes
-// first — or cut when they serve none. Every tier seals from one
-// horizon and both resolutions divide the interval, so the finer tier
-// never holds a whole bucket past cut; the clamp to that one bucket
-// only states it. A tier whose derived series are gone, whose retention
-// reaches past cut, that dropped a late point from cut on, or that
-// fails the cost rule serves none.
-func (e *Engine) finerEdge(series *tsdb.Ref, v *tierView, cut, end, iMS int64) int64 {
-	if v.ti < 0 || v.stat == nil || (v.rd.avg && v.count == nil) || v.lateUntil > cut {
-		return cut
+// first — and what reading them costs, or cut when they serve none. Every tier seals from one horizon and both resolutions
+// divide the interval, so the finer tier never holds a whole bucket
+// past cut; the clamp to that one bucket only states it. A tier whose
+// derived series are gone serves none; one that dropped a late point
+// from cut on, whose retention reaches past cut, or that fails the
+// cost rule serves none and says why.
+func (e *Engine) finerEdge(series *tsdb.Ref, v *tierView, cut, end, iMS int64) (int64, int, string) {
+	switch {
+	case v.ti < 0 || v.stat == nil || (v.rd.avg && v.count == nil):
+		return cut, 0, ""
+	case v.lateUntil > cut:
+		return cut, 0, "no tier serves a bucket: the finer tier dropped a late point"
 	}
 	r := e.tiers[v.ti].resMS
 	edge := min(v.horizon-v.horizon%r, (end+1)-(end+1)%r, cut+iMS)
-	if edge <= cut || e.retentionFloor(v.ti, iMS) > cut {
-		return cut
+	switch {
+	case edge <= cut:
+		return cut, 0, ""
+	case e.retentionFloor(v.ti, iMS) > cut:
+		return cut, 0, whyRetention
 	}
-	if _, ok := e.weigh(series, v, cut, edge); !ok {
-		return cut
+	_, cost, why := e.weigh(series, v, cut, edge)
+	if why != "" {
+		return cut, 0, why
 	}
-	return edge
+	return edge, cost, ""
 }
 
 // tierRead is how a tier reproduces one downsample: the derived
@@ -215,28 +277,30 @@ func foldRead(fn tsdb.Aggregator) (tierRead, bool) {
 
 // pickTier returns the index of the coarsest tier that can serve a
 // downsample of interval iMS with aggregator fn, and the read that
-// does it; -1 when none can.
-func (e *Engine) pickTier(iMS int64, fn tsdb.Aggregator) (int, tierRead) {
+// does it; -1 and why when none can.
+func (e *Engine) pickTier(iMS int64, fn tsdb.Aggregator) (int, tierRead, string) {
+	why := "no tier divides the interval"
 	for i := len(e.tiers) - 1; i >= 0; i-- {
 		r := e.tiers[i].resMS
 		if r > iMS || iMS%r != 0 {
 			continue
 		}
+		why = "aggregator does not compose across windows"
 		if iMS == r { // statistics stored as the bucket needs them
 			switch fn {
 			case tsdb.AggAvg:
-				return i, tierRead{stat: statMean}
+				return i, tierRead{stat: statMean}, ""
 			case tsdb.AggP50, tsdb.AggP95, tsdb.AggP99:
 				// Percentiles don't compose; only an exact-resolution
 				// tier stores them directly.
-				return i, tierRead{stat: statOf(fn)}
+				return i, tierRead{stat: statOf(fn)}, ""
 			}
 		}
 		if rd, ok := foldRead(fn); ok {
-			return i, rd
+			return i, rd, ""
 		}
 	}
-	return -1, tierRead{}
+	return -1, tierRead{}, why
 }
 
 // pickFiner returns the finest tier whose resolution divides iMS with

@@ -9,6 +9,16 @@ import (
 	"repro/internal/tsdb"
 )
 
+// serveDownsample plans one series' downsample and serves the planned
+// read; ok is false when the planner declines it.
+func serveDownsample(eng *Engine, series *tsdb.Ref, start, end int64, interval time.Duration, fn tsdb.Aggregator, yield func(tsdb.Point) error) (ok bool, err error) {
+	rd, _ := eng.PlanDownsample(series, start, end, interval, fn)
+	if rd == nil {
+		return false, nil
+	}
+	return true, rd.Serve(yield)
+}
+
 // TestOpenBucketWhileSealing reads the open hour of live series while
 // their writer seals a minute of each every sixty batches: every answer
 // must count at least the readings stored before the read began, so no
@@ -66,7 +76,7 @@ func TestOpenBucketWhileSealing(t *testing.T) {
 		hour := (before - 1) / 3600 * 3600 // seconds from t0
 		var count float64
 		buckets := 0
-		ok, err := eng.ServeDownsample(refs[reads%series], t0.Add(time.Duration(hour)*time.Second).UnixMilli(),
+		ok, err := serveDownsample(eng, refs[reads%series], t0.Add(time.Duration(hour)*time.Second).UnixMilli(),
 			t0.Add(time.Duration(hour+3600)*time.Second).UnixMilli()-1, time.Hour, tsdb.AggCount, func(p tsdb.Point) error {
 				count += p.Value
 				buckets++
@@ -130,7 +140,7 @@ func BenchmarkServeOpenBucket(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ok, err := eng.ServeDownsample(refs[i%series], start, end, time.Hour, tsdb.AggAvg, yield); !ok || err != nil {
+		if ok, err := serveDownsample(eng, refs[i%series], start, end, time.Hour, tsdb.AggAvg, yield); !ok || err != nil {
 			b.Fatalf("not served (%v)", err)
 		}
 	}

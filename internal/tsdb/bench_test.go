@@ -288,20 +288,30 @@ func BenchmarkColdGroupQuery(b *testing.B) {
 // shape the rollup engine provides — so BenchmarkTopKRollup measures
 // selection that never touches member points.
 type benchPlanner struct {
-	buckets map[string][]Point
+	buckets map[string]*bucketRead
 }
 
-func (p *benchPlanner) ServeDownsample(series *Ref, start, end int64, interval time.Duration, fn Aggregator, yield func(Point) error) (bool, error) {
-	pts, ok := p.buckets[series.Tags()["sensor"]]
+func (p *benchPlanner) PlanDownsample(series *Ref, start, end int64, interval time.Duration, fn Aggregator) (TierRead, string) {
+	rd, ok := p.buckets[series.Tags()["sensor"]]
 	if !ok {
-		return false, nil
+		return nil, "no buckets"
 	}
-	for _, pt := range pts {
+	return rd, ""
+}
+
+// bucketRead serves one series' precomputed buckets.
+type bucketRead struct{ pts []Point }
+
+func (r *bucketRead) Points() int    { return len(r.pts) }
+func (r *bucketRead) String() string { return "buckets" }
+
+func (r *bucketRead) Serve(yield func(Point) error) error {
+	for _, pt := range r.pts {
 		if err := yield(pt); err != nil {
-			return false, err
+			return err
 		}
 	}
-	return true, nil
+	return nil
 }
 
 // BenchmarkTopKRollup ranks a 48-way group-by with SeriesLimit=3:
@@ -344,9 +354,9 @@ func BenchmarkTopKRollup(b *testing.B) {
 	b.Run("RollupTier", func(b *testing.B) {
 		// Precompute the per-sensor hourly buckets a rollup tier would
 		// hold (setup cost, not measured).
-		planner := &benchPlanner{buckets: map[string][]Point{}}
+		planner := &benchPlanner{buckets: map[string]*bucketRead{}}
 		err := db.ScanSeries("air.co2", nil, q.Start, q.End, func(metric string, tags map[string]string, pts []Point) error {
-			planner.buckets[tags["sensor"]] = downsample(pts, time.Hour, AggAvg)
+			planner.buckets[tags["sensor"]] = &bucketRead{downsample(pts, time.Hour, AggAvg)}
 			return nil
 		})
 		if err != nil {

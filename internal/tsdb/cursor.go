@@ -37,46 +37,61 @@ func (s *sliceSource) next() (Point, bool, error) {
 	return p, true, nil
 }
 
-// blockSource streams the in-range points of a run of sealed blocks
-// that are time-ordered and non-overlapping, decoding one point at a
-// time and stopping as soon as the range end passes.
-type blockSource struct {
+// chunkSource streams the in-range points of a run of encoded chunks
+// — sealed blocks in memory, or chunks on disk read and CRC-verified
+// when the cursor reaches them, into a buffer reused across chunks —
+// decoding one point at a time and leaving a chunk at its first point
+// past the range end — where a run of time-ordered, non-overlapping
+// chunks ends. Overlapping runs go through sortedSource.
+type chunkSource struct {
 	blocks     []sealedBlock
-	bi         int
+	chunks     []*diskChunk // read when blocks is empty
+	i          int
 	cur        blockCursor
 	open       bool
 	start, end int64
+	buf        []byte
+	ds         *diskStore
 }
 
-func (b *blockSource) next() (Point, bool, error) {
+func (c *chunkSource) next() (Point, bool, error) {
 	for {
-		if !b.open {
-			if b.bi >= len(b.blocks) {
+		if !c.open {
+			switch {
+			case c.i < len(c.blocks):
+				c.cur.reset(c.blocks[c.i].data, c.blocks[c.i].n)
+			case c.i < len(c.chunks):
+				payload, err := c.chunks[c.i].payload(&c.buf)
+				if err != nil {
+					c.ds.readErrs.Add(1)
+					return Point{}, false, err
+				}
+				c.cur.reset(payload, c.chunks[c.i].n)
+			default:
 				return Point{}, false, nil
 			}
-			blk := b.blocks[b.bi]
-			b.bi++
-			b.cur.reset(blk.data, blk.n)
-			b.open = true
+			c.i++
+			c.open = true
 		}
-		p, ok, err := b.cur.next()
-		if err != nil {
+		p, ok, err := c.cur.next()
+		switch {
+		case err != nil:
 			return Point{}, false, err
+		case !ok || p.Timestamp > c.end:
+			c.open = false // the chunk holds nothing more in range
+		case p.Timestamp >= c.start:
+			return p, true, nil
 		}
-		if !ok {
-			b.open = false
-			continue
-		}
-		if p.Timestamp > b.end {
-			// Blocks are ordered and non-overlapping: everything after
-			// this point is out of range too.
-			return Point{}, false, nil
-		}
-		if p.Timestamp < b.start {
-			continue
-		}
-		return p, true, nil
 	}
+}
+
+// sortedSource streams what src yields sorted by timestamp: the points
+// of chunks that overlap, because out-of-order ingest sealed or flushed
+// them so (rare), decoded and sorted once.
+func sortedSource(src pointSource) (pointSource, error) {
+	pts, err := drainSource(src, nil)
+	sort.Slice(pts, func(i, j int) bool { return pts[i].Timestamp < pts[j].Timestamp })
+	return &sliceSource{pts: pts}, err
 }
 
 // mergeSource interleaves two sorted sources; ties go to a, so block
@@ -143,56 +158,6 @@ func (t *timedSource) next() (Point, bool, error) {
 	return p, ok, err
 }
 
-// diskSource streams the in-range points of a run of time-ordered,
-// non-overlapping on-disk chunks: each chunk's payload is pread and
-// CRC-verified when the cursor reaches it, into a buffer reused
-// across chunks, then decoded point-at-a-time like an in-memory
-// block.
-type diskSource struct {
-	chunks     []*diskChunk
-	ci         int
-	cur        blockCursor
-	open       bool
-	start, end int64
-	buf        []byte
-	ds         *diskStore
-}
-
-func (d *diskSource) next() (Point, bool, error) {
-	for {
-		if !d.open {
-			if d.ci >= len(d.chunks) {
-				return Point{}, false, nil
-			}
-			c := d.chunks[d.ci]
-			d.ci++
-			payload, err := c.payload(&d.buf)
-			if err != nil {
-				d.ds.readErrs.Add(1)
-				return Point{}, false, err
-			}
-			d.cur.reset(payload, c.n)
-			d.open = true
-		}
-		p, ok, err := d.cur.next()
-		if err != nil {
-			return Point{}, false, err
-		}
-		if !ok {
-			d.open = false
-			continue
-		}
-		if p.Timestamp > d.end {
-			// Chunks are ordered and non-overlapping: done.
-			return Point{}, false, nil
-		}
-		if p.Timestamp < d.start {
-			continue
-		}
-		return p, true, nil
-	}
-}
-
 // seriesSource builds a cursor over one series' points within
 // [start, end], merging on-disk chunks, sealed blocks and the head
 // buffer (oldest layer wins timestamp ties). The shard lock is taken
@@ -236,68 +201,32 @@ func (db *DB) seriesSource(s *memSeries, sh *shard, start, end int64, tr *obs.Tr
 		est += b.n
 	}
 
-	var blockSrc pointSource
-	switch {
-	case len(inRange) == 0:
-		blockSrc = nil
-	case ordered:
-		blockSrc = &blockSource{blocks: inRange, start: start, end: end}
-	default:
-		// Out-of-order ingest sealed overlapping blocks (rare): decode
-		// and sort them once, then stream the result.
-		var pts []Point
-		for _, b := range inRange {
-			dec, err := decodeBlock(b.data, b.n)
-			if err != nil {
+	var blockSrc, diskSrc pointSource
+	var err error
+	if len(inRange) > 0 {
+		blockSrc = &chunkSource{blocks: inRange, start: start, end: end}
+		if !ordered {
+			if blockSrc, err = sortedSource(blockSrc); err != nil {
 				return nil, 0, err
 			}
-			for _, p := range dec {
-				if p.Timestamp >= start && p.Timestamp <= end {
-					pts = append(pts, p)
-				}
-			}
 		}
-		sort.Slice(pts, func(i, j int) bool { return pts[i].Timestamp < pts[j].Timestamp })
-		blockSrc = &sliceSource{pts: pts}
+		if detailed {
+			blockSrc = &timedSource{src: blockSrc, st: tr.Stage("block_decode")}
+		}
 	}
-	if blockSrc != nil && detailed {
-		blockSrc = &timedSource{src: blockSrc, st: tr.Stage("block_decode")}
-	}
-
-	var diskSrc pointSource
 	if len(dchunks) > 0 {
-		dOrdered := true
+		ordered = true
 		for i, c := range dchunks {
 			est += c.n
 			if i > 0 && c.minTS < dchunks[i-1].maxTS {
-				dOrdered = false
+				ordered = false
 			}
 		}
-		if dOrdered {
-			diskSrc = &diskSource{chunks: dchunks, start: start, end: end, ds: db.disk}
-		} else {
-			// Overlapping chunks (out-of-order ingest flushed across
-			// passes): materialize and sort once.
-			var pts []Point
-			var buf []byte
-			for _, c := range dchunks {
-				payload, err := c.payload(&buf)
-				if err != nil {
-					db.disk.readErrs.Add(1)
-					return nil, 0, err
-				}
-				dec, err := decodeBlock(payload, c.n)
-				if err != nil {
-					return nil, 0, err
-				}
-				for _, p := range dec {
-					if p.Timestamp >= start && p.Timestamp <= end {
-						pts = append(pts, p)
-					}
-				}
+		diskSrc = &chunkSource{chunks: dchunks, start: start, end: end, ds: db.disk}
+		if !ordered {
+			if diskSrc, err = sortedSource(diskSrc); err != nil {
+				return nil, 0, err
 			}
-			sort.Slice(pts, func(i, j int) bool { return pts[i].Timestamp < pts[j].Timestamp })
-			diskSrc = &sliceSource{pts: pts}
 		}
 		if detailed {
 			diskSrc = &timedSource{src: diskSrc, st: tr.Stage("disk_read")}
@@ -324,6 +253,7 @@ func (db *DB) seriesSource(s *memSeries, sh *shard, start, end int64, tr *obs.Tr
 			src = &mergeSource{a: src, b: layer}
 		}
 	}
+	db.pointsRead.Add(int64(est))
 	return src, est, nil
 }
 
@@ -332,8 +262,11 @@ func (db *DB) seriesSource(s *memSeries, sh *shard, start, end int64, tr *obs.Tr
 // block and disk chunk overlapping the range counts whole (a cursor
 // decodes a chunk from its first point), the head by the points inside
 // the range. What a rollup planner weighs a tier read against the raw
-// scan with.
+// scan with, and how it estimates what its reads cost.
 func (db *DB) PointEstimate(ref *Ref, start, end int64) int {
+	if start > end {
+		return 0 // an empty range reads nothing
+	}
 	s, sh := ref.s, &db.shards[ref.shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -349,6 +282,13 @@ func (db *DB) PointEstimate(ref *Ref, start, end int64) int {
 	}
 	return n
 }
+
+// PointsRead is the number of points the store's read cursors have
+// been built over since Open: every sealed block and disk chunk
+// overlapping a read's range counts whole, the head by the points
+// inside it. It bounds the points decoded from above, as a Plan's
+// Estimate bounds one run's share of it.
+func (db *DB) PointsRead() int64 { return db.pointsRead.Load() }
 
 // NewestTimestamp returns the newest stored timestamp of ref's series
 // from index metadata alone — head, sealed blocks, disk chunks — and

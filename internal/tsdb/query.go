@@ -179,10 +179,10 @@ type Query struct {
 	SeriesLimit int
 	LimitLowest bool
 	// Trace, when non-nil, receives per-stage timings for this
-	// execution (series matching, member priming, k-way merge, group
-	// reduction, rollup serving; with Trace.Detailed also per-point
-	// block-decode/head-scan/downsample-fold attribution). Nil costs
-	// nothing.
+	// execution (series matching, member planning, member priming,
+	// k-way merge, group reduction; with Trace.Detailed also per-point
+	// block-decode/head-scan/downsample-fold attribution) and the
+	// query's Plan as its plan note. Nil costs nothing.
 	Trace *obs.Trace
 }
 
@@ -243,35 +243,104 @@ func (db *DB) Execute(q Query) ([]ResultSeries, error) {
 	return out, nil
 }
 
-// ExecuteStream runs the query, yielding result series one at a time
-// in deterministic order (group key order; with SeriesLimit, rank
-// order). Groups are reduced one after another on the caller's
-// goroutine, so only the group being reduced has points materialized
-// — with SeriesLimit additionally the K retained series — and a wide
-// query's memory is bounded by one group, not the whole result. A
-// non-nil error from yield aborts the scan and is returned unchanged.
+// ExecuteStream plans the query and runs the plan: see Plan and
+// Plan.Run.
 func (db *DB) ExecuteStream(q Query, yield func(ResultSeries) error) error {
-	if err := q.Validate(); err != nil {
+	p, err := db.Plan(q)
+	if err != nil {
 		return err
 	}
+	return p.Run(yield)
+}
 
+// Plan is a query decided before it reads a point: its groups and
+// member series as matched, and each member's one read — a rollup tier
+// read, or the raw scan and why no tier serves it. A traced query
+// carries it as its trace's plan note.
+type Plan struct {
+	db     *DB
+	q      Query
+	fn     Aggregator // the effective downsample function
+	groups []*scanGroup
+	// Estimate bounds from above the points one run reads (see
+	// DB.PointsRead); a topk winner is read twice, to rank it and to
+	// materialize it. Tiered and Raw count the members by source.
+	Estimate, Tiered, Raw int
+}
+
+// Plan validates q, matches its series and decides every member's
+// read: when the query downsamples and a rollup planner is installed,
+// the planner decides each member, once; other members read raw.
+func (db *DB) Plan(q Query) (*Plan, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
 	tr := q.Trace
-	var tMatch time.Time
+	var t0 time.Time
 	if tr != nil {
-		tMatch = time.Now()
+		t0 = time.Now()
 	}
-	groups := db.matchGroups(q)
+	p := &Plan{db: db, q: q, fn: q.DownsampleFn, groups: db.matchGroups(q)}
+	if p.fn == "" {
+		p.fn = q.Aggregator
+	}
 	if tr != nil {
-		tr.Stage("match_series").Add(time.Since(tMatch))
+		tr.Stage("match_series").Add(time.Since(t0))
+		t0 = time.Now()
 	}
+	var planner RollupPlanner
+	why := "not downsampled"
+	if q.Downsample.Milliseconds() > 0 {
+		why = "no rollup planner"
+		if pp := db.planner.Load(); pp != nil {
+			planner = *pp
+		}
+	}
+	n := 0
+	for _, g := range p.groups {
+		n += len(g.members)
+	}
+	reads := make([]memberRead, n) // one allocation for every member
+	for _, g := range p.groups {
+		g.reads, reads = reads[:len(g.members)], reads[len(g.members):]
+		for i, m := range g.members {
+			rd := &g.reads[i]
+			rd.why = why
+			if planner != nil {
+				rd.tier, rd.why = planner.PlanDownsample(m.s.ref, q.Start, q.End, q.Downsample, p.fn)
+			}
+			if rd.tier != nil {
+				rd.est = rd.tier.Points()
+				p.Tiered++
+			} else {
+				rd.est = db.PointEstimate(m.s.ref, q.Start, q.End)
+				p.Raw++
+			}
+			p.Estimate += rd.est
+		}
+	}
+	if tr != nil {
+		tr.Stage("member_plan").Add(time.Since(t0))
+		tr.AddPlan(p)
+	}
+	return p, nil
+}
 
+// Run executes the plan, yielding result series one at a time in
+// deterministic order (group key order; with SeriesLimit, rank order).
+// Groups are reduced one after another on the caller's goroutine, so
+// only the group being reduced has points materialized — with
+// SeriesLimit additionally the K retained series — and a wide query's
+// memory is bounded by one group, not the whole result. A non-nil
+// error from yield aborts the scan and is returned unchanged.
+func (p *Plan) Run(yield func(ResultSeries) error) error {
 	sc := scratchPool.Get().(*execScratch)
 	defer scratchPool.Put(sc)
-	if q.SeriesLimit > 0 {
-		return db.streamLimited(q, groups, sc, yield)
+	if p.q.SeriesLimit > 0 {
+		return p.runLimited(sc, yield)
 	}
-	for _, g := range groups {
-		rs, ok, err := db.timedGroupSeries(q, g, sc)
+	for _, g := range p.groups {
+		rs, ok, err := p.timedGroupSeries(g, sc)
 		if err != nil {
 			return err
 		}
@@ -285,12 +354,33 @@ func (db *DB) ExecuteStream(q Query, yield func(ResultSeries) error) error {
 	return nil
 }
 
+// String renders the plan as its trace note: the metric and estimate,
+// then per member its tags, source, estimate and, read raw, why no tier
+// serves it.
+func (p *Plan) String() string {
+	b := fmt.Appendf(nil, "%s est=%d {", p.q.Metric, p.Estimate)
+	sep := ""
+	for _, g := range p.groups {
+		for i, rd := range g.reads {
+			tags := g.members[i].key[len(p.q.Metric):] // the key is metric{tags}
+			if rd.tier != nil {
+				b = fmt.Appendf(b, "%s%s %s est=%d", sep, tags, rd.tier, rd.est)
+			} else {
+				b = fmt.Appendf(b, "%s%s raw est=%d (%s)", sep, tags, rd.est, rd.why)
+			}
+			sep = "; "
+		}
+	}
+	return string(append(b, '}'))
+}
+
 // scanGroup is one result group of a query: the series sharing one
 // combination of group-by tag values.
 type scanGroup struct {
 	key     string
 	tags    map[string]string // the group-by tags
 	members []matched
+	reads   []memberRead // the plan's read of each member, by index
 }
 
 // matchGroups collects the series matching q, grouped by group-by tag
@@ -345,13 +435,13 @@ func (db *DB) matchGroups(q Query) []*scanGroup {
 
 // timedGroupSeries is groupSeries credited to the trace's group_reduce
 // stage.
-func (db *DB) timedGroupSeries(q Query, g *scanGroup, sc *execScratch) (ResultSeries, bool, error) {
-	if q.Trace == nil {
-		return db.groupSeries(q, g.members, g.tags, sc)
+func (p *Plan) timedGroupSeries(g *scanGroup, sc *execScratch) (ResultSeries, bool, error) {
+	if p.q.Trace == nil {
+		return p.groupSeries(g, sc)
 	}
 	t0 := time.Now()
-	rs, ok, err := db.groupSeries(q, g.members, g.tags, sc)
-	q.Trace.Stage("group_reduce").Add(time.Since(t0))
+	rs, ok, err := p.groupSeries(g, sc)
+	p.q.Trace.Stage("group_reduce").Add(time.Since(t0))
 	return rs, ok, err
 }
 
@@ -360,23 +450,23 @@ func (db *DB) timedGroupSeries(q Query, g *scanGroup, sc *execScratch) (ResultSe
 // straight into the downsample fold and the k-way interpolating
 // merge, so only the merged result is ever materialized. ok is false
 // when no member has points in range.
-func (db *DB) groupSeries(q Query, members []matched, gt map[string]string, sc *execScratch) (ResultSeries, bool, error) {
+func (p *Plan) groupSeries(g *scanGroup, sc *execScratch) (ResultSeries, bool, error) {
 	// Prime one cursor per member, dropping members with nothing in
 	// range — a group with a single live member passes its points
 	// through unreduced, matching the materializing semantics.
-	tr := q.Trace
+	q, tr := p.q, p.q.Trace
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-	live := make([]memberCursor, 0, len(members))
+	live := make([]memberCursor, 0, len(g.members))
 	maxEst := 0
-	for _, m := range members {
-		src, est, err := db.memberSource(m, q, sc)
+	for i := range g.members {
+		src, est, err := p.source(g, i, sc)
 		if err != nil {
 			return ResultSeries{}, false, err
 		}
-		p, ok, err := src.next()
+		pt, ok, err := src.next()
 		if err != nil {
 			return ResultSeries{}, false, err
 		}
@@ -386,11 +476,11 @@ func (db *DB) groupSeries(q Query, members []matched, gt map[string]string, sc *
 		if est > maxEst {
 			maxEst = est
 		}
-		live = append(live, memberCursor{src: src, head: p, hasHead: true})
+		live = append(live, memberCursor{src: src, head: pt, hasHead: true})
 	}
 	if tr != nil {
-		// Priming covers planner dispatch and each cursor's first point
-		// (first block decode); the merge below pulls the rest.
+		// Priming covers each member's tier read or each cursor's first
+		// point (first block decode); the merge below pulls the rest.
 		tr.Stage("member_prime").Add(time.Since(t0))
 		t0 = time.Now()
 	}
@@ -420,10 +510,10 @@ func (db *DB) groupSeries(q Query, members []matched, gt map[string]string, sc *
 	}
 	// Result tags: group-by tags plus tags common to all members.
 	tags := map[string]string{}
-	for k, v := range gt {
+	for k, v := range g.tags {
 		tags[k] = v
 	}
-	for k, v := range commonTags(members[0].s.tags, members) {
+	for k, v := range commonTags(g.members[0].s.tags, g.members) {
 		tags[k] = v
 	}
 	return ResultSeries{Metric: q.Metric, Tags: tags, Points: merged}, true, nil
@@ -440,21 +530,37 @@ type matched struct {
 	key string
 }
 
-// RollupPlanner serves a downsampled read of one series from
-// pre-aggregated rollup tiers, streaming buckets to yield in timestamp
-// order. The series arrives as its interned handle, so planners key
-// their state by SeriesID instead of re-deriving key strings.
-// Implementations return ok=false — before yielding anything — when
-// the request cannot be satisfied from rollups (interval finer than
-// every tier, non-composable aggregator, unknown series, …), in which
-// case the query engine falls back to the raw block scan. A non-nil
-// error from yield must abort the read and be returned unchanged.
+// memberRead is the read a plan decided for one member.
+type memberRead struct {
+	tier TierRead // nil: the raw scan
+	est  int      // the points the read reads, at most
+	why  string   // read raw: why no tier serves it
+}
+
+// RollupPlanner decides, once per member when a query is planned,
+// whether pre-aggregated rollup tiers serve a downsampled read of one
+// series. The series arrives as its interned handle, so planners key
+// their state by SeriesID instead of re-deriving key strings. It
+// returns the read that serves the downsample, or nil and why no tier
+// can (interval finer than every tier, non-composable aggregator,
+// unknown series, …), in which case the member is scanned raw.
 type RollupPlanner interface {
-	ServeDownsample(series *Ref, start, end int64, interval time.Duration, fn Aggregator, yield func(Point) error) (ok bool, err error)
+	PlanDownsample(series *Ref, start, end int64, interval time.Duration, fn Aggregator) (TierRead, string)
+}
+
+// TierRead is a planned read. Serve streams its buckets to yield in
+// timestamp order and cannot decline; a non-nil error from yield aborts
+// it and is returned unchanged. It may run more than once (a topk
+// winner is read to rank it, then to materialize it). Points bounds
+// the stored points one Serve reads; String names its tiers.
+type TierRead interface {
+	Serve(yield func(Point) error) error
+	Points() int
+	String() string
 }
 
 // SetRollupPlanner installs (or, with nil, removes) the planner
-// consulted by Execute for every downsampled per-series read.
+// consulted by Plan for every downsampled per-series read.
 func (db *DB) SetRollupPlanner(p RollupPlanner) {
 	if p == nil {
 		db.planner.Store(nil)
@@ -463,103 +569,55 @@ func (db *DB) SetRollupPlanner(p RollupPlanner) {
 	db.planner.Store(&p)
 }
 
-// memberPlan is the one place the member read policy lives: it
-// resolves the effective downsample fn and interval, and when a
-// rollup planner is installed and can serve the downsample, streams
-// the served buckets to each and reports served=true. memberSource
-// and memberEach both dispatch through it, so planner fallback and
-// downsample gating cannot drift between the query path and the
-// topk scoring path.
-func (db *DB) memberPlan(m matched, q Query, each func(Point) error) (fn Aggregator, ds int64, served bool, err error) {
-	fn = q.DownsampleFn
-	if fn == "" {
-		fn = q.Aggregator
-	}
-	ds = q.Downsample.Milliseconds()
-	if ds > 0 && m.s.ref != nil {
-		if pp := db.planner.Load(); pp != nil {
-			if tr := q.Trace; tr != nil {
-				// Per-member planner attribution: rollup_serve counts the
-				// members a tier answered, rollup_fallback the ones that
-				// fell through to the raw block scan — the slow-query
-				// log's "rollup vs raw" planner decision.
-				t0 := time.Now()
-				served, err = (*pp).ServeDownsample(m.s.ref, q.Start, q.End, q.Downsample, fn, each)
-				if served {
-					tr.Stage("rollup_serve").Add(time.Since(t0))
-				} else {
-					tr.Stage("rollup_fallback").Add(time.Since(t0))
-				}
-			} else {
-				served, err = (*pp).ServeDownsample(m.s.ref, q.Start, q.End, q.Downsample, fn, each)
+// source is one planned member's contribution as a point cursor: its
+// tier read's buckets, or the raw block cursor fused straight into the
+// downsample fold — no intermediate []Point between decode and bucket
+// reduction. est is an upper bound on the points the source can yield,
+// for output preallocation.
+func (p *Plan) source(g *scanGroup, i int, sc *execScratch) (pointSource, int, error) {
+	q, m := p.q, g.members[i]
+	ds := q.Downsample.Milliseconds()
+	if tier := g.reads[i].tier; tier != nil {
+		var pts []Point
+		err := tier.Serve(func(pt Point) error {
+			if pts == nil {
+				// One allocation for a served member: its bucket count, capped
+				// like every estimate (the range may run far past the data).
+				pts = make([]Point, 0, min((q.End-q.Start)/ds+2, maxPrealloc))
 			}
-		}
+			pts = append(pts, pt)
+			return nil
+		})
+		return &sliceSource{pts: pts}, len(pts), err
 	}
-	return fn, ds, served, err
-}
-
-// memberSource builds one member series' contribution to a query as
-// a point cursor: the rollup planner's pre-aggregated buckets when
-// one is installed and can serve the downsample, otherwise the raw
-// block cursor fused straight into the downsample fold — no
-// intermediate []Point between decode and bucket reduction. est is an
-// upper bound on the points the source can yield, for output
-// preallocation.
-func (db *DB) memberSource(m matched, q Query, sc *execScratch) (pointSource, int, error) {
-	var pts []Point
-	fn, ds, served, err := db.memberPlan(m, q, func(p Point) error {
-		if pts == nil {
-			// One allocation for a served member: its bucket count, capped
-			// like every estimate (the range may run far past the data).
-			pts = make([]Point, 0, min((q.End-q.Start)/q.Downsample.Milliseconds()+2, maxPrealloc))
-		}
-		pts = append(pts, p)
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
+	src, est, err := p.db.seriesSource(m.s, m.sh, q.Start, q.End, q.Trace)
+	if err != nil || ds <= 0 {
+		return src, est, err
 	}
-	if served {
-		return &sliceSource{pts: pts}, len(pts), nil
+	if buckets := (q.End-q.Start)/ds + 2; buckets < int64(est) {
+		est = int(buckets)
 	}
-	src, est, err := db.seriesSource(m.s, m.sh, q.Start, q.End, q.Trace)
-	if err != nil {
-		return nil, 0, err
-	}
-	if ds > 0 {
-		if buckets := (q.End-q.Start)/ds + 2; buckets < int64(est) {
-			est = int(buckets)
-		}
-		src = &downsampleSource{src: src, ms: ds, fn: fn, sc: sc}
-		if tr := q.Trace; tr.Detailed() {
-			// Inclusive of the decode chain below it; subtract
-			// block_decode/head_scan to attribute the fold alone.
-			src = &timedSource{src: src, st: tr.Stage("downsample_fold")}
-		}
+	src = &downsampleSource{src: src, ms: ds, fn: p.fn, sc: sc}
+	if tr := q.Trace; tr.Detailed() {
+		// Inclusive of the decode chain below it; subtract
+		// block_decode/head_scan to attribute the fold alone.
+		src = &timedSource{src: src, st: tr.Stage("downsample_fold")}
 	}
 	return src, est, nil
 }
 
-// memberEach streams one member series' post-downsample points to
-// each without materializing them anywhere: planner-served buckets
-// pass straight through, raw scans fold inside the cursor. This is
-// the read under topk/bottomk scoring — ranking a series touches no
-// member point slice, and when a rollup tier covers the range, no raw
-// block either.
-func (db *DB) memberEach(m matched, q Query, sc *execScratch, each func(Point) error) error {
-	fn, ds, served, err := db.memberPlan(m, q, each)
-	if err != nil || served {
-		return err
+// each streams one planned member's post-downsample points to each
+// without materializing them anywhere: a tier read's buckets pass
+// straight through, a raw scan folds inside the cursor. This is the
+// read under topk/bottomk scoring — ranking a series touches no member
+// point slice, and when a rollup tier serves it, no raw block either.
+func (p *Plan) each(g *scanGroup, i int, sc *execScratch, each func(Point) error) error {
+	if tier := g.reads[i].tier; tier != nil {
+		return tier.Serve(each)
 	}
-	src, _, err := db.seriesSource(m.s, m.sh, q.Start, q.End, q.Trace)
+	src, _, err := p.source(g, i, sc)
 	if err != nil {
 		return err
-	}
-	if ds > 0 {
-		src = &downsampleSource{src: src, ms: ds, fn: fn, sc: sc}
-		if tr := q.Trace; tr.Detailed() {
-			src = &timedSource{src: src, st: tr.Stage("downsample_fold")}
-		}
 	}
 	return eachPoint(src, each)
 }

@@ -40,6 +40,9 @@ type DB struct {
 	// from pre-aggregated rollup tiers instead of raw block scans.
 	planner atomic.Pointer[RollupPlanner]
 
+	// pointsRead counts what read cursors were built over (PointsRead).
+	pointsRead atomic.Int64
+
 	// instr, when installed, receives per-stage ingest timings (see
 	// instrument.go). Nil costs one atomic load on the batch path.
 	instr atomic.Pointer[Instrumentation]

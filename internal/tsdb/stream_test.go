@@ -409,24 +409,41 @@ func TestPercentileScratchAllocs(t *testing.T) {
 
 // countingPlanner serves every downsample request by re-bucketing the
 // store's own raw points — standing in for the rollup engine — and
-// counts how often it is consulted.
+// counts how often it plans a read (plans) and serves one (calls).
 type countingPlanner struct {
-	db    *DB
-	calls atomic.Int64
+	db           *DB
+	plans, calls atomic.Int64
 }
 
-func (p *countingPlanner) ServeDownsample(series *Ref, start, end int64, interval time.Duration, fn Aggregator, yield func(Point) error) (bool, error) {
-	p.calls.Add(1)
-	raw, err := p.db.SeriesWindowExact(series.Metric(), series.Tags(), start, end)
+func (p *countingPlanner) PlanDownsample(series *Ref, start, end int64, interval time.Duration, fn Aggregator) (TierRead, string) {
+	p.plans.Add(1)
+	return &countingRead{p: p, series: series, start: start, end: end, interval: interval, fn: fn}, ""
+}
+
+// countingRead is one read countingPlanner planned.
+type countingRead struct {
+	p          *countingPlanner
+	series     *Ref
+	start, end int64
+	interval   time.Duration
+	fn         Aggregator
+}
+
+func (r *countingRead) Points() int    { return r.p.db.PointEstimate(r.series, r.start, r.end) }
+func (r *countingRead) String() string { return "counting" }
+
+func (r *countingRead) Serve(yield func(Point) error) error {
+	r.p.calls.Add(1)
+	raw, err := r.p.db.SeriesWindowExact(r.series.Metric(), r.series.Tags(), r.start, r.end)
 	if err != nil {
-		return false, err
+		return err
 	}
-	for _, pt := range downsample(raw, interval, fn) {
+	for _, pt := range downsample(raw, r.interval, r.fn) {
 		if err := yield(pt); err != nil {
-			return false, err
+			return err
 		}
 	}
-	return true, nil
+	return nil
 }
 
 // TestTopKScoredFromPlanner: with a planner installed, topk selection

@@ -83,17 +83,18 @@ func (h *limitHeap) Pop() any {
 	return x
 }
 
-// streamLimited runs topk/bottomk selection over the grouped matches
+// runLimited runs topk/bottomk selection over the grouped matches
 // and yields the K winners best-first. Candidates are scored in
 // group-key order, so selection is deterministic.
-func (db *DB) streamLimited(q Query, groups []*scanGroup, sc *execScratch, yield func(ResultSeries) error) error {
+func (p *Plan) runLimited(sc *execScratch, yield func(ResultSeries) error) error {
+	q := p.q
 	h := &limitHeap{lowest: q.LimitLowest}
-	for _, g := range groups {
+	for _, g := range p.groups {
 		var t0 time.Time
 		if q.Trace != nil {
 			t0 = time.Now()
 		}
-		cand, err := db.scoreGroup(q, g, sc)
+		cand, err := p.scoreGroup(g, sc)
 		if q.Trace != nil {
 			q.Trace.Stage("group_reduce").Add(time.Since(t0))
 		}
@@ -112,7 +113,8 @@ func (db *DB) streamLimited(q Query, groups []*scanGroup, sc *execScratch, yield
 	}
 	// Yield best-first: sort the survivors by rank (best = what worse()
 	// orders last), materializing the lazily-scored winners now — only
-	// K reductions, each typically rollup-served.
+	// K reductions, each typically rollup-served, through the reads the
+	// plan already decided.
 	winners := h.entries
 	sort.Slice(winners, func(i, j int) bool { return h.worse(winners[j], winners[i]) })
 	for _, w := range winners {
@@ -120,7 +122,7 @@ func (db *DB) streamLimited(q Query, groups []*scanGroup, sc *execScratch, yield
 		if !w.full {
 			var ok bool
 			var err error
-			rs, ok, err = db.timedGroupSeries(q, w.g, sc)
+			rs, ok, err = p.timedGroupSeries(w.g, sc)
 			if err != nil {
 				return err
 			}
@@ -136,16 +138,16 @@ func (db *DB) streamLimited(q Query, groups []*scanGroup, sc *execScratch, yield
 }
 
 // scoreGroup ranks one candidate group; an empty one scores NaN.
-func (db *DB) scoreGroup(q Query, g *scanGroup, sc *execScratch) (scoredGroup, error) {
-	if len(g.members) == 1 && !q.Rate {
+func (p *Plan) scoreGroup(g *scanGroup, sc *execScratch) (scoredGroup, error) {
+	if len(g.members) == 1 && !p.q.Rate {
 		// Single-member, non-rate group: the result series is the
 		// member's post-downsample stream unchanged, so its score
 		// folds straight off the cursor — rollup tier statistics
 		// when the planner covers the range, the fused decode
 		// path otherwise. Nothing is materialized.
 		sum, n := 0.0, 0
-		err := db.memberEach(g.members[0], q, sc, func(p Point) error {
-			sum += p.Value
+		err := p.each(g, 0, sc, func(pt Point) error {
+			sum += pt.Value
 			n++
 			return nil
 		})
@@ -154,7 +156,7 @@ func (db *DB) scoreGroup(q Query, g *scanGroup, sc *execScratch) (scoredGroup, e
 		}
 		return scoredGroup{g: g, score: sum / float64(n)}, nil
 	}
-	rs, ok, err := db.groupSeries(q, g.members, g.tags, sc)
+	rs, ok, err := p.groupSeries(g, sc)
 	if err != nil || !ok {
 		return scoredGroup{g: g, score: math.NaN()}, err
 	}
