@@ -15,8 +15,9 @@
 // The network-facing surface is internal/api: an OpenTSDB-compatible
 // HTTP gateway over the internal/tsdb store with batched writes,
 // backpressure, per-client rate limiting, gzip request/response
-// bodies, a cached query engine with write invalidation, suggest
-// indexes, and a server-sent-event live stream with a backfill
+// bodies, a cached query engine with write invalidation, metric and
+// tag suggestions from the store's postings index (which every series
+// lookup reads), and a server-sent-event live stream with a backfill
 // catch-up window. Query execution is streaming end to end:
 // internal/tsdb yields result series one at a time (ExecuteStream,
 // with the internal/rollup tier planner feeding per-bucket points into

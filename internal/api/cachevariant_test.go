@@ -14,8 +14,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,6 +25,53 @@ import (
 
 	"repro/internal/tsdb"
 )
+
+// qvalue is RFC 9110's weight grammar: "0" ["." 0*3DIGIT] /
+// "1" ["." 0*3("0")].
+var qvalue = regexp.MustCompile(`^(0(\.[0-9]{0,3})?|1(\.0{0,3})?)$`)
+
+// refAccepts is accepts read straight off the grammar: the first
+// element naming token (or wildcard) decides; its first q parameter
+// refuses only when it is a qvalue equal to zero.
+func refAccepts(header, token, wildcard string) bool {
+	for _, elem := range strings.Split(header, ",") {
+		params := strings.Split(elem, ";")
+		if name := strings.TrimSpace(params[0]); name != token && (wildcard == "" || name != wildcard) {
+			continue
+		}
+		for _, param := range params[1:] {
+			k, v, _ := strings.Cut(param, "=")
+			if !strings.EqualFold(strings.TrimSpace(k), "q") {
+				continue
+			}
+			v = strings.TrimSpace(v)
+			if !qvalue.MatchString(v) {
+				return true // not a weight: ignored
+			}
+			q, err := strconv.ParseFloat(v, 64)
+			return err != nil || q > 0
+		}
+		return true
+	}
+	return false
+}
+
+// FuzzAccepts holds accepts to refAccepts on Accept-Encoding (gzip
+// with the "*" wildcard) and Accept (NDJSON, no wildcard) headers.
+func FuzzAccepts(f *testing.F) {
+	for _, h := range []string{"", "gzip", "gzip;q=0", "gzip;q=0.000", "gzip;q=NaN", "gzip;q=-1", "gzip;q=+0",
+		"br;q=1.0, gzip;q=0.000", "identity, *;q=0.000", "application/x-ndjson ; charset=utf-8 ; q=0.00",
+		"application/json, application/x-ndjson;q=0.5", " gzip ;  Q=0. "} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		for _, c := range [][2]string{{"gzip", "*"}, {ctNDJSON, ""}} {
+			if got, want := accepts(header, c[0], c[1]), refAccepts(header, c[0], c[1]); got != want {
+				t.Fatalf("accepts(%q, %q, %q) = %v, reference %v", header, c[0], c[1], got, want)
+			}
+		}
+	})
+}
 
 func TestAcceptQValues(t *testing.T) {
 	for _, tc := range []struct {
@@ -47,6 +96,15 @@ func TestAcceptQValues(t *testing.T) {
 		{"*;q=0", false},
 		{"identity, *;q=0.000", false},
 		{"gzip;q=bogus", true},
+		{"gzip;q=0.", false},
+		{"gzip;q=NaN", true},
+		{"gzip;q=-1", true},
+		{"gzip;q=+0", true},
+		{"gzip;q=-0", true},
+		{"gzip;q=0e0", true},
+		{"gzip;q=0x0", true},
+		{"gzip;q=0.0000", true},
+		{"gzip;q=1.000", true},
 	} {
 		r := httptest.NewRequest(http.MethodGet, "/", nil)
 		if tc.header != "" {

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -46,7 +45,7 @@ func wantsNDJSON(r *http.Request) bool {
 // header lists token — or wildcard, when non-empty — with a non-zero
 // weight; the first element naming either decides. Every spelling of
 // zero refuses (RFC 9110 allows "q=0" through "q=0.000"); a weight
-// that does not parse is ignored.
+// outside the qvalue grammar is ignored.
 func accepts(header, token, wildcard string) bool {
 	for header != "" {
 		var elem string
@@ -59,13 +58,26 @@ func accepts(header, token, wildcard string) bool {
 			var param string
 			param, params, _ = strings.Cut(params, ";")
 			if k, v, _ := strings.Cut(param, "="); strings.EqualFold(strings.TrimSpace(k), "q") {
-				q, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-				return err != nil || q > 0
+				return !zeroQValue(strings.TrimSpace(v))
 			}
 		}
 		return true
 	}
 	return false
+}
+
+// zeroQValue reports whether v spells a weight of zero in RFC 9110's
+// qvalue grammar: "0", optionally followed by "." and up to three
+// zeros. Every other spelling — a non-zero weight, or anything outside
+// the grammar such as "-1", "+0", "NaN" or "0e0" — is not a refusal.
+func zeroQValue(v string) bool {
+	if v == "0" {
+		return true
+	}
+	if len(v) < 2 || len(v) > 5 || v[:2] != "0." {
+		return false
+	}
+	return strings.Trim(v[2:], "0") == ""
 }
 
 // gzipWriters recycles compressors: a gzip.Writer is ~1 MB of flate

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -83,6 +84,58 @@ func BenchmarkQueryAggregate(b *testing.B) {
 		if err != nil || len(res) == 0 {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMatchOneSeries times a one-series query (avg over one
+// exact sensor of a metric every tenth series shares) with 1k, 10k and
+// 100k other series stored, each holding one point. Matching reads the
+// postings, so the op should stay flat as the store grows. heapB/series
+// is the heap those other series hold, per series: a point, its
+// registry entry, shard entry and postings.
+func BenchmarkMatchOneSeries(b *testing.B) {
+	for _, others := range []int{1_000, 10_000, 100_000} {
+		db, _ := Open("")
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rps := make([]RefPoint, 0, others)
+		for i := range others {
+			ref, err := db.Intern(fmt.Sprintf("air.m%d", i%10), map[string]string{
+				"sensor": fmt.Sprintf("s%06d", i), "city": "trondheim",
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rps = append(rps, RefPoint{Ref: ref, Point: Point{Timestamp: baseTS, Value: 1}})
+		}
+		db.AppendRefs(rps)
+		rps = nil
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perSeries := float64(after.HeapAlloc-before.HeapAlloc) / float64(others)
+		for i := range 12 {
+			put(db, DataPoint{Metric: "air.m0", Tags: map[string]string{"sensor": "needle", "city": "trondheim"},
+				Point: Point{Timestamp: baseTS + int64(i)*300000, Value: float64(i)}})
+		}
+		q := Query{
+			Metric:     "air.m0",
+			Tags:       map[string]string{"sensor": "needle"},
+			Start:      baseTS,
+			End:        baseTS + 3600*1000,
+			Aggregator: AggAvg,
+		}
+		b.Run(fmt.Sprintf("others=%d", others), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := db.Execute(q)
+				if err != nil || len(res) != 1 || len(res[0].Points) != 12 {
+					b.Fatalf("res=%v err=%v", res, err)
+				}
+			}
+			b.ReportMetric(perSeries, "heapB/series")
+		})
+		db.Close()
 	}
 }
 

@@ -196,7 +196,7 @@ func (db *DB) extractCold(cutoffMS int64) []*diskChunk {
 		sh := &db.shards[i]
 		sh.mu.Lock()
 		for _, s := range sh.series {
-			if s.ref == nil || s.ref.dead.Load() {
+			if s.ref.dead.Load() {
 				continue
 			}
 			cold := len(s.head) > 0 && s.head[0].Timestamp < cutoffMS

@@ -316,7 +316,7 @@ func equalKVBytes(canon []tagPair, kvs [][]byte) bool {
 
 // internSlow creates (or finds, losing a race) the interned series:
 // validate, canonicalize, register in the registry bucket, then
-// register the storage-side memSeries and suggest index entries.
+// register the storage-side memSeries and its postings.
 // Registry and storage shard locks are never held together — the
 // retention path acquires them in the opposite order.
 //
@@ -370,8 +370,8 @@ func (db *DB) internSlow(metric string, tags map[string]string) (*Ref, error) {
 	sh := &db.shards[ref.shard]
 	sh.mu.Lock()
 	sh.series[key] = ref.s
+	db.idx.add(ref.s)
 	sh.mu.Unlock()
-	db.idx.addSeries(metric, canon)
 	return ref, nil
 }
 

@@ -383,9 +383,10 @@ type scanGroup struct {
 	reads   []memberRead // the plan's read of each member, by index
 }
 
-// matchGroups collects the series matching q, grouped by group-by tag
-// values and sorted by group key. Only series pointers are gathered;
-// point data is read lazily, group by group.
+// matchGroups collects the series matching q through the postings
+// index, grouped by group-by tag values and sorted by group key. Only
+// series pointers are gathered, and no shard lock is taken; point data
+// is read lazily, group by group.
 func (db *DB) matchGroups(q Query) []*scanGroup {
 	var groupBy []string
 	for k, v := range q.Tags {
@@ -398,32 +399,24 @@ func (db *DB) matchGroups(q Query) []*scanGroup {
 	byKey := map[string]*scanGroup{}
 	var groups []*scanGroup
 	var gk []byte
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for key, s := range sh.series {
-			if s.metric != q.Metric || !tagsMatch(q.Tags, s.tags) {
-				continue
-			}
-			gk = gk[:0]
-			for _, k := range groupBy {
-				gk = append(append(append(append(gk, k...), '='), s.tags[k]...), ';')
-			}
-			g := byKey[string(gk)]
-			if g == nil {
-				g = &scanGroup{key: string(gk), tags: make(map[string]string, len(groupBy))}
-				for _, k := range groupBy {
-					g.tags[k] = s.tags[k]
-				}
-				byKey[g.key] = g
-				groups = append(groups, g)
-			}
-			g.members = append(g.members, matched{s, sh, key})
+	db.idx.match(q.Metric, q.Tags, func(s *memSeries) {
+		gk = gk[:0]
+		for _, k := range groupBy {
+			gk = append(append(append(append(gk, k...), '='), s.tags[k]...), ';')
 		}
-		sh.mu.RUnlock()
-	}
+		g := byKey[string(gk)]
+		if g == nil {
+			g = &scanGroup{key: string(gk), tags: make(map[string]string, len(groupBy))}
+			for _, k := range groupBy {
+				g.tags[k] = s.tags[k]
+			}
+			byKey[g.key] = g
+			groups = append(groups, g)
+		}
+		g.members = append(g.members, matched{s, &db.shards[s.ref.shard], s.ref.key})
+	})
 	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
-	// Deterministic member order (shard map iteration is not): the
+	// Deterministic member order (posting iteration is not): the
 	// cross-series reduction then applies floating-point operations in
 	// a stable order, so repeated runs agree bitwise.
 	for _, g := range groups {

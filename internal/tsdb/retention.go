@@ -34,10 +34,12 @@ func (db *DB) DeleteBeforeWhere(cutoffMS int64, match func(metric string, tags m
 		}
 	}
 	// Refs of fully-removed series: marked dead under the shard lock
-	// (writers re-intern on sight), dropped from the registry after —
-	// the registry and shard locks are never nested.
+	// (writers re-intern on sight, matches skip them), dropped from the
+	// postings and the registry after — once for the whole pass, and
+	// neither lock nested in a shard's.
 	var deadRefs []*Ref
 	defer func() {
+		db.idx.remove(deadRefs)
 		for _, ref := range deadRefs {
 			db.dropRef(ref)
 		}
@@ -82,13 +84,10 @@ func (db *DB) DeleteBeforeWhere(cutoffMS int64, match func(metric string, tags m
 			}
 			s.head = head
 			if len(s.blocks) == 0 && len(s.head) == 0 &&
-				(db.disk == nil || s.ref == nil || !db.disk.hasChunks(s.ref.id)) {
+				(db.disk == nil || !db.disk.hasChunks(s.ref.id)) {
 				delete(sh.series, key)
-				db.idx.removeSeries(s.metric, s.tags)
-				if s.ref != nil {
-					s.ref.dead.Store(true)
-					deadRefs = append(deadRefs, s.ref)
-				}
+				s.ref.dead.Store(true)
+				deadRefs = append(deadRefs, s.ref)
 			}
 		}
 		sh.mu.Unlock()

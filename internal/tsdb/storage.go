@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +21,7 @@ type DB struct {
 	shards [numShards]shard
 	reg    registry
 	wal    *wal // nil when persistence is disabled
-	idx    suggestIndex
+	idx    postings
 
 	// walGate serializes WAL compaction (write lock) against in-flight
 	// append+insert sequences (read lock), so a compaction snapshot can
@@ -171,7 +170,7 @@ type shard struct {
 type memSeries struct {
 	metric string
 	tags   map[string]string
-	ref    *Ref // back-pointer so retention can invalidate the handle
+	ref    *Ref // the handle: key, shard and liveness; retention kills it
 	blocks []sealedBlock
 	head   []Point // sorted by timestamp
 }
@@ -426,25 +425,6 @@ func (db *DB) CompressedBytes() int {
 	return n
 }
 
-// Metrics lists the distinct metric names, sorted.
-func (db *DB) Metrics() []string {
-	set := map[string]bool{}
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.series {
-			set[s.metric] = true
-		}
-		sh.mu.RUnlock()
-	}
-	out := make([]string, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SeriesWindowExact returns the raw points of the exact series
 // identified by (metric, tags) — no filter semantics, the tag set
 // must match the stored series key — within [start, end]. A missing
@@ -473,36 +453,21 @@ func (db *DB) SeriesWindowExact(metric string, tags map[string]string, start, en
 // returned unchanged.
 func (db *DB) ScanSeries(metricPrefix string, filter map[string]string, start, end int64, yield func(metric string, tags map[string]string, pts []Point) error) error {
 	// Collect matches first (pointers only) so yields run in a stable
-	// order and without any shard lock held.
-	type match struct {
-		s  *memSeries
-		sh *shard
+	// order and without the index lock held.
+	var ms []*memSeries
+	for _, m := range db.SuggestMetrics(metricPrefix, 0) {
+		db.idx.match(m, filter, func(s *memSeries) { ms = append(ms, s) })
 	}
-	var keys []string
-	bySeriesKey := map[string]match{}
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for key, s := range sh.series {
-			if !strings.HasPrefix(s.metric, metricPrefix) || !tagsMatch(filter, s.tags) {
-				continue
-			}
-			keys = append(keys, key)
-			bySeriesKey[key] = match{s, sh}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		m := bySeriesKey[key]
-		pts, err := db.rawPoints(m.s, m.sh, start, end)
+	sort.Slice(ms, func(i, j int) bool { return ms[i].ref.key < ms[j].ref.key })
+	for _, s := range ms {
+		pts, err := db.rawPoints(s, &db.shards[s.ref.shard], start, end)
 		if err != nil {
 			return err
 		}
 		if len(pts) == 0 {
 			continue
 		}
-		if err := yield(m.s.metric, m.s.tags, pts); err != nil {
+		if err := yield(s.metric, s.tags, pts); err != nil {
 			return err
 		}
 	}

@@ -825,9 +825,6 @@ func (l *wal) compactLocked(db *DB) error {
 		sh := &db.shards[i]
 		sh.mu.RLock()
 		for _, s := range sh.series {
-			if s.ref == nil {
-				continue
-			}
 			fid := next
 			next++
 			fileIDs[s.ref.id] = fid
