@@ -321,23 +321,17 @@ func (s *session) handlePublish(p Packet) error {
 
 	msg := Message{Topic: topic, Payload: payload, QoS: qos, Retain: retain}
 	s.broker.route(msg)
-
-	if retain {
-		s.broker.mu.Lock()
-		if len(payload) == 0 {
-			delete(s.broker.retained, topic) // empty retained payload clears
-		} else {
-			s.broker.retained[topic] = msg
-		}
-		s.broker.mu.Unlock()
-	}
 	if qos == 1 {
 		s.send(Packet{Type: PUBACK, Body: appendUint16(nil, pid)})
 	}
 	return nil
 }
 
-// route fans a message out to every matching subscription.
+// route fans a message out to every matching subscription and, for a
+// retained message, updates the retained store in the same hold of
+// b.mu: a subscriber whose filter lands concurrently (handleSubscribe
+// registers it and snapshots the store in one hold too) then gets the
+// message exactly once — live if it registered first, retained if not.
 func (b *Broker) route(msg Message) {
 	b.mu.Lock()
 	b.published++
@@ -358,6 +352,13 @@ func (b *Broker) route(msg Message) {
 		if found {
 			targets = append(targets, sess)
 			qoss = append(qoss, best)
+		}
+	}
+	if msg.Retain {
+		if len(msg.Payload) == 0 {
+			delete(b.retained, msg.Topic) // empty retained payload clears
+		} else {
+			b.retained[msg.Topic] = msg
 		}
 	}
 	b.mu.Unlock()
@@ -395,7 +396,7 @@ func (s *session) handleSubscribe(p Packet) error {
 	f := &fieldReader{buf: p.Body}
 	pid := f.uint16()
 	var filters []string
-	var codes []byte
+	var qoss, codes []byte
 	for f.remaining() > 0 && f.err == nil {
 		filter := f.string()
 		qos := f.byte()
@@ -406,10 +407,8 @@ func (s *session) handleSubscribe(p Packet) error {
 			codes = append(codes, 0x80) // failure
 			continue
 		}
-		s.mu.Lock()
-		s.subs[filter] = qos
-		s.mu.Unlock()
 		filters = append(filters, filter)
+		qoss = append(qoss, qos)
 		codes = append(codes, qos)
 	}
 	if f.err != nil {
@@ -418,10 +417,17 @@ func (s *session) handleSubscribe(p Packet) error {
 	if len(codes) == 0 {
 		return errors.New("mqtt: SUBSCRIBE with no filters")
 	}
-	s.send(Packet{Type: SUBACK, Body: append(appendUint16(nil, pid), codes...)})
 
-	// Deliver retained messages matching the new filters.
+	// Register the filters and snapshot the retained messages they match
+	// in one hold of broker.mu (lock order broker.mu → s.mu, as in
+	// route), so a concurrent retained publish is either routed live or
+	// in the snapshot, never both and never neither.
 	s.broker.mu.Lock()
+	s.mu.Lock()
+	for i, filter := range filters {
+		s.subs[filter] = qoss[i]
+	}
+	s.mu.Unlock()
 	var retained []Message
 	for _, filter := range filters {
 		for topic, msg := range s.broker.retained {
@@ -431,6 +437,7 @@ func (s *session) handleSubscribe(p Packet) error {
 		}
 	}
 	s.broker.mu.Unlock()
+	s.send(Packet{Type: SUBACK, Body: append(appendUint16(nil, pid), codes...)})
 	for _, msg := range retained {
 		s.send(buildPublish(msg.Topic, msg.Payload, 0, true, 0))
 	}

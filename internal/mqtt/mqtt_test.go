@@ -2,6 +2,7 @@ package mqtt
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -188,7 +189,9 @@ func TestNoDeliveryWithoutSubscription(t *testing.T) {
 func TestRetainedMessage(t *testing.T) {
 	_, addr := startBroker(t)
 	pub := dial(t, addr, "pub3")
-	if err := pub.Publish("status/gw1", []byte("online"), 0, true); err != nil {
+	// QoS 1: the PUBACK follows the retained store, so the message is
+	// retained — not routed live — by the time sub3 subscribes.
+	if err := pub.Publish("status/gw1", []byte("online"), 1, true); err != nil {
 		t.Fatal(err)
 	}
 	// A later subscriber must receive the retained message.
@@ -204,10 +207,9 @@ func TestRetainedMessage(t *testing.T) {
 	}
 
 	// Empty retained payload clears it.
-	if err := pub.Publish("status/gw1", nil, 0, true); err != nil {
+	if err := pub.Publish("status/gw1", nil, 1, true); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
 	sub2 := dial(t, addr, "sub3b")
 	var got2 atomic.Value
 	if err := sub2.Subscribe("status/#", 0, func(m Message) { got2.Store(m) }); err != nil {
@@ -216,6 +218,62 @@ func TestRetainedMessage(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if got2.Load() != nil {
 		t.Fatal("cleared retained message still delivered")
+	}
+}
+
+// TestRetainedRaceDeliversOnce races a retained publish against
+// subscribes to its topic: each subscriber must get the message exactly
+// once — live when its filter landed first, from the retained store
+// otherwise — never twice and never not at all.
+func TestRetainedRaceDeliversOnce(t *testing.T) {
+	const topics, subscribers = 400, 4
+	_, addr := startBroker(t)
+	pub := dial(t, addr, "race-pub")
+	subs := make([]*Client, subscribers)
+	for i := range subs {
+		subs[i] = dial(t, addr, fmt.Sprintf("race-sub%d", i))
+	}
+	counts := make([][topics]atomic.Int32, subscribers)
+	var total atomic.Int32
+	for i := 0; i < topics; i++ {
+		topic := fmt.Sprintf("race/%d", i)
+		var wg sync.WaitGroup
+		errs := make(chan error, subscribers+1)
+		start := make(chan struct{})
+		for k, sub := range subs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs <- sub.Subscribe(topic, 0, func(Message) { counts[k][i].Add(1); total.Add(1) })
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			errs <- pub.Publish(topic, []byte("on"), 1, true)
+		}()
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for total.Load() < topics*subscribers && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // let any duplicate arrive
+	for k := range counts {
+		for i := range counts[k] {
+			if n := counts[k][i].Load(); n != 1 {
+				t.Errorf("subscriber %d got race/%d %d times, want 1", k, i, n)
+			}
+		}
 	}
 }
 

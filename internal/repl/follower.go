@@ -688,10 +688,10 @@ func (d *recDecoder) feedDict(data []byte) error {
 
 // feed consumes complete records from part+data, interning series and
 // collecting points into batch. It returns how many stream bytes are
-// now fully consumed (the offset advance those records cover); the
-// incomplete tail stays buffered.
+// now fully consumed — the offset advance those records cover, counted
+// from the start of part, so a record an earlier frame began counts
+// whole; the incomplete tail stays buffered.
 func (d *recDecoder) feed(data []byte) (consumed int64, err error) {
-	prev := len(d.part)
 	d.part = append(d.part, data...)
 	p := d.part
 	total := 0
@@ -716,10 +716,7 @@ func (d *recDecoder) feed(data []byte) (consumed int64, err error) {
 		total += 8 + int(n)
 	}
 	d.part = append(d.part[:0], p[total:]...)
-	if total == 0 {
-		return 0, nil
-	}
-	return int64(total - prev), nil
+	return int64(total), nil
 }
 
 // apply dispatches one verified record payload.

@@ -402,3 +402,36 @@ func TestVersionHandshake(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamRecordSpanningFrames: a backlog larger than one fData frame
+// (the primary reads the log in 256 KiB chunks) splits a record across
+// two frames. The follower must count the spanning record whole, or its
+// position falls behind the stream by the record's first part — the
+// next frame no longer lines up, and the durable position it committed
+// points into the middle of a record.
+func TestStreamRecordSpanningFrames(t *testing.T) {
+	pdb := openStore(t, t.TempDir())
+	defer pdb.Close()
+	put(t, pdb, "m.big", "a", 0)
+	srv := startPrimary(t, pdb, "")
+	rep := startReplica(t, t.TempDir(), srv.Addr().String(), "", nil)
+	defer rep.close()
+	waitParity(t, pdb, rep.db, 5*time.Second)
+
+	ref, err := pdb.Intern("m.big", map[string]string{"sensor": "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]tsdb.RefPoint, 1000) // one ~20 KB points record
+	for b := 0; b < 60; b++ {
+		for i := range batch {
+			n := 1 + b*len(batch) + i
+			batch[i] = tsdb.RefPoint{Ref: ref, Point: tsdb.Point{Timestamp: testBase + int64(n)*1000, Value: float64(n)}}
+		}
+		if res := pdb.AppendRefs(batch); len(res.Errors) > 0 {
+			t.Fatal(res.Errors[0].Err)
+		}
+	}
+	waitParity(t, pdb, rep.db, 10*time.Second)
+	assertSeriesEqual(t, pdb, rep.db, "m.big", "a")
+}
