@@ -50,6 +50,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -297,6 +298,18 @@ func main() {
 		// how long the fast-forward took.
 		eng.Flush(sys.Now())
 	}
+	// Serve a store in its steady state: the history the fast-forward
+	// left in the head goes to block files now rather than at the
+	// first flush tick after serving begins, and the heap the replay
+	// grew is handed back before the first request.
+	t0 = time.Now()
+	if fs, err := sys.DB.FlushBlocks(); err != nil {
+		logger.Warn("start-up flush failed; the background flusher retries", "err", err)
+	} else {
+		logger.Info("start-up flush done", "took", time.Since(t0).Round(time.Millisecond).String(),
+			"points", fs.Points, "files", fs.Files)
+	}
+	debug.FreeOSMemory()
 
 	// Gateway over the pilot's store and monitoring state.
 	gw := api.New(sys.DB, sys.Dataport, api.Config{

@@ -1,14 +1,11 @@
 package api
 
-// The encoder's bytes and its cost: appendJSONFloat against both
-// references it claims to match, and the per-series encode against an
-// allocation budget of zero. Run
-//
-//	go test -fuzz FuzzAppendJSONFloat ./internal/api
-//
-// to search for a float the exact-decimal fast path prints differently
-// from strconv's shortest form; the seed corpus runs in every plain
-// `go test`.
+// The encoder's bytes and its cost: a series' points against
+// encoding/json, and the per-series encode against an allocation
+// budget of zero. The float printer itself is fuzzed against strconv
+// and encoding/json in internal/jsonenc; FuzzAppendJSONFloat here
+// holds a series carrying the fuzzed reading to the reflective
+// marshaler.
 
 import (
 	"encoding/json"
@@ -35,46 +32,24 @@ func FuzzAppendJSONFloat(f *testing.F) {
 		f.Add(math.Float64bits(v))
 	}
 	f.Fuzz(func(t *testing.T, bits uint64) {
-		v := math.Float64frombits(bits)
-		// A decimal reading near the fuzzed value: what the fast path
-		// exists for, and what raw bit patterns almost never are.
-		for _, v := range []float64{v, math.Round(v*1000) / 1000, math.Round(v*100) / 100} {
-			got, err := appendJSONFloat([]byte("x"), v)
-			want, jerr := json.Marshal(v)
+		// A decimal reading near the fuzzed value, as in the printer's
+		// own fuzz target (internal/jsonenc), through a whole series.
+		for _, v := range []float64{math.Float64frombits(bits), math.Round(math.Float64frombits(bits)*1000) / 1000} {
+			qr := queryResult{Metric: "air.co2", Points: []tsdb.Point{{Timestamp: 1488326400000, Value: v}}}
+			got, err := qr.appendJSON(nil)
+			want, jerr := json.Marshal(struct {
+				Metric string             `json:"metric"`
+				Tags   map[string]string  `json:"tags"`
+				DPS    map[string]float64 `json:"dps"`
+			}{qr.Metric, map[string]string{}, map[string]float64{"1488326400000": v}})
 			if (err != nil) != (jerr != nil) {
-				t.Fatalf("%v (%#x): error %v, encoding/json %v", v, bits, err, jerr)
+				t.Fatalf("%v (%#x): error %v, encoding/json %v", v, math.Float64bits(v), err, jerr)
 			}
-			if err != nil {
-				continue
-			}
-			if string(got[1:]) != string(want) {
-				t.Fatalf("%v (%#x): %q, encoding/json renders %q", v, math.Float64bits(v), got[1:], want)
-			}
-			if string(got[1:]) != string(strconvJSONFloat(v)) {
-				t.Fatalf("%v (%#x): %q, strconv renders %q", v, math.Float64bits(v), got[1:], strconvJSONFloat(v))
-			}
-			if back, err := strconv.ParseFloat(string(got[1:]), 64); err != nil || math.Float64bits(back) != math.Float64bits(v) {
-				t.Fatalf("%v (%#x): %q parses back as %v (%v)", v, math.Float64bits(v), got[1:], back, err)
+			if err == nil && string(got) != string(want) {
+				t.Fatalf("%v (%#x): %s, encoding/json renders %s", v, math.Float64bits(v), got, want)
 			}
 		}
 	})
-}
-
-// strconvJSONFloat is the encoder before its fast path: strconv's
-// shortest digits, 'e' outside [1e-6, 1e21) with the exponent's leading
-// zero trimmed.
-func strconvJSONFloat(f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b := strconv.AppendFloat(nil, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
 }
 
 // TestAppendJSONMatchesEncodingJSON: a whole series, names that need

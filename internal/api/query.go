@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"slices"
 	"sort"
@@ -24,8 +23,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
+	"repro/internal/jsonenc"
 	"repro/internal/obs"
 	"repro/internal/tsdb"
 )
@@ -76,7 +75,7 @@ func (qr queryResult) MarshalJSON() ([]byte, error) {
 // semantics. It allocates nothing once b has room.
 func (qr queryResult) appendJSON(b []byte) ([]byte, error) {
 	b = append(b, `{"metric":`...)
-	b = appendJSONString(b, qr.Metric)
+	b = jsonenc.AppendString(b, qr.Metric)
 	b = append(b, `,"tags":{`...)
 	var arr [8]string
 	keys := arr[:0]
@@ -88,9 +87,9 @@ func (qr queryResult) appendJSON(b []byte) ([]byte, error) {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendJSONString(b, k)
+		b = jsonenc.AppendString(b, k)
 		b = append(b, ':')
-		b = appendJSONString(b, qr.Tags[k])
+		b = jsonenc.AppendString(b, qr.Tags[k])
 	}
 	b = append(b, `},"dps":{`...)
 	first := true
@@ -106,73 +105,11 @@ func (qr queryResult) appendJSON(b []byte) ([]byte, error) {
 		b = strconv.AppendInt(b, p.Timestamp, 10)
 		b = append(b, '"', ':')
 		var err error
-		if b, err = appendJSONFloat(b, p.Value); err != nil {
+		if b, err = jsonenc.AppendFloat(b, p.Value); err != nil {
 			return nil, err
 		}
 	}
 	return append(b, '}', '}'), nil
-}
-
-// appendJSONString appends s as encoding/json renders a string. Series
-// names are validated at ingest to a plain ASCII alphabet, which is
-// quoted as is; anything that needs escaping takes the library's path.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// appendJSONFloat appends a float the way encoding/json renders
-// float64 values (shortest round-trip digits in 'f' format, switching
-// to exponent form outside [1e-6, 1e21) and trimming the two-digit
-// exponent's leading zero), so streamed bodies stay byte-compatible
-// with reflective marshaling.
-//
-// Sensor readings are decimals of at most three places, and for those
-// the shortest form needs no search: when f is exactly the double
-// nearest r/1000 for an integer r below 1e15, the at most 15
-// significant digits of r/1000 are the only decimal that short to
-// round-trip to f, hence what strconv's shortest formatter prints —
-// r with a point three from the right, trailing zeros cut. Everything
-// else (−0, which prints its sign; values under 1e-3, whose digits sit
-// further right) goes through strconv.
-func appendJSONFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return nil, fmt.Errorf("unsupported value: %v", f)
-	}
-	abs := math.Abs(f)
-	if r := math.Round(abs * 1000); r < 1e15 && r/1000 == abs && (abs >= 1e-3 || (f == 0 && !math.Signbit(f))) {
-		if f < 0 {
-			b = append(b, '-')
-		}
-		u := uint64(r)
-		b = strconv.AppendUint(b, u/1000, 10)
-		if frac := u % 1000; frac != 0 {
-			b = append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
-			for b[len(b)-1] == '0' {
-				b = b[:len(b)-1]
-			}
-		}
-		return b, nil
-	}
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
 }
 
 // queryState carries what the slow-query log needs out of a request.

@@ -209,7 +209,7 @@ func New(cfg Config) (*System, error) {
 		node := sensors.NewNode(sensors.Config{
 			ID: id, DevAddr: addr, Pos: pos,
 			Interval: cfg.Interval, Seed: cfg.Seed + int64(i)*101,
-		}, s.Field, s.Weather)
+		}, s.Field)
 		s.Nodes = append(s.Nodes, node)
 		s.NS.Register(ttn.Device{ID: id, DevAddr: addr})
 		if err := dp.RegisterSensor(id, pos, cfg.Interval); err != nil {

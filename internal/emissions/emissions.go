@@ -38,6 +38,8 @@ const (
 	PM10
 	// PM25 is PM2.5 in µg/m³.
 	PM25
+
+	numSpecies
 )
 
 // AllSpecies lists every modeled pollutant.
@@ -108,11 +110,11 @@ func NewField(w *weather.Model, tr *traffic.Network) *Field {
 // AddSource registers an industrial/synthetic point source.
 func (f *Field) AddSource(s PointSource) { f.Sources = append(f.Sources, s) }
 
-// dilution returns a unitless dilution divisor at time t. Strong wind
-// and a deep daytime mixing layer dilute; calm, stable nights (and
-// especially cold winter inversions) concentrate.
-func (f *Field) dilution(t time.Time) float64 {
-	c := f.Weather.At(t)
+// dilution returns a unitless dilution divisor at time t under the
+// weather c there. Strong wind and a deep daytime mixing layer dilute;
+// calm, stable nights (and especially cold winter inversions)
+// concentrate.
+func (f *Field) dilution(c weather.Conditions, t time.Time) float64 {
 	// Mixing-layer proxy: solar elevation drives convective mixing.
 	sun := weather.SunAt(f.Weather.Lat, f.Weather.Lon, t)
 	mix := 0.45 + 0.8*math.Max(0, math.Sin(sun.Elevation*math.Pi/180))
@@ -122,44 +124,118 @@ func (f *Field) dilution(t time.Time) float64 {
 
 // heatingDemand returns a unitless heating intensity based on how far
 // the temperature is below the 15°C heating threshold.
-func (f *Field) heatingDemand(t time.Time) float64 {
-	c := f.Weather.At(t)
+func heatingDemand(c weather.Conditions) float64 {
 	return math.Max(0, 15-c.TemperatureC) / 15
+}
+
+// drivers are the terms of the field that every species shares at one
+// time and place.
+type drivers struct {
+	c    weather.Conditions
+	dil  float64 // dilution divisor
+	heat float64 // heating demand
+	flow float64 // traffic flow within TrafficRadius, vph
+}
+
+// driversAt evaluates the shared terms at t, given the local traffic
+// flow (ignored without a traffic network).
+func (f *Field) driversAt(t time.Time, flow float64) drivers {
+	c := f.Weather.At(t)
+	return drivers{c: c, dil: f.dilution(c, t), heat: heatingDemand(c), flow: flow}
 }
 
 // Concentration returns the true concentration of a species at point p
 // and time t.
 func (f *Field) Concentration(sp Species, p geo.LatLon, t time.Time) float64 {
+	var flow float64
+	if f.Traffic != nil {
+		flow = f.Traffic.FlowNear(p, f.TrafficRadius, t)
+	}
+	d := f.driversAt(t, flow)
+	return f.concentration(sp, p, t, &d)
+}
+
+// concentration combines the shared terms d at p and t into one
+// species' concentration.
+func (f *Field) concentration(sp Species, p geo.LatLon, t time.Time, d *drivers) float64 {
 	bg := f.backgroundAt(sp, t)
-	dil := f.dilution(t)
 
 	// Traffic term: local flow within TrafficRadius, per-species factor.
 	var trafficTerm float64
 	if f.Traffic != nil {
-		flow := f.Traffic.FlowNear(p, f.TrafficRadius, t)
-		trafficTerm = flow * trafficFactor(sp) / dil
+		trafficTerm = d.flow * trafficFactor(sp) / d.dil
 	}
 
 	// Heating term (area source, weakly spatial).
-	heating := f.heatingDemand(t) * heatingFactor(sp) / dil
+	heating := d.heat * heatingFactor(sp) / d.dil
 
 	// Point sources: Gaussian-plume–flavoured downwind kernel.
 	var point float64
-	if len(f.Sources) > 0 {
-		c := f.Weather.At(t)
-		for _, src := range f.Sources {
-			if src.Active != nil && !src.Active(t) {
-				continue
-			}
-			strength, ok := src.Strength[sp]
-			if !ok || strength == 0 {
-				continue
-			}
-			point += plumeKernel(src.Pos, p, c.WindDirDeg, c.WindSpeedMS) * strength
+	for _, src := range f.Sources {
+		if src.Active != nil && !src.Active(t) {
+			continue
 		}
+		strength, ok := src.Strength[sp]
+		if !ok || strength == 0 {
+			continue
+		}
+		point += plumeKernel(src.Pos, p, d.c.WindDirDeg, d.c.WindSpeedMS) * strength
 	}
 
 	return bg + trafficTerm + heating + point
+}
+
+// Levels holds one concentration per species, indexed by Species.
+type Levels [numSpecies]float64
+
+// Receptor is a fixed point of the field, such as a sensor's position.
+// The road segments within TrafficRadius of it are found once, when it
+// is built (road geometry is fixed once a network is built); the terms
+// that change with time — weather, demand, closures, incidents, point
+// sources — are evaluated at every call.
+type Receptor struct {
+	f      *Field
+	pos    geo.LatLon
+	tr     *traffic.Network // the network and radius near was found for
+	radius float64
+	near   []int
+}
+
+// Receptor returns the receptor at p.
+func (f *Field) Receptor(p geo.LatLon) *Receptor {
+	r := &Receptor{f: f, pos: p}
+	r.segments()
+	return r
+}
+
+// segments returns the indices of the segments near the receptor,
+// found again only if the field's network or radius was replaced.
+func (r *Receptor) segments() []int {
+	if r.tr != r.f.Traffic || r.radius != r.f.TrafficRadius {
+		r.tr, r.radius, r.near = r.f.Traffic, r.f.TrafficRadius, nil
+		if r.tr != nil {
+			r.near = r.tr.Near(r.pos, r.radius)
+		}
+	}
+	return r.near
+}
+
+// At returns every species' concentration at the receptor at time t,
+// from one evaluation of the terms the species share, and the weather
+// the field evaluated there. Each level is bit-identical to
+// Field.Concentration at the receptor's position.
+func (r *Receptor) At(t time.Time) (Levels, weather.Conditions) {
+	f := r.f
+	var flow float64
+	if f.Traffic != nil {
+		flow = f.Traffic.FlowOver(r.segments(), t)
+	}
+	d := f.driversAt(t, flow)
+	var lv Levels
+	for sp := range lv {
+		lv[sp] = f.concentration(Species(sp), r.pos, t, &d)
+	}
+	return lv, d.c
 }
 
 // backgroundAt gives the regional background with a gentle seasonal

@@ -195,8 +195,9 @@ func TestNocturnalInversionConcentrates(t *testing.T) {
 	// Same traffic flow should yield higher concentration under the
 	// shallow nocturnal mixing layer than under daytime convection.
 	f := testField(t)
-	day := f.dilution(at(time.June, 15, 12))
-	night := f.dilution(at(time.June, 15, 0))
+	dilution := func(ts time.Time) float64 { return f.dilution(f.Weather.At(ts), ts) }
+	day := dilution(at(time.June, 15, 12))
+	night := dilution(at(time.June, 15, 0))
 	if night >= day {
 		t.Fatalf("night dilution %v should be below day %v", night, day)
 	}

@@ -36,6 +36,22 @@ const walName = "tsdb.wal"
 
 var errResyncNeeded = errors.New("repl: primary demands snapshot re-sync")
 
+// errRecordCorrupt: a WAL record in the stream failed its checks.
+var errRecordCorrupt = errors.New("repl: wal record corrupt in stream")
+
+// maxStuckDecodes is how many sessions may end in a decode error with
+// no batch applied in between before the follower treats its durable
+// position as unreadable — a committed offset inside a record decodes
+// to the same garbage on every reconnect — and asks for a snapshot
+// re-sync. Sessions that end otherwise neither count nor reset.
+const maxStuckDecodes = 3
+
+// isDecodeErr reports whether a session ended on bytes the follower
+// could not decode, as opposed to a link or apply failure.
+func isDecodeErr(err error) bool {
+	return errors.Is(err, errFrameCorrupt) || errors.Is(err, errFrameTooLarge) || errors.Is(err, errRecordCorrupt)
+}
+
 // BootstrapConfig parameterizes the pre-open bootstrap handshake.
 type BootstrapConfig struct {
 	Dir     string
@@ -109,7 +125,7 @@ func Bootstrap(cfg BootstrapConfig) (*BootstrapResult, error) {
 		return offline(err)
 	}
 	br := bufio.NewReaderSize(conn, 256<<10)
-	epoch, mode, err := handshake(conn, br, cfg.Timeout, cfg.Key, pos, resumable)
+	epoch, mode, err := handshake(conn, br, cfg.Timeout, cfg.Key, pos, resumable, false)
 	if err != nil {
 		conn.Close()
 		if IsFenced(err) {
@@ -139,8 +155,11 @@ func Bootstrap(cfg BootstrapConfig) (*BootstrapResult, error) {
 }
 
 // handshake sends hello and reads welcome on an open connection.
-func handshake(conn net.Conn, br *bufio.Reader, timeout time.Duration, key string, pos tsdb.ReplPos, resumable bool) (epoch uint64, mode byte, err error) {
-	h := helloMsg{ver: helloVersion, key: key}
+// resumeOnly tells the server that a snapshot answer is of no use: a
+// running follower cannot take one, so it wants a resync error
+// instead of a transfer it would hang up on.
+func handshake(conn net.Conn, br *bufio.Reader, timeout time.Duration, key string, pos tsdb.ReplPos, resumable, resumeOnly bool) (epoch uint64, mode byte, err error) {
+	h := helloMsg{ver: helloVersion, key: key, resumeOnly: resumeOnly}
 	if resumable {
 		h.hasPos, h.epoch, h.gen, h.off = true, pos.Epoch, pos.Gen, pos.Off
 	}
@@ -341,6 +360,10 @@ type Follower struct {
 	resync        atomic.Bool
 	lastFrameNano atomic.Int64
 	bytesIn       atomic.Uint64
+
+	// stuckDecodes counts the sessions that ended in a decode error
+	// since a batch last applied (run's goroutine only).
+	stuckDecodes int
 }
 
 // NewFollower builds a follower; Start begins streaming.
@@ -478,6 +501,13 @@ func (f *Follower) run(sess *session) {
 		if err != nil && !errors.Is(err, io.EOF) {
 			f.cfg.Logger.Warn("repl stream ended", "err", err)
 		}
+		if isDecodeErr(err) {
+			if f.stuckDecodes++; f.stuckDecodes >= maxStuckDecodes {
+				pos, _ := f.cfg.DB.ReplPosition()
+				err = fmt.Errorf("%w: %d sessions failed to decode the stream at %d/%d with no batch applied: %v",
+					errResyncNeeded, f.stuckDecodes, pos.Gen, pos.Off, err)
+			}
+		}
 		if f.noteTerminal(err) {
 			backoff = f.cfg.MaxBackoff
 		}
@@ -500,7 +530,7 @@ func (f *Follower) noteTerminal(err error) bool {
 		// reads; flag it on /healthz; retry slowly in case the
 		// primary's answer changes (e.g. it was mid-recovery).
 		if !f.resync.Swap(true) {
-			f.cfg.Logger.Warn("repl: primary demands snapshot re-sync; restart this process to re-seed")
+			f.cfg.Logger.Warn("repl: snapshot re-sync required; restart this process to re-seed", "err", err)
 		}
 		return true
 	case IsFenced(err):
@@ -510,21 +540,22 @@ func (f *Follower) noteTerminal(err error) bool {
 	return false
 }
 
-// handshakeLive re-handshakes a mid-run reconnect. A snapshot answer
-// here is a resync demand: the in-process store cannot be re-seeded.
+// handshakeLive re-handshakes a mid-run reconnect. The in-process
+// store cannot be re-seeded, so the hello asks for a resume only; a
+// primary that cannot resume answers with a resync error (an older
+// one with a snapshot, which is the same demand).
 func (f *Follower) handshakeLive(sess *session) error {
 	pos, ok := f.cfg.DB.ReplPosition()
 	if !ok || pos.Detached {
 		return errors.New("repl: follower position missing or detached")
 	}
-	_, mode, err := handshake(sess.conn, sess.br, 10*time.Second, f.cfg.Key, pos, true)
+	_, mode, err := handshake(sess.conn, sess.br, 10*time.Second, f.cfg.Key, pos, true, true)
 	if err != nil {
 		return err
 	}
 	if mode != modeResume {
 		return errResyncNeeded
 	}
-	f.resync.Store(false)
 	return nil
 }
 
@@ -592,6 +623,7 @@ func (f *Follower) stream(sess *session) error {
 				return err
 			}
 			f.lastFrameNano.Store(sent)
+			f.streaming()
 			if consumed == 0 {
 				continue
 			}
@@ -603,6 +635,7 @@ func (f *Follower) stream(sess *session) error {
 					return fmt.Errorf("repl: apply failed: stored %d/%d: %v", res.Stored, len(dec.batch), firstErr(res))
 				}
 				dec.batch = dec.batch[:0]
+				f.applied()
 			}
 			// Skip-only advances (flush markers, upstream positions)
 			// move the in-memory cursor; the durable position rides
@@ -624,10 +657,28 @@ func (f *Follower) stream(sess *session) error {
 				return errFrameCorrupt
 			}
 			f.lastFrameNano.Store(int64(binary.LittleEndian.Uint64(payload[16:])))
+			f.streaming()
 		default:
 			return fmt.Errorf("repl: unexpected frame type %d in stream", typ)
 		}
 	}
+}
+
+// streaming notes a frame decoded: a re-sync flag the primary raised
+// clears, since its answer changed (it was mid-recovery). A flag
+// raised for a position that keeps failing to decode waits for
+// applied: frames that carry no record prove nothing about it.
+func (f *Follower) streaming() {
+	if f.stuckDecodes < maxStuckDecodes {
+		f.resync.Store(false)
+	}
+}
+
+// applied notes a batch applied and the durable position moved: the
+// stream decodes here, so the stuck-decode count and any flag clear.
+func (f *Follower) applied() {
+	f.stuckDecodes = 0
+	f.resync.Store(false)
 }
 
 func firstErr(res tsdb.BatchResult) error {
@@ -701,14 +752,14 @@ func (d *recDecoder) feed(data []byte) (consumed int64, err error) {
 		}
 		n := binary.LittleEndian.Uint32(p[total+4:])
 		if n == 0 || int64(n) > maxFrame {
-			return 0, fmt.Errorf("repl: implausible wal record length %d", n)
+			return 0, fmt.Errorf("%w: implausible length %d", errRecordCorrupt, n)
 		}
 		if len(p)-total < 8+int(n) {
 			break
 		}
 		rec := p[total : total+8+int(n)]
 		if crc32.ChecksumIEEE(rec[8:]) != binary.LittleEndian.Uint32(rec) {
-			return 0, errors.New("repl: wal record crc mismatch in stream")
+			return 0, fmt.Errorf("%w: crc mismatch", errRecordCorrupt)
 		}
 		if err := d.apply(rec[8:]); err != nil {
 			return 0, err

@@ -12,7 +12,7 @@
 // len counts everything after itself (type + payload + crc); crc is
 // IEEE over type + payload. Frame types:
 //
-//	hello     (1) C→S: ver(1) | epoch(8) | hasPos(1) | gen(8) | off(8) | key(str)    ver: helloVersion
+//	hello     (1) C→S: ver(1) | epoch(8) | flags(1) | gen(8) | off(8) | key(str)     ver: helloVersion; flags: 1 hasPos, 2 resumeOnly
 //	welcome   (2) S→C: ver(1) | epoch(8) | mode(1)           ver: protoVersion; mode: 0 resume, 1 snapshot
 //	snapfile  (3) S→C: kind(1) | size(8) | name(str)         kind: 0 wal, 1 block (2: older primaries' rollup state, discarded)
 //	snapdata  (4) S→C: raw file bytes

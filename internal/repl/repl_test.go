@@ -2,8 +2,13 @@ package repl
 
 import (
 	"bufio"
+	"encoding/binary"
+	"io"
+	"log/slog"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -334,7 +339,7 @@ func TestPromotionFencesOldPrimary(t *testing.T) {
 
 // handshakeConn performs a raw client handshake claiming pos.
 func handshakeConn(conn net.Conn, pos tsdb.ReplPos) (uint64, byte, error) {
-	return handshake(conn, bufio.NewReader(conn), 2*time.Second, "", pos, true)
+	return handshake(conn, bufio.NewReader(conn), 2*time.Second, "", pos, true, false)
 }
 
 func TestWipeValidation(t *testing.T) {
@@ -385,6 +390,18 @@ func TestVersionHandshake(t *testing.T) {
 	if h, err := parseHello(encodeHello(helloMsg{ver: helloVersion})); err != nil || h.ver != 1 {
 		t.Fatalf("hello version %d (err %v): an old primary accepts only 1", h.ver, err)
 	}
+	// The flags byte: hasPos alone is the 1 old primaries and
+	// followers exchange; resumeOnly rides in a bit an old primary
+	// reads as hasPos too.
+	if b := encodeHello(helloMsg{ver: helloVersion, hasPos: true}); b[9] != 1 {
+		t.Fatalf("hasPos-only hello flags %#x, want 1", b[9])
+	}
+	for _, want := range []helloMsg{{hasPos: true, resumeOnly: true}, {resumeOnly: true}, {hasPos: true}} {
+		want.ver, want.gen, want.off, want.key = helloVersion, 3, 99, "k"
+		if got, err := parseHello(encodeHello(want)); err != nil || got != want {
+			t.Fatalf("hello %+v round-tripped to %+v (err %v)", want, got, err)
+		}
+	}
 	w := helloWelcome(7, modeSnapshot)
 	if w[0] != protoVersion {
 		t.Fatalf("welcome stamped %d, want %d", w[0], protoVersion)
@@ -434,4 +451,256 @@ func TestStreamRecordSpanningFrames(t *testing.T) {
 	}
 	waitParity(t, pdb, rep.db, 10*time.Second)
 	assertSeriesEqual(t, pdb, rep.db, "m.big", "a")
+}
+
+// TestMidRecordPositionEscalatesToResync: a committed position inside
+// a WAL record (what a follower that miscounted a spanning record
+// used to commit) can never be resumed. The follower used to retry it
+// forever. The primary must refuse to resume it: a running follower,
+// whose hello asks for a resume only, gets a resync error — no
+// snapshot is read for it — flags a re-sync within a few reconnects
+// and keeps it flagged, and a restarted one re-seeds.
+func TestMidRecordPositionEscalatesToResync(t *testing.T) {
+	pdb := openStore(t, t.TempDir())
+	defer pdb.Close()
+	for i := 0; i < 10; i++ {
+		put(t, pdb, "m.a", "a", i)
+	}
+	srv := startPrimary(t, pdb, "")
+	rep := startReplica(t, t.TempDir(), srv.Addr().String(), "", nil)
+	waitParity(t, pdb, rep.db, 5*time.Second)
+	rep.fol.Close()
+
+	// The next record on the primary starts at the replica's
+	// position; commit one byte into it.
+	pos, ok := rep.db.ReplPosition()
+	if !ok {
+		t.Fatal("replica has no position")
+	}
+	pos.Off++
+	if err := rep.db.CommitReplPos(pos); err != nil {
+		t.Fatal(err)
+	}
+	for i := 10; i < 20; i++ {
+		put(t, pdb, "m.a", "a", i)
+	}
+	snapshots := srv.Stats().Snapshots
+	fol := NewFollower(FollowerConfig{
+		DB: rep.db, Primary: srv.Addr().String(),
+		Heartbeat:  50 * time.Millisecond,
+		MinBackoff: 5 * time.Millisecond,
+		MaxBackoff: 50 * time.Millisecond,
+	})
+	fol.Start(nil)
+	deadline := time.Now().Add(5 * time.Second)
+	for !fol.Stats().ResyncRequired {
+		if time.Now().After(deadline) {
+			t.Fatal("follower stuck at a mid-record position never flagged a re-sync")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Flagged, it stays flagged: a reconnect to the same position
+	// streams nothing that could clear it.
+	time.Sleep(200 * time.Millisecond)
+	if !fol.Stats().ResyncRequired {
+		t.Fatal("re-sync flag cleared by a reconnect to the same undecodable position")
+	}
+	if n := srv.Stats().Snapshots - snapshots; n != 0 {
+		t.Fatalf("primary streamed %d snapshots to a follower that can only resume", n)
+	}
+	fol.Close()
+	rep.db.Close()
+
+	// The operator's fix is a restart: bootstrap takes a snapshot.
+	rep = startReplica(t, rep.dir, srv.Addr().String(), "", nil)
+	defer rep.close()
+	waitParity(t, pdb, rep.db, 5*time.Second)
+	assertSeriesEqual(t, pdb, rep.db, "m.a", "a")
+}
+
+// TestUndecodableStreamEscalatesToResync: a primary that resumes the
+// follower at its position but streams bytes that do not decode as a
+// WAL record (here a zero record length) ends every session the same
+// way. The follower must give up after a few such sessions without
+// progress and flag a re-sync, and stay flagged.
+func TestUndecodableStreamEscalatesToResync(t *testing.T) {
+	db := openStore(t, t.TempDir())
+	defer db.Close()
+	pos := tsdb.ReplPos{Gen: 1, Off: 8, Epoch: 1}
+	if err := db.CommitReplPos(pos); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var sessions atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			sessions.Add(1)
+			go func() {
+				defer conn.Close()
+				if _, _, err := readFrame(bufio.NewReader(conn)); err != nil {
+					return
+				}
+				writeFrame(conn, nil, time.Second, fWelcome, helloWelcome(pos.Epoch, modeResume))
+				data := binary.LittleEndian.AppendUint64(nil, pos.Gen)
+				data = binary.LittleEndian.AppendUint64(data, uint64(pos.Off))
+				data = binary.LittleEndian.AppendUint64(data, uint64(time.Now().UnixNano()))
+				writeFrame(conn, nil, time.Second, fData, append(data, make([]byte, 16)...))
+				io.Copy(io.Discard, conn)
+			}()
+		}
+	}()
+	fol := NewFollower(FollowerConfig{
+		DB: db, Primary: ln.Addr().String(),
+		Heartbeat:  50 * time.Millisecond,
+		MinBackoff: 5 * time.Millisecond,
+		MaxBackoff: 50 * time.Millisecond,
+	})
+	fol.Start(nil)
+	defer fol.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for !fol.Stats().ResyncRequired {
+		if time.Now().After(deadline) {
+			t.Fatalf("no re-sync flag after %d sessions that could not decode the stream", sessions.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := sessions.Load(); n < maxStuckDecodes {
+		t.Fatalf("flagged after %d sessions, want %d before giving up", n, maxStuckDecodes)
+	}
+	time.Sleep(200 * time.Millisecond)
+	if !fol.Stats().ResyncRequired {
+		t.Fatal("re-sync flag cleared while the stream still does not decode")
+	}
+}
+
+// corruptingProxy forwards replication sessions to upstream and, in
+// each of the first corrupt sessions, zeroes the length of the first
+// WAL record a data frame carries (re-framed, so only the record's
+// own check fails).
+func corruptingProxy(t *testing.T, upstream string, corrupt int64) (addr string, sessions *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	sessions = new(atomic.Int64)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			broken := sessions.Add(1) > corrupt
+			go func() {
+				defer conn.Close()
+				up, err := net.Dial("tcp", upstream)
+				if err != nil {
+					return
+				}
+				defer up.Close()
+				go func() {
+					io.Copy(up, conn)
+					up.Close()
+				}()
+				br := bufio.NewReader(up)
+				var buf []byte
+				for {
+					typ, payload, err := readFrame(br)
+					if err != nil {
+						return
+					}
+					if !broken && typ == fData && len(payload) >= 24+8 {
+						binary.LittleEndian.PutUint32(payload[24+4:], 0)
+						broken = true
+					}
+					if buf, err = writeFrame(conn, buf, time.Second, typ, payload); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String(), sessions
+}
+
+// syncBuffer is a log sink safe for the follower's goroutine.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestDecodeFailuresThenHealthyStream: sessions whose stream does not
+// decode, followed by a healthy one. Fewer than maxStuckDecodes of
+// them must never flag a re-sync; maxStuckDecodes of them flag it,
+// and the first batch the healthy session applies must clear it for
+// good, since the stream evidently decodes at that position.
+func TestDecodeFailuresThenHealthyStream(t *testing.T) {
+	for _, corrupt := range []int64{maxStuckDecodes - 1, maxStuckDecodes} {
+		pdb := openStore(t, t.TempDir())
+		for i := 0; i < 10; i++ {
+			put(t, pdb, "m.a", "a", i)
+		}
+		srv := startPrimary(t, pdb, "")
+		rep := startReplica(t, t.TempDir(), srv.Addr().String(), "", nil)
+		waitParity(t, pdb, rep.db, 5*time.Second)
+		rep.fol.Close()
+		for i := 10; i < 20; i++ {
+			put(t, pdb, "m.a", "a", i)
+		}
+
+		addr, sessions := corruptingProxy(t, srv.Addr().String(), corrupt)
+		var logs syncBuffer
+		fol := NewFollower(FollowerConfig{
+			DB: rep.db, Primary: addr,
+			Heartbeat:  50 * time.Millisecond,
+			MinBackoff: 5 * time.Millisecond,
+			MaxBackoff: 50 * time.Millisecond,
+			Logger:     slog.New(slog.NewTextHandler(&logs, nil)),
+		})
+		fol.Start(nil)
+		waitParity(t, pdb, rep.db, 5*time.Second)
+		deadline := time.Now().Add(2 * time.Second)
+		for fol.Stats().ResyncRequired {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d corrupt sessions: re-sync flag still set while the stream applies", corrupt)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		// Still clear once more frames (heartbeats) have arrived.
+		time.Sleep(200 * time.Millisecond)
+		if fol.Stats().ResyncRequired {
+			t.Fatalf("%d corrupt sessions: re-sync flag set again on a healthy stream", corrupt)
+		}
+		if n := sessions.Load(); n <= corrupt {
+			t.Fatalf("%d sessions, want more than the %d corrupt ones", n, corrupt)
+		}
+		flagged := strings.Contains(logs.String(), "re-sync required")
+		if want := corrupt >= maxStuckDecodes; flagged != want {
+			t.Fatalf("%d corrupt sessions: re-sync flagged %v, want %v; log:\n%s", corrupt, flagged, want, logs.String())
+		}
+		fol.Close()
+		rep.db.Close()
+		pdb.Close()
+	}
 }

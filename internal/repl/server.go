@@ -222,13 +222,32 @@ func (s *Server) session(conn net.Conn) {
 	}
 
 	var rd *tsdb.WALReader
-	var buf []byte
+	var dict, buf []byte
 	if hello.hasPos && hello.epoch == epoch {
 		rd, err = s.cfg.DB.WALTail(hello.gen, hello.off, s.cfg.MaxLagBytes)
 		if err != nil && !errors.Is(err, tsdb.ErrWALResyncRequired) {
 			sendError(conn, s.cfg.WriteTimeout, codeResync, err.Error())
 			return
 		}
+		if rd != nil {
+			// The dictionary scan also proves the position a record
+			// boundary. One inside a record can only be re-seeded, so
+			// it gets the snapshot answer, as a truncated one does.
+			if dict, err = rd.DictPrefix(); err != nil {
+				rd.Close()
+				if !errors.Is(err, tsdb.ErrWALResyncRequired) {
+					return
+				}
+				log.Warn("repl resume position not servable", "err", err)
+				rd = nil
+			}
+		}
+	}
+	if rd == nil && hello.resumeOnly {
+		// A running follower cannot take a snapshot; refuse before
+		// reading one for it.
+		sendError(conn, s.cfg.WriteTimeout, codeResync, "position not resumable: snapshot re-sync required")
+		return
 	}
 	if rd != nil {
 		if buf, err = writeFrame(conn, buf, s.cfg.WriteTimeout, fWelcome, helloWelcome(epoch, modeResume)); err != nil {
@@ -259,6 +278,10 @@ func (s *Server) session(conn net.Conn) {
 			return
 		}
 		s.snapshots.Add(1)
+		if dict, err = rd.DictPrefix(); err != nil {
+			rd.Close()
+			return
+		}
 		gen, off := rd.Pos()
 		log.Info("repl session bootstrapped", "gen", gen, "off", off)
 	}
@@ -278,7 +301,7 @@ func (s *Server) session(conn net.Conn) {
 		}
 	}()
 
-	if buf, err = s.sendDict(conn, rd, buf); err != nil {
+	if buf, err = s.sendDict(conn, dict, buf); err != nil {
 		return
 	}
 
@@ -331,7 +354,11 @@ func (s *Server) session(conn net.Conn) {
 			if buf, err = writeFrame(conn, buf, s.cfg.WriteTimeout, fGen, hdr); err != nil {
 				return
 			}
-			if buf, err = s.sendDict(conn, rd, buf); err != nil {
+			dict, err := rd.DictPrefix()
+			if err != nil {
+				return
+			}
+			if buf, err = s.sendDict(conn, dict, buf); err != nil {
 				return
 			}
 		case tsdb.WALIdle:
@@ -394,14 +421,12 @@ func (s *Server) sendSnapshot(conn net.Conn, buf []byte) (*tsdb.WALReader, []byt
 	return rd, buf, nil
 }
 
-// sendDict ships the dictionary prefix — every series record before
-// the reader's position in the current file — chunked into fDict
-// frames at arbitrary byte boundaries (the follower reassembles).
-func (s *Server) sendDict(conn net.Conn, rd *tsdb.WALReader, buf []byte) ([]byte, error) {
-	dict, err := rd.DictPrefix()
-	if err != nil {
-		return buf, err
-	}
+// sendDict ships a reader's dictionary prefix (WALReader.DictPrefix:
+// every series record before its position in the current file),
+// chunked into fDict frames at arbitrary byte boundaries (the
+// follower reassembles).
+func (s *Server) sendDict(conn net.Conn, dict, buf []byte) ([]byte, error) {
+	var err error
 	for off := 0; ; off += 256 << 10 {
 		end := off + 256<<10
 		if end > len(dict) {
@@ -418,24 +443,34 @@ func (s *Server) sendDict(conn net.Conn, rd *tsdb.WALReader, buf []byte) ([]byte
 }
 
 type helloMsg struct {
-	ver    byte
-	epoch  uint64
-	hasPos bool
-	gen    uint64
-	off    int64
-	key    string
+	ver        byte
+	epoch      uint64
+	hasPos     bool
+	resumeOnly bool
+	gen        uint64
+	off        int64
+	key        string
 }
+
+// Bits of the hello's flags byte. Followers before resumeOnly sent
+// only 0 or 1, and primaries before it read any non-zero byte as
+// hasPos, so the bit needs no new hello version.
+const (
+	helloHasPos     = 1 << 0 // epoch/gen/off name a durable position
+	helloResumeOnly = 1 << 1 // answer a position that cannot resume with a resync error, not a snapshot
+)
 
 func parseHello(p []byte) (helloMsg, error) {
 	if len(p) < 1+8+1+8+8+2 {
 		return helloMsg{}, errors.New("repl: short hello")
 	}
 	h := helloMsg{
-		ver:    p[0],
-		epoch:  binary.LittleEndian.Uint64(p[1:]),
-		hasPos: p[9] != 0,
-		gen:    binary.LittleEndian.Uint64(p[10:]),
-		off:    int64(binary.LittleEndian.Uint64(p[18:])),
+		ver:        p[0],
+		epoch:      binary.LittleEndian.Uint64(p[1:]),
+		hasPos:     p[9]&helloHasPos != 0,
+		resumeOnly: p[9]&helloResumeOnly != 0,
+		gen:        binary.LittleEndian.Uint64(p[10:]),
+		off:        int64(binary.LittleEndian.Uint64(p[18:])),
 	}
 	key, _, err := readStr(p, 26)
 	if err != nil {
@@ -449,11 +484,14 @@ func encodeHello(h helloMsg) []byte {
 	buf := make([]byte, 0, 64)
 	buf = append(buf, h.ver)
 	buf = binary.LittleEndian.AppendUint64(buf, h.epoch)
+	var flags byte
 	if h.hasPos {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		flags |= helloHasPos
 	}
+	if h.resumeOnly {
+		flags |= helloResumeOnly
+	}
+	buf = append(buf, flags)
 	buf = binary.LittleEndian.AppendUint64(buf, h.gen)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(h.off))
 	return appendStr(buf, h.key)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/emissions"
 	"repro/internal/geo"
 	"repro/internal/lorawan"
-	"repro/internal/weather"
 )
 
 // FaultKind enumerates injectable sensor faults (§2.3: "decaying
@@ -65,9 +64,9 @@ type Node struct {
 	Config
 	Battery *Battery
 
-	field   *emissions.Field
-	weather *weather.Model
-	rng     *rand.Rand
+	field    *emissions.Field
+	receptor *emissions.Receptor // the field at Pos
+	rng      *rand.Rand
 
 	// Per-unit miscalibration: measured = gain*truth + offset + noise.
 	// These are what the co-location calibration (§2.4) estimates.
@@ -88,8 +87,9 @@ type Node struct {
 	stuckMeas *Measurement
 }
 
-// NewNode creates a node sampling the given truth field and weather.
-func NewNode(cfg Config, field *emissions.Field, w *weather.Model) *Node {
+// NewNode creates a node sampling the given truth field and the
+// weather that drives it.
+func NewNode(cfg Config, field *emissions.Field) *Node {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Minute
 	}
@@ -98,11 +98,11 @@ func NewNode(cfg Config, field *emissions.Field, w *weather.Model) *Node {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.DevAddr)*31))
 	n := &Node{
-		Config:  cfg,
-		Battery: NewBattery(),
-		field:   field,
-		weather: w,
-		rng:     rng,
+		Config:   cfg,
+		Battery:  NewBattery(),
+		field:    field,
+		receptor: field.Receptor(cfg.Pos),
+		rng:      rng,
 		// Low-cost sensors: gain errors up to ±10%, offsets up to
 		// ±25 ppm CO2 / ±3 µg/m³ — consistent with the paper's premise
 		// that density compensates for per-unit inaccuracy.
@@ -140,7 +140,8 @@ func (n *Node) Sample(t time.Time) Measurement {
 	if n.epoch.IsZero() {
 		n.epoch = t
 	}
-	w := n.weather.At(t)
+	// One evaluation of the drivers the species share.
+	truth, w := n.receptor.At(t)
 	days := t.Sub(n.epoch).Hours() / 24
 	drift := n.driftPerDay * days
 	for _, f := range n.faults {
@@ -149,10 +150,10 @@ func (n *Node) Sample(t time.Time) Measurement {
 		}
 	}
 
-	co2True := n.field.Concentration(emissions.CO2, n.Pos, t)
-	no2True := n.field.Concentration(emissions.NO2, n.Pos, t)
-	pm10True := n.field.Concentration(emissions.PM10, n.Pos, t)
-	pm25True := n.field.Concentration(emissions.PM25, n.Pos, t)
+	co2True := truth[emissions.CO2]
+	no2True := truth[emissions.NO2]
+	pm10True := truth[emissions.PM10]
+	pm25True := truth[emissions.PM25]
 
 	m := Measurement{
 		Time:         t,
@@ -189,7 +190,7 @@ func (n *Node) Sample(t time.Time) Measurement {
 func (n *Node) Step(t time.Time) *lorawan.Transmission {
 	// Battery bookkeeping since the previous step.
 	if !n.lastBatt.IsZero() && t.After(n.lastBatt) {
-		irr := n.weather.At(t).IrradianceWM2
+		irr := n.field.Weather.At(t).IrradianceWM2
 		n.Battery.Advance(t.Sub(n.lastBatt), irr)
 	}
 	n.lastBatt = t

@@ -15,22 +15,22 @@ import (
 
 var center = geo.LatLon{Lat: 63.4305, Lon: 10.3951}
 
-func testEnv(t *testing.T) (*emissions.Field, *weather.Model) {
+func testEnv(t *testing.T) *emissions.Field {
 	t.Helper()
 	w := weather.NewModel(center.Lat, center.Lon, 1)
 	tr := traffic.NewNetwork(traffic.GenerateGridNetwork(center, 3000, 1), 1)
-	return emissions.NewField(w, tr), w
+	return emissions.NewField(w, tr)
 }
 
 func testNode(t *testing.T, seed int64) *Node {
 	t.Helper()
-	f, w := testEnv(t)
+	f := testEnv(t)
 	return NewNode(Config{
 		ID:      "node-1",
 		DevAddr: 0x26010001,
 		Pos:     center,
 		Seed:    seed,
-	}, f, w)
+	}, f)
 }
 
 func at(mo time.Month, d, h, m int) time.Time {
@@ -285,9 +285,9 @@ func TestNodeStuckFault(t *testing.T) {
 }
 
 func TestNodeDriftFault(t *testing.T) {
-	f, w := testEnv(t)
+	f := testEnv(t)
 	mk := func() *Node {
-		return NewNode(Config{ID: "d", DevAddr: 0x42, Pos: center, Seed: 11}, f, w)
+		return NewNode(Config{ID: "d", DevAddr: 0x42, Pos: center, Seed: 11}, f)
 	}
 	clean := mk()
 	faulty := mk()
@@ -307,10 +307,10 @@ func TestNodeDriftFault(t *testing.T) {
 }
 
 func TestNodeMiscalibrationVariesAcrossUnits(t *testing.T) {
-	f, w := testEnv(t)
+	f := testEnv(t)
 	gains := map[float64]bool{}
 	for i := 0; i < 8; i++ {
-		n := NewNode(Config{ID: "x", DevAddr: lorawanAddr(i), Pos: center, Seed: 100}, f, w)
+		n := NewNode(Config{ID: "x", DevAddr: lorawanAddr(i), Pos: center, Seed: 100}, f)
 		g, _ := n.TrueCalibration()
 		gains[g] = true
 	}

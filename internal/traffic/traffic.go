@@ -231,6 +231,38 @@ func (n *Network) At(segmentID string, t time.Time) (Observation, error) {
 	if s == nil {
 		return Observation{}, fmt.Errorf("traffic: unknown segment %q", segmentID)
 	}
+	flow := n.flow(s, t)
+
+	cap := s.CapacityVPH
+	for _, inc := range n.incidents {
+		if inc.SegmentID == s.ID && !t.Before(inc.Start) && t.Before(inc.End) {
+			cap *= inc.CapacityFactor
+		}
+	}
+
+	// Volume/capacity ratio drives speed via a BPR-style curve.
+	vc := flow / cap
+	speed := s.FreeFlowKmh / (1 + 0.15*math.Pow(vc, 4))
+	if speed < 3 {
+		speed = 3
+	}
+	// Jam factor per here.com semantics: 0 free-flow … 10 standstill.
+	jf := 10 * (1 - speed/s.FreeFlowKmh)
+	jf = math.Max(0, math.Min(10, jf))
+
+	return Observation{
+		SegmentID: s.ID,
+		Time:      t,
+		FlowVPH:   flow,
+		SpeedKmh:  speed,
+		JamFactor: jf,
+	}, nil
+}
+
+// flow returns a segment's vehicle flow (vph) at t: its own demand,
+// cut to the residual while the segment is closed, plus its share of
+// the traffic rerouted from closed segments nearby.
+func (n *Network) flow(s *Segment, t time.Time) float64 {
 	flow := n.baseFlow(s, t)
 
 	// Closure of THIS segment: most demand leaves it.
@@ -267,31 +299,7 @@ func (n *Network) At(segmentID string, t time.Time) (Observation, error) {
 			}
 		}
 	}
-
-	cap := s.CapacityVPH
-	for _, inc := range n.incidents {
-		if inc.SegmentID == s.ID && !t.Before(inc.Start) && t.Before(inc.End) {
-			cap *= inc.CapacityFactor
-		}
-	}
-
-	// Volume/capacity ratio drives speed via a BPR-style curve.
-	vc := flow / cap
-	speed := s.FreeFlowKmh / (1 + 0.15*math.Pow(vc, 4))
-	if speed < 3 {
-		speed = 3
-	}
-	// Jam factor per here.com semantics: 0 free-flow … 10 standstill.
-	jf := 10 * (1 - speed/s.FreeFlowKmh)
-	jf = math.Max(0, math.Min(10, jf))
-
-	return Observation{
-		SegmentID: s.ID,
-		Time:      t,
-		FlowVPH:   flow,
-		SpeedKmh:  speed,
-		JamFactor: jf,
-	}, nil
+	return flow
 }
 
 // CityJamFactor returns the demand-weighted mean jam factor across all
@@ -321,13 +329,29 @@ func (n *Network) CityJamFactor(t time.Time) float64 {
 // midpoint lies within radius meters of p at time t. The emission model
 // uses this as its traffic source term.
 func (n *Network) FlowNear(p geo.LatLon, radius float64, t time.Time) float64 {
-	var total float64
+	return n.FlowOver(n.Near(p, radius), t)
+}
+
+// Near returns, in ascending order, the indices into Segments of the
+// segments whose midpoint lies within radius meters of p. Geometry is
+// fixed once the network is built, so a fixed receptor asks once and
+// passes the answer to FlowOver at every sample.
+func (n *Network) Near(p geo.LatLon, radius float64) []int {
+	var idx []int
 	for i := range n.Segments {
 		if geo.Distance(n.mids[i], p) <= radius {
-			if obs, err := n.At(n.Segments[i].ID, t); err == nil {
-				total += obs.FlowVPH
-			}
+			idx = append(idx, i)
 		}
+	}
+	return idx
+}
+
+// FlowOver returns the total vehicle flow (vph) at time t on the
+// segments at the given indices into Segments, summed in their order.
+func (n *Network) FlowOver(idx []int, t time.Time) float64 {
+	var total float64
+	for _, i := range idx {
+		total += n.flow(&n.Segments[i], t)
 	}
 	return total
 }

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"errors"
+	"path/filepath"
 	"syscall"
 	"testing"
 
@@ -181,5 +182,46 @@ func TestRepeatedFlushFailuresDegrade(t *testing.T) {
 	ffs.SetPlan(nil)
 	if pts := queryAll(t, db, "m.ffl", "n1"); len(pts) != 600 {
 		t.Fatalf("read %d points, want 600", len(pts))
+	}
+}
+
+// TestCompactWALDirSyncFailureDegrades: the WAL rewrite renames
+// tsdb.wal.tmp over tsdb.wal; a rejected fsync of the directory after
+// the rename means the new log may not survive a power loss, so no
+// write may be acked on top of it.
+func TestCompactWALDirSyncFailureDegrades(t *testing.T) {
+	db, ffs := openFaulty(t, t.TempDir())
+	defer db.Close()
+	for i := 0; i < 10; i++ {
+		if err := put(db, pt("m.deg", "n1", i, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var renamed, synced bool
+	ffs.SetPlan(func(op fsio.Op, path string, n int64) *fsio.Fault {
+		switch {
+		case op == fsio.OpRename && filepath.Base(path) == "tsdb.wal":
+			renamed = true
+		case op == fsio.OpSyncDir && renamed && !synced:
+			synced = true
+			return &fsio.Fault{Err: syscall.EIO}
+		}
+		return nil
+	})
+	if err := db.CompactWAL(); err == nil {
+		t.Fatal("CompactWAL succeeded through a failing directory fsync")
+	}
+	if !synced {
+		t.Fatal("CompactWAL never synced the directory after its rename")
+	}
+	if err := db.Degraded(); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("Degraded() = %v, want ErrDegraded", err)
+	}
+	if err := put(db, pt("m.deg", "n1", 100, 1)); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("write after the unsynced rename = %v, want ErrDegraded", err)
+	}
+	ffs.SetPlan(nil)
+	if pts := queryAll(t, db, "m.deg", "n1"); len(pts) != 10 {
+		t.Fatalf("read %d points while degraded, want 10", len(pts))
 	}
 }

@@ -42,8 +42,9 @@ type ReplPos struct {
 var ErrTruncateDeferred = errors.New("tsdb: wal truncation deferred: live replication reader behind")
 
 // ErrWALResyncRequired reports that a follower's position cannot be
-// served from the current log (generation unknown, offset past EOF,
-// or the follower fell too far behind a truncation): it must
+// served from the current log (generation unknown, offset past EOF
+// or inside a record, or the follower fell too far behind a
+// truncation): it must
 // re-bootstrap from a snapshot.
 var ErrWALResyncRequired = errors.New("tsdb: wal position not resumable: snapshot resync required")
 

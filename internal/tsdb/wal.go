@@ -728,6 +728,9 @@ func (db *DB) compactWALLocked() error {
 	db.walGate.Lock()
 	defer db.walGate.Unlock()
 	if err := db.wal.compact(db); err != nil {
+		if errors.Is(err, errWALFsync) {
+			db.degrade(err)
+		}
 		return err
 	}
 	// The rewritten log holds no flush markers (flushed points are
@@ -901,6 +904,14 @@ func (l *wal) compactLocked(db *DB) error {
 		r.signal()
 	}
 	l.size.Store(size)
+	// The rename survives a power loss only once the directory is
+	// synced; until then the old log may come back, and every append
+	// acked into the new one would vanish with it. Writers are still
+	// gated here, so fail like a rejected WAL fsync: the caller
+	// degrades before anything rests on the rename.
+	if err := l.fs.SyncDir(filepath.Dir(l.path)); err != nil {
+		return fmt.Errorf("%w: wal compact dir sync: %v", errWALFsync, err)
+	}
 	return nil
 }
 

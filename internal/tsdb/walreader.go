@@ -213,14 +213,23 @@ func (r *WALReader) DictPrefix() ([]byte, error) {
 	br := bufio.NewReaderSize(io.NewSectionReader(l.f, start, end-start), 64<<10)
 	var out []byte
 	var header [8]byte
+	insideRecord := func(pos int64) error {
+		return fmt.Errorf("%w: offset %d is inside the record at %d", ErrWALResyncRequired, end, pos)
+	}
 	for pos := start; pos < end; {
+		if end-pos < int64(len(header)) {
+			return nil, insideRecord(pos)
+		}
 		if _, err := io.ReadFull(br, header[:]); err != nil {
 			return nil, fmt.Errorf("tsdb: wal dict scan: %w", err)
 		}
 		crc := binary.LittleEndian.Uint32(header[0:4])
 		n := binary.LittleEndian.Uint32(header[4:8])
-		if n == 0 || pos+int64(8+n) > end {
+		if n == 0 {
 			return nil, errWALCorrupt
+		}
+		if pos+int64(8+n) > end {
+			return nil, insideRecord(pos)
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(br, payload); err != nil {

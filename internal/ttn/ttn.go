@@ -12,7 +12,6 @@
 package ttn
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -249,7 +248,7 @@ func (ns *NetworkServer) publish(p *pendingUplink) (*UplinkMessage, error) {
 		msg.Fields = &m
 	}
 
-	data, err := json.Marshal(msg)
+	data, err := appendUplink(make([]byte, 0, 512), msg)
 	if err != nil {
 		return nil, fmt.Errorf("ttn: marshal uplink: %w", err)
 	}
@@ -274,13 +273,4 @@ func UplinkTopic(appID, devID string) string {
 // application.
 func UplinkWildcard(appID string) string {
 	return appID + "/devices/+/up"
-}
-
-// ParseUplink decodes a published uplink JSON document.
-func ParseUplink(payload []byte) (*UplinkMessage, error) {
-	var msg UplinkMessage
-	if err := json.Unmarshal(payload, &msg); err != nil {
-		return nil, fmt.Errorf("ttn: parse uplink: %w", err)
-	}
-	return &msg, nil
 }
