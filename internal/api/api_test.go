@@ -527,6 +527,46 @@ func TestStream(t *testing.T) {
 	}
 }
 
+// streamEvent is the SSE payload of one point, as appendEvent writes
+// it.
+type streamEvent struct {
+	Metric    string            `json:"metric"`
+	Tags      map[string]string `json:"tags"`
+	Timestamp int64             `json:"timestamp"` // ms
+	Value     float64           `json:"value"`
+}
+
+// TestAppendEventMatchesEncodingJSON: an SSE frame's payload is the
+// bytes encoding/json renders for streamEvent, tags sorted as it sorts
+// a map's keys; a value JSON cannot carry drops the frame.
+func TestAppendEventMatchesEncodingJSON(t *testing.T) {
+	db, err := tsdb.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, tags := range []map[string]string{
+		{"sensor": "n1"},
+		{"sensor": "s10", "city": "trondheim", "k2": "v", "k": "-./_"},
+	} {
+		ref, err := db.Intern("air.co2", tags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []float64{412.5, 0, math.Copysign(0, -1), 1e21, 1e-7, -17.25, math.NaN(), math.Inf(-1)} {
+			p := tsdb.Point{Timestamp: 1488326400000, Value: v}
+			got := string(appendEvent(nil, "point", ref, p))
+			want := ""
+			if payload, err := json.Marshal(streamEvent{Metric: ref.Metric(), Tags: tags, Timestamp: p.Timestamp, Value: v}); err == nil {
+				want = "event: point\ndata: " + string(payload) + "\n\n"
+			}
+			if got != want {
+				t.Fatalf("%v %v:\n got %q\nwant %q", tags, v, got, want)
+			}
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	g, srv := newTestGateway(t, Config{})
 	resp := putJSON(t, srv.URL+"/api/put", putBody(5, "air.co2", "n1", 1488326400))

@@ -8,14 +8,15 @@ package api
 // /metrics.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/jsonenc"
 	"repro/internal/tsdb"
 )
 
@@ -32,7 +33,7 @@ type streamHub struct {
 }
 
 type subscriber struct {
-	ch           chan tsdb.DataPoint
+	ch           chan tsdb.RefPoint
 	metricPrefix string
 	tags         map[string]string
 }
@@ -54,13 +55,12 @@ func (h *streamHub) publishBatch(rps []tsdb.RefPoint) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	for _, rp := range rps {
-		dp := tsdb.DataPoint{Metric: rp.Ref.Metric(), Tags: rp.Ref.Tags(), Point: rp.Point}
 		for sub := range h.subs {
-			if !sub.matches(dp) {
+			if !sub.matches(rp.Ref) {
 				continue
 			}
 			select {
-			case sub.ch <- dp:
+			case sub.ch <- rp:
 			default:
 				h.dropped.Add(1)
 			}
@@ -68,12 +68,12 @@ func (h *streamHub) publishBatch(rps []tsdb.RefPoint) {
 	}
 }
 
-func (s *subscriber) matches(dp tsdb.DataPoint) bool {
-	if s.metricPrefix != "" && !strings.HasPrefix(dp.Metric, s.metricPrefix) {
+func (s *subscriber) matches(series *tsdb.Ref) bool {
+	if s.metricPrefix != "" && !strings.HasPrefix(series.Metric(), s.metricPrefix) {
 		return false
 	}
 	for k, v := range s.tags {
-		tv, ok := dp.Tags[k]
+		tv, ok := series.Tag(k)
 		if !ok || (v != "*" && v != tv) {
 			return false
 		}
@@ -83,7 +83,7 @@ func (s *subscriber) matches(dp tsdb.DataPoint) bool {
 
 func (h *streamHub) subscribe(metricPrefix string, tags map[string]string) (*subscriber, bool) {
 	sub := &subscriber{
-		ch:           make(chan tsdb.DataPoint, h.buffer),
+		ch:           make(chan tsdb.RefPoint, h.buffer),
 		metricPrefix: metricPrefix,
 		tags:         tags,
 	}
@@ -124,12 +124,29 @@ func (h *streamHub) subscriberCount() int {
 
 func (h *streamHub) droppedCount() uint64 { return h.dropped.Load() }
 
-// streamEvent is the SSE payload for one point.
-type streamEvent struct {
-	Metric    string            `json:"metric"`
-	Tags      map[string]string `json:"tags"`
-	Timestamp int64             `json:"timestamp"` // ms
-	Value     float64           `json:"value"`
+// appendEvent appends the SSE frame of one point: the event line,
+// then a JSON payload {"metric","tags","timestamp" (ms),"value"} laid
+// out as encoding/json renders it, tags in key order as it sorts a
+// map's. A NaN or infinite value has no JSON form: the frame is
+// dropped and b comes back unchanged.
+func appendEvent(b []byte, event string, series *tsdb.Ref, p tsdb.Point) []byte {
+	n := len(b)
+	b = append(append(append(b, "event: "...), event...), "\ndata: {\"metric\":"...)
+	b = jsonenc.AppendString(b, series.Metric())
+	b = append(b, `,"tags":{`...)
+	for i, t := range series.Tags() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(jsonenc.AppendString(b, t.Key), ':')
+		b = jsonenc.AppendString(b, t.Value)
+	}
+	b = strconv.AppendInt(append(b, `},"timestamp":`...), p.Timestamp, 10)
+	out, err := jsonenc.AppendFloat(append(b, `,"value":`...), p.Value)
+	if err != nil {
+		return b[:n]
+	}
+	return append(out, "}\n\n"...)
 }
 
 // handleStream serves GET /api/stream?metric=<prefix>&tag.<k>=<v>
@@ -179,6 +196,7 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	fmt.Fprint(w, ": connected\n\n")
 	flusher.Flush()
+	var buf []byte // event frames, reused
 
 	if backfillStart >= 0 {
 		// drainLive forwards any live events buffered during the
@@ -187,35 +205,25 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 		drainLive := func() {
 			for {
 				select {
-				case dp, ok := <-sub.ch:
+				case rp, ok := <-sub.ch:
 					if !ok {
 						return // hub closed; the live loop below exits too
 					}
-					if payload, err := json.Marshal(streamEvent{
-						Metric: dp.Metric, Tags: dp.Tags,
-						Timestamp: dp.Timestamp, Value: dp.Value,
-					}); err == nil {
-						fmt.Fprintf(w, "event: point\ndata: %s\n\n", payload)
-					}
+					buf = appendEvent(buf[:0], "point", rp.Ref, rp.Point)
+					w.Write(buf)
 				default:
 					return
 				}
 			}
 		}
 		err := g.db.ScanSeries(q.Get("metric"), tags, backfillStart, g.cfg.Now().UnixMilli(),
-			func(metric string, stags map[string]string, pts []tsdb.Point) error {
+			func(series *tsdb.Ref, pts []tsdb.Point) error {
 				if r.Context().Err() != nil {
 					return r.Context().Err() // client went away mid-replay
 				}
 				for _, p := range pts {
-					payload, err := json.Marshal(streamEvent{
-						Metric: metric, Tags: stags,
-						Timestamp: p.Timestamp, Value: p.Value,
-					})
-					if err != nil {
-						continue
-					}
-					fmt.Fprintf(w, "event: backfill\ndata: %s\n\n", payload)
+					buf = appendEvent(buf[:0], "backfill", series, p)
+					w.Write(buf)
 				}
 				flusher.Flush()
 				drainLive()
@@ -239,18 +247,15 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 		case <-heartbeat.C:
 			fmt.Fprint(w, ": keep-alive\n\n")
 			flusher.Flush()
-		case dp, ok := <-sub.ch:
+		case rp, ok := <-sub.ch:
 			if !ok {
 				return // hub closed
 			}
-			payload, err := json.Marshal(streamEvent{
-				Metric: dp.Metric, Tags: dp.Tags,
-				Timestamp: dp.Timestamp, Value: dp.Value,
-			})
-			if err != nil {
+			buf = appendEvent(buf[:0], "point", rp.Ref, rp.Point)
+			if len(buf) == 0 {
 				continue
 			}
-			fmt.Fprintf(w, "event: point\ndata: %s\n\n", payload)
+			w.Write(buf)
 			flusher.Flush()
 		}
 	}

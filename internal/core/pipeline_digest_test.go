@@ -3,7 +3,6 @@ package core
 import (
 	"hash/fnv"
 	"math"
-	"sort"
 	"testing"
 	"time"
 
@@ -17,15 +16,10 @@ import (
 // moves it; arrival order and series IDs do not.
 func storeDigest(t *testing.T, db *tsdb.DB) (points int, digest uint64) {
 	t.Helper()
-	err := db.ScanSeries("", nil, 0, math.MaxInt64/2, func(metric string, tags map[string]string, pts []tsdb.Point) error {
-		keys := make([]string, 0, len(tags))
-		for k := range tags {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		key := metric
-		for _, k := range keys {
-			key += "," + k + "=" + tags[k]
+	err := db.ScanSeries("", nil, 0, math.MaxInt64/2, func(series *tsdb.Ref, pts []tsdb.Point) error {
+		key := series.Metric()
+		for _, tg := range series.Tags() { // sorted by key
+			key += "," + tg.Key + "=" + tg.Value
 		}
 		for _, p := range pts {
 			h := fnv.New64a()

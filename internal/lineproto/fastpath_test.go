@@ -115,7 +115,7 @@ func comparePutParsers(t *testing.T, s *Server, st *connState, ref *tsdb.DB, lin
 		t.Fatalf("%q: fast tags %v != slow %v", line, tags, dp.Tags)
 	}
 	for k, v := range dp.Tags {
-		if tags[k] != v {
+		if fv, ok := rp.Ref.Tag(k); !ok || fv != v {
 			t.Fatalf("%q: fast tags %v != slow %v", line, tags, dp.Tags)
 		}
 	}

@@ -216,16 +216,16 @@ func validSnapName(name string) bool {
 
 // receiveSnapshot consumes snapfile/snapdata frames until snapend,
 // writing and fsyncing each file, then fsyncing the directories. A
-// kind-2 file (an older primary's rollup state) is read and dropped.
+// file of another kind — kind 2 was the rollup state older primaries
+// shipped — is refused before anything is written for it.
 func receiveSnapshot(cfg BootstrapConfig, conn net.Conn, br *bufio.Reader) (tsdb.ReplPos, error) {
 	blocks := filepath.Join(cfg.Dir, "blocks")
 	if err := cfg.FS.MkdirAll(blocks, 0o755); err != nil {
 		return tsdb.ReplPos{}, err
 	}
-	var cur fsio.File // nil before the first file and while discarding
+	var cur fsio.File // nil before the first file
 	var curName string
 	var remaining int64
-	discard := false
 	closeCur := func() error {
 		f := cur
 		cur = nil
@@ -279,28 +279,22 @@ func receiveSnapshot(cfg BootstrapConfig, conn net.Conn, br *bufio.Reader) (tsdb
 				path = filepath.Join(cfg.Dir, walName)
 			case snapKindBlock:
 				path = filepath.Join(blocks, name)
-			case snapKindRollupState:
-				// No path: the bytes are read and dropped.
 			default:
-				return tsdb.ReplPos{}, fmt.Errorf("unknown snapshot kind %d", kind)
+				return tsdb.ReplPos{}, fmt.Errorf("snapshot file %q of unknown kind %d: the primary is older than this build reads (docs/FORMAT.md §4)", name, kind)
 			}
-			if discard = path == ""; !discard {
-				if cur, err = cfg.FS.Create(path); err != nil {
-					return tsdb.ReplPos{}, err
-				}
+			if cur, err = cfg.FS.Create(path); err != nil {
+				return tsdb.ReplPos{}, err
 			}
 			curName, remaining = name, size
 		case fSnapData:
-			if cur == nil && !discard {
+			if cur == nil {
 				return tsdb.ReplPos{}, errors.New("snapdata before snapfile")
 			}
 			if int64(len(payload)) > remaining {
 				return tsdb.ReplPos{}, fmt.Errorf("snapshot file %s overran declared size", curName)
 			}
-			if cur != nil {
-				if _, err := cur.Write(payload); err != nil {
-					return tsdb.ReplPos{}, err
-				}
+			if _, err := cur.Write(payload); err != nil {
+				return tsdb.ReplPos{}, err
 			}
 			remaining -= int64(len(payload))
 		case fSnapEnd:
@@ -777,7 +771,7 @@ func (d *recDecoder) apply(payload []byte) error {
 		return d.applySeries(payload[1:])
 	case 2: // points
 		return d.applyPoints(payload[1:])
-	case 3, 7: // sealed blocks: written by log rewrites only, never streamed
+	case 7: // sealed blocks: written by log rewrites only, never streamed
 		return errors.New("repl: unexpected block record in stream")
 	case 4, 5, 6: // flush marker, replpos, gen: primary-local bookkeeping
 		return nil
@@ -791,27 +785,21 @@ func (d *recDecoder) applySeries(p []byte) error {
 		return errFrameCorrupt
 	}
 	fid := binary.LittleEndian.Uint32(p)
-	metric, off, err := readStr(p, 4)
+	metric, off, err := readBytes(p, 4)
 	if err != nil {
 		return err
 	}
 	if off+2 > len(p) {
 		return errFrameCorrupt
 	}
-	nTags := int(binary.LittleEndian.Uint16(p[off:]))
+	kvs := make([][]byte, 2*int(binary.LittleEndian.Uint16(p[off:])))
 	off += 2
-	tags := make(map[string]string, nTags)
-	for i := 0; i < nTags; i++ {
-		var k, v string
-		if k, off, err = readStr(p, off); err != nil {
+	for i := range kvs {
+		if kvs[i], off, err = readBytes(p, off); err != nil {
 			return err
 		}
-		if v, off, err = readStr(p, off); err != nil {
-			return err
-		}
-		tags[k] = v
 	}
-	ref, err := d.db.Intern(metric, tags)
+	ref, err := d.db.InternBytes(metric, kvs)
 	if err != nil {
 		return fmt.Errorf("repl: intern %s: %w", metric, err)
 	}

@@ -14,7 +14,7 @@
 //
 //	hello     (1) C→S: ver(1) | epoch(8) | flags(1) | gen(8) | off(8) | key(str)     ver: helloVersion; flags: 1 hasPos, 2 resumeOnly
 //	welcome   (2) S→C: ver(1) | epoch(8) | mode(1)           ver: protoVersion; mode: 0 resume, 1 snapshot
-//	snapfile  (3) S→C: kind(1) | size(8) | name(str)         kind: 0 wal, 1 block (2: older primaries' rollup state, discarded)
+//	snapfile  (3) S→C: kind(1) | size(8) | name(str)         kind: 0 wal, 1 block
 //	snapdata  (4) S→C: raw file bytes
 //	snapend   (5) S→C: gen(8) | off(8)
 //	dict      (6) S→C: raw WAL series records (chunked arbitrarily)
@@ -80,11 +80,6 @@ const (
 const (
 	snapKindWAL   = 0
 	snapKindBlock = 1
-	// snapKindRollupState is the rollup.state file primaries shipped
-	// before the rollup engine rebuilt its open windows from the store.
-	// Followers still accept it, so an older primary can seed them,
-	// and discard its bytes.
-	snapKindRollupState = 2
 )
 
 // Error codes carried by fError frames.
@@ -183,15 +178,21 @@ func appendStr(buf []byte, s string) []byte {
 }
 
 func readStr(p []byte, off int) (string, int, error) {
+	b, off, err := readBytes(p, off)
+	return string(b), off, err
+}
+
+// readBytes is readStr without the copy: the bytes alias p.
+func readBytes(p []byte, off int) ([]byte, int, error) {
 	if off+2 > len(p) {
-		return "", off, errFrameCorrupt
+		return nil, off, errFrameCorrupt
 	}
 	n := int(binary.LittleEndian.Uint16(p[off:]))
 	off += 2
 	if off+n > len(p) {
-		return "", off, errFrameCorrupt
+		return nil, off, errFrameCorrupt
 	}
-	return string(p[off : off+n]), off + n, nil
+	return p[off : off+n], off + n, nil
 }
 
 // sendError best-effort ships an fError before the caller closes the

@@ -4,12 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
-	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,7 +29,7 @@ func oldPrimaryDial(t *testing.T, pdb *tsdb.DB, state []byte) DialFunc {
 				t.Error(err)
 				return
 			}
-			hdr := append([]byte{snapKindRollupState}, binary.LittleEndian.AppendUint64(nil, uint64(len(state)))...)
+			hdr := append([]byte{2}, binary.LittleEndian.AppendUint64(nil, uint64(len(state)))...)
 			buf, err := writeFrame(conn, nil, time.Second, fWelcome, helloWelcome(1, modeSnapshot))
 			if err == nil {
 				buf, err = writeFrame(conn, buf, time.Second, fSnapFile, appendStr(hdr, "rollup.state"))
@@ -39,24 +38,20 @@ func oldPrimaryDial(t *testing.T, pdb *tsdb.DB, state []byte) DialFunc {
 				buf, err = writeFrame(conn, buf, time.Second, fSnapData, state)
 			}
 			if err != nil {
-				t.Error(err)
-				return
+				return // the follower hung up on the kind-2 file
 			}
-			rd, _, err := srv.sendSnapshot(conn, buf)
-			if err != nil {
-				t.Error(err)
-				return
+			if rd, _, err := srv.sendSnapshot(conn, buf); err == nil {
+				rd.Close()
 			}
-			rd.Close()
 		}()
 		return client, nil
 	}
 }
 
-// TestSnapshotDiscardsRollupState: a follower seeded by an older
-// primary accepts its kind-2 rollup state file and writes nothing for
-// it; the store it opens holds exactly the primary's points.
-func TestSnapshotDiscardsRollupState(t *testing.T) {
+// TestSnapshotRefusesRollupState: a follower refuses the snapshot of a
+// primary that still ships its kind-2 rollup state file, naming the
+// compatibility rules, and writes nothing for it.
+func TestSnapshotRefusesRollupState(t *testing.T) {
 	pdb := openStore(t, t.TempDir())
 	defer pdb.Close()
 	for i := 0; i < 300; i++ {
@@ -65,39 +60,24 @@ func TestSnapshotDiscardsRollupState(t *testing.T) {
 	if _, err := pdb.FlushBlocks(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 300; i < 320; i++ {
-		put(t, pdb, "m.cpu", "a", i)
-	}
 
 	dir := t.TempDir()
-	boot, err := Bootstrap(BootstrapConfig{Dir: dir, Dial: oldPrimaryDial(t, pdb, []byte("CTTRST1\n state bytes"))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot.sess.conn.Close()
-	if !boot.Snapshot {
-		t.Fatal("bootstrap did not take the snapshot")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "rollup.state")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("rollup.state written by the follower (stat err %v)", err)
+	_, err := Bootstrap(BootstrapConfig{Dir: dir, Dial: oldPrimaryDial(t, pdb, []byte("CTTRST1\n state bytes"))})
+	if err == nil || !strings.Contains(err.Error(), "FORMAT.md §4") {
+		t.Fatalf("bootstrap from a rollup-state primary: err %v, want a refusal naming FORMAT.md §4", err)
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
 	for _, e := range ents {
-		names = append(names, e.Name())
+		if e.Name() != "blocks" {
+			t.Fatalf("refused snapshot left %s in the data dir", e.Name())
+		}
 	}
-	if !slices.Equal(names, []string{"blocks", walName}) {
-		t.Fatalf("data dir holds %v, want only blocks and the WAL", names)
+	if blocks, err := os.ReadDir(filepath.Join(dir, "blocks")); err != nil || len(blocks) != 0 {
+		t.Fatalf("refused snapshot wrote block files: %v (err %v)", blocks, err)
 	}
-	rdb := openStore(t, dir)
-	defer rdb.Close()
-	if rdb.PointCount() != 320 || rdb.SeriesCount() != pdb.SeriesCount() {
-		t.Fatalf("replica holds %d points in %d series, primary 320 in %d", rdb.PointCount(), rdb.SeriesCount(), pdb.SeriesCount())
-	}
-	assertSeriesEqual(t, pdb, rdb, "m.cpu", "a")
 }
 
 // nopConn is the connection receiveSnapshot sets read deadlines on;
@@ -185,18 +165,19 @@ func snapFileRecord(kind byte, size int, name string) []byte {
 // FuzzReceiveSnapshot: any frame stream into the follower's snapshot
 // receiver ends in an error or a position, never a panic; it creates
 // nothing but Dir/blocks, Dir/tsdb.wal and files directly inside
-// Dir/blocks; and a kind-2 file writes nothing.
+// Dir/blocks; and a file of an unknown kind (2 was the rollup state
+// older primaries shipped) writes nothing.
 func FuzzReceiveSnapshot(f *testing.F) {
 	end := snapRecord(fSnapEnd, make([]byte, 16))
 	cat := func(recs ...[]byte) []byte { return bytes.Join(recs, nil) }
 	f.Add(cat(snapFileRecord(snapKindBlock, 3, "b-1.blk"), snapRecord(fSnapData, []byte("abc")),
-		snapFileRecord(snapKindRollupState, 4, "rollup.state"), snapRecord(fSnapData, []byte("CTTR")),
+		snapFileRecord(2, 4, "rollup.state"), snapRecord(fSnapData, []byte("CTTR")),
 		snapFileRecord(snapKindWAL, 2, walName), snapRecord(fSnapData, []byte("wl")), end))
-	f.Add(cat(snapFileRecord(snapKindRollupState, 2, walName), snapRecord(fSnapData, []byte("xy")), end))
+	f.Add(cat(snapFileRecord(2, 2, walName), snapRecord(fSnapData, []byte("xy")), end))
 	f.Add(cat(snapFileRecord(snapKindBlock, 1, "../evil"), snapRecord(fSnapData, []byte("x")), end))
 	f.Add(cat(snapFileRecord(snapKindBlock, 1, "a/b"), end))
 	f.Add(cat(snapFileRecord(snapKindWAL, 5, walName), snapRecord(fSnapData, []byte("x")), end))
-	f.Add(cat(snapFileRecord(snapKindRollupState, 1, "s"), snapRecord(fSnapData, []byte("xy")), end))
+	f.Add(cat(snapFileRecord(2, 1, "s"), snapRecord(fSnapData, []byte("xy")), end))
 	f.Add(cat(snapRecord(fSnapData, []byte("x")), end))
 	f.Add(cat(snapFileRecord(3, 0, "x"), end))
 	f.Add(cat(snapRecord(fSnapFile, []byte{0}), snapRecord(fSnapEnd, nil)))

@@ -354,7 +354,11 @@ func TestRestartPromotedReplica(t *testing.T) {
 	replica.eng.Close()
 	stream := primary.db.AddBatchObserver(func(rps []tsdb.RefPoint) {
 		for _, rp := range rps {
-			putAt(t, replica.db, rp.Ref.Metric(), rp.Ref.Tags(), time.UnixMilli(rp.Timestamp), rp.Value)
+			tags := map[string]string{}
+			for _, tg := range rp.Ref.Tags() {
+				tags[tg.Key] = tg.Value
+			}
+			putAt(t, replica.db, rp.Ref.Metric(), tags, time.UnixMilli(rp.Timestamp), rp.Value)
 		}
 	})
 	putSeries(t, primary.db, "air.co2", 95, 30)

@@ -179,13 +179,11 @@ type engineShard struct {
 }
 
 type seriesState struct {
-	ref       *tsdb.Ref // interned handle; dead ⇒ prunable once drained
-	metric    string
-	tags      map[string]string // interned canonical map: read-only
-	skip      bool              // derived series / reserved stat tag: never rolled up
-	countSkip bool              // reserved stat tag: count on the skipped counter
-	watermark int64             // newest event timestamp seen (ms)
-	pending   int               // write-backs of sealed windows not yet returned
+	ref       *tsdb.Ref // interned handle, the series' identity; dead ⇒ prunable once drained
+	skip      bool      // derived series / reserved stat tag: never rolled up
+	countSkip bool      // reserved stat tag: count on the skipped counter
+	watermark int64     // newest event timestamp seen (ms)
+	pending   int       // write-backs of sealed windows not yet returned
 	tiers     []tierState
 }
 
@@ -454,13 +452,12 @@ func (e *Engine) observeOneLocked(sh *engineShard, rp tsdb.RefPoint, wb *writeBa
 // starts as sealed as the last clock Flush left every known one, so
 // points behind the clock are late whenever their series first appears.
 func (e *Engine) newSeriesState(ref *tsdb.Ref) *seriesState {
-	metric, tags := ref.Metric(), ref.Tags()
-	st := &seriesState{ref: ref, metric: metric, tags: tags}
-	if strings.HasPrefix(metric, MetricPrefix) {
+	st := &seriesState{ref: ref}
+	if strings.HasPrefix(ref.Metric(), MetricPrefix) {
 		st.skip = true // derived write: never roll up rollups
 		return st
 	}
-	if _, reserved := tags[StatTag]; reserved {
+	if _, reserved := ref.Tag(StatTag); reserved {
 		st.skip, st.countSkip = true, true
 		return st
 	}
@@ -708,7 +705,7 @@ func (e *Engine) ApplyRetention(now time.Time) (int, error) {
 	total := 0
 	if e.cfg.RawRetention > 0 {
 		n, err := e.db.DeleteBeforeWhere(nowMS-e.cfg.RawRetention.Milliseconds(),
-			func(metric string, _ map[string]string) bool {
+			func(metric string) bool {
 				return !strings.HasPrefix(metric, MetricPrefix)
 			})
 		total += n
@@ -724,7 +721,7 @@ func (e *Engine) ApplyRetention(now time.Time) (int, error) {
 		}
 		prefix := spec.metricPrefix
 		n, err := e.db.DeleteBeforeWhere(nowMS-spec.retention.Milliseconds(),
-			func(metric string, _ map[string]string) bool {
+			func(metric string) bool {
 				return strings.HasPrefix(metric, prefix)
 			})
 		total += n

@@ -40,7 +40,6 @@ package rollup
 // entirely from tier sums/counts and never decodes a raw member block.
 
 import (
-	"maps"
 	"strings"
 	"time"
 
@@ -380,11 +379,16 @@ func (e *Engine) cachedRefLocked(st *seriesState, ti, stat int) *tsdb.Ref {
 	return refs[stat]
 }
 
-// derivedName is the name of one derived series of st.
+// derivedName is the name of one derived series of st: its metric
+// under the tier's prefix, its tags plus the stat tag.
 func (e *Engine) derivedName(st *seriesState, ti, stat int) (string, map[string]string) {
-	tags := maps.Clone(st.tags)
+	src := st.ref.Tags()
+	tags := make(map[string]string, len(src)+1)
+	for _, t := range src {
+		tags[t.Key] = t.Value
+	}
 	tags[StatTag] = windowStats[stat].name
-	return e.tiers[ti].metricPrefix + st.metric, tags
+	return e.tiers[ti].metricPrefix + st.ref.Metric(), tags
 }
 
 // yieldTier streams the buckets of [bLo, cut) out of v's derived

@@ -161,7 +161,7 @@ func (db *DB) notifyObserversBatch(rps []RefPoint) {
 // locks) once per stored batch — the batch-granular hook the rollup
 // engine and the gateway's stream/cache fan-out subscribe to, so a
 // 256-point batch costs one observer call instead of 256. The slice
-// and the Refs' tag maps are shared state: observers must not mutate
+// and the Refs' tags are shared state: observers must not mutate
 // or retain them past the call. It returns a removal function. WAL
 // replay during Open does not trigger observers.
 func (db *DB) AddBatchObserver(fn func([]RefPoint)) (remove func()) {

@@ -345,7 +345,8 @@ type benchPlanner struct {
 }
 
 func (p *benchPlanner) PlanDownsample(series *Ref, start, end int64, interval time.Duration, fn Aggregator) (TierRead, string) {
-	rd, ok := p.buckets[series.Tags()["sensor"]]
+	sensor, _ := series.Tag("sensor")
+	rd, ok := p.buckets[sensor]
 	if !ok {
 		return nil, "no buckets"
 	}
@@ -408,8 +409,9 @@ func BenchmarkTopKRollup(b *testing.B) {
 		// Precompute the per-sensor hourly buckets a rollup tier would
 		// hold (setup cost, not measured).
 		planner := &benchPlanner{buckets: map[string]*bucketRead{}}
-		err := db.ScanSeries("air.co2", nil, q.Start, q.End, func(metric string, tags map[string]string, pts []Point) error {
-			planner.buckets[tags["sensor"]] = &bucketRead{downsample(pts, time.Hour, AggAvg)}
+		err := db.ScanSeries("air.co2", nil, q.Start, q.End, func(series *Ref, pts []Point) error {
+			sensor, _ := series.Tag("sensor")
+			planner.buckets[sensor] = &bucketRead{downsample(pts, time.Hour, AggAvg)}
 			return nil
 		})
 		if err != nil {

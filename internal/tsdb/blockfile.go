@@ -27,12 +27,14 @@ package tsdb
 // table so a sequential scan can recover a file with a destroyed
 // index; the index is the authoritative copy.
 //
-// "CTTBLK1" is the same layout with every payload untagged. Such
-// files load and compact like any other; the magic moved to 2 with
-// the payload tag so that a build without the tag quarantines a file
-// it would otherwise misread.
+// "CTTBLK1" was the same layout with every payload untagged, written
+// by pre-release builds. The magic moved to 2 with the payload tag so
+// that a build without the tag quarantines a file it would otherwise
+// misread; this build in turn refuses to open a directory holding a
+// CTTBLK1 file (docs/FORMAT.md §4).
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -41,7 +43,6 @@ import (
 
 const (
 	blockMagic     = "CTTBLK2\n"
-	blockMagicV1   = "CTTBLK1\n"
 	blockTailMagic = "CTTBLKE\n"
 
 	blockHeaderSize = 16
@@ -130,12 +131,7 @@ func writeBlockChunks(fs fsio.FS, path string, chunks []*diskChunk) (f fsio.File
 	idxStart := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(seriesOrder)))
 	for _, ref := range seriesOrder {
-		buf = appendWALString(buf, ref.metric)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ref.pairs)))
-		for _, kv := range ref.pairs {
-			buf = appendWALString(buf, kv.k)
-			buf = appendWALString(buf, kv.v)
-		}
+		buf = appendSeriesEntry(buf, ref)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(chunks)))
 	for i, c := range chunks {
@@ -181,10 +177,11 @@ type parsedChunk struct {
 
 // parsedSeries is one series table row: the identity a chunk is
 // re-interned under at load (SeriesIDs are process-lifetime, so the
-// file stores the full key, never the ID).
+// file stores the metric and tags, never the ID), as InternBytes takes
+// it. The bytes alias the file's index buffer.
 type parsedSeries struct {
-	metric string
-	tags   map[string]string
+	metric []byte
+	kvs    [][]byte
 }
 
 // parsedBlock is the decoded metadata of one block file.
@@ -219,6 +216,10 @@ func verifyChunkPayloads(f fsio.File, pb *parsedBlock) error {
 	return nil
 }
 
+// errUntaggedBlockFile reports a CTTBLK1 file: intact, but its
+// payloads are untagged, which this build does not read.
+var errUntaggedBlockFile = errors.New("untagged CTTBLK1 payloads from a pre-release build, which this build does not read (docs/FORMAT.md §4)")
+
 // parseBlockFile validates a block file's framing (magics, footer CRC,
 // index CRC) and decodes its index. It does not read chunk payloads —
 // openDiskStore runs verifyChunkPayloads separately, and query-time
@@ -237,7 +238,11 @@ func parseBlockFile(f fsio.File) (*parsedBlock, error) {
 	if _, err := f.ReadAt(head[:], 0); err != nil {
 		return nil, err
 	}
-	if m := string(head[:len(blockMagic)]); m != blockMagic && m != blockMagicV1 {
+	switch string(head[:len(blockMagic)]) {
+	case blockMagic:
+	case "CTTBLK1\n":
+		return nil, errUntaggedBlockFile
+	default:
 		return nil, fmt.Errorf("tsdb: block file bad magic")
 	}
 	var foot [blockFooterSize]byte
@@ -279,28 +284,10 @@ func parseBlockFile(f fsio.File) (*parsedBlock, error) {
 	off += 4
 	pb.series = make([]parsedSeries, seriesCount)
 	for i := range pb.series {
-		metric, noff, err := readWALString(idx, off)
-		if err != nil {
+		ps := &pb.series[i]
+		if ps.metric, ps.kvs, off, err = readSeriesEntry(idx, off); err != nil {
 			return nil, fmt.Errorf("tsdb: block file series table: %w", err)
 		}
-		off = noff
-		if off+2 > len(idx) {
-			return nil, fmt.Errorf("tsdb: block file series table truncated")
-		}
-		nTags := int(binary.LittleEndian.Uint16(idx[off:]))
-		off += 2
-		tags := make(map[string]string, nTags)
-		for t := 0; t < nTags; t++ {
-			var k, v string
-			if k, off, err = readWALString(idx, off); err != nil {
-				return nil, fmt.Errorf("tsdb: block file series table: %w", err)
-			}
-			if v, off, err = readWALString(idx, off); err != nil {
-				return nil, fmt.Errorf("tsdb: block file series table: %w", err)
-			}
-			tags[k] = v
-		}
-		pb.series[i] = parsedSeries{metric: metric, tags: tags}
 	}
 
 	// Chunk table.

@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -278,153 +279,83 @@ func TestFirstDeltaFullWidth(t *testing.T) {
 	}
 }
 
-// legacyFixturePoints recomputes what testdata/legacy_v1 holds. The
-// directory was written by the commit before the payload tag (e0b8211)
-// through the public API — OpenOptions{Dir, Now: base + 300
-// steps + 30 min}, these 700 points a series at the 5-minute cadence,
-// FlushBlocks, Close — so the first 300 points of each series sit in a
-// CTTBLK1 block file and the rest in the CTTWAL2 log as one untagged
-// block record and one points record per series.
-func legacyFixturePoints(metric string) []Point {
-	pts := make([]Point, 700)
-	for i := range pts {
-		v := float64(150+(i*37)%211) / 10
-		if metric == "net.rssi" {
-			v = -120 + float64((i*53)%97)/7
-		}
-		pts[i] = Point{Timestamp: baseTS + int64(i)*300000, Value: v}
-	}
-	return pts
-}
-
-// TestLegacyDataDirectory: a directory written by the previous build
-// opens with nothing quarantined, answers what was written, compacts
-// together with chunks this build seals, survives the leftover of an
-// interrupted compaction, and moves its untagged in-memory block
-// through a WAL rewrite under the old record type.
+// TestLegacyDataDirectory: testdata/legacy_v1 was written by the
+// commit before the payload tag (e0b8211) — a CTTBLK1 block file and a
+// CTTWAL2 log holding untagged block records (type 3). This build
+// refuses to open it, naming the compatibility rules, and changes
+// nothing in it: with the block file the open stops at it, and the log
+// alone stops at its first untagged record. An untagged payload that
+// reaches a cursor fails to decode.
 func TestLegacyDataDirectory(t *testing.T) {
-	dir := t.TempDir()
 	const blk = "0000015957536400-00000001.blk"
-	for _, name := range []string{walFileName, filepath.Join("blocks", blk)} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "legacy_v1", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	legacyBlk, err := os.ReadFile(filepath.Join(dir, "blocks", blk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(legacyBlk[:8]) != blockMagicV1 {
-		t.Fatalf("fixture block file magic %q", legacyBlk[:8])
-	}
-
-	tags := map[string]string{"sensor": "legacy", "city": "trondheim"}
-	metrics := []string{"air.no2", "net.rssi"}
-	check := func(db *DB, what string, extra int) {
-		t.Helper()
-		if q := db.DiskStats().Quarantined; q != 0 {
-			t.Fatalf("%s: %d files quarantined", what, q)
-		}
-		for _, m := range metrics {
-			want := legacyFixturePoints(m)
-			for i := 0; i < extra; i++ {
-				want = append(want, Point{Timestamp: baseTS + int64(700+i)*300000, Value: float64(i) / 10})
+	for _, files := range [][]string{
+		{walFileName, filepath.Join("blocks", blk)},
+		{walFileName},
+	} {
+		dir := t.TempDir()
+		for _, name := range files {
+			raw, err := os.ReadFile(filepath.Join("testdata", "legacy_v1", name))
+			if err != nil {
+				t.Fatal(err)
 			}
-			samePoints(t, what+" "+m, allPoints(t, db, m, tags), want)
-		}
-	}
-
-	now := time.UnixMilli(baseTS + 1000*300000)
-	opts := diskOpts(dir)
-	opts.Now = func() time.Time { return now }
-	db, err := OpenOptions(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(db, "first open", 0)
-
-	// The untagged sealed block replayed from the log goes back into a
-	// rewritten log under the record type the previous build reads.
-	if err := db.CompactWAL(); err != nil {
-		t.Fatal(err)
-	}
-	rewritten, err := os.ReadFile(filepath.Join(dir, walFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	types := map[byte]int{}
-	for off := len(walMagic); off < len(rewritten); {
-		n := int(binary.LittleEndian.Uint32(rewritten[off+4:]))
-		types[rewritten[off+8]]++
-		off += 8 + n
-	}
-	if types[walRecBlock] != 2 || types[walRecBlock2] != 0 {
-		t.Fatalf("rewritten log record types %v, want the 2 untagged blocks under type %d", types, walRecBlock)
-	}
-
-	// New points on the old series and a new series beside them in the
-	// old file's partition, then everything to disk: that partition
-	// now holds a CTTBLK1 file and a CTTBLK2 file, and compaction
-	// merges them.
-	const extra = 40
-	for i := 0; i < extra; i++ {
-		for _, m := range metrics {
-			p := Point{Timestamp: baseTS + int64(700+i)*300000, Value: float64(i) / 10}
-			if err := put(db, DataPoint{Metric: m, Tags: tags, Point: p}); err != nil {
+			if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		p := Point{Timestamp: baseTS + int64(i)*300000, Value: float64(i) / 10}
-		if err := put(db, DataPoint{Metric: "air.pm10", Tags: tags, Point: p}); err != nil {
-			t.Fatal(err)
+		before := dirContents(t, dir)
+		db, err := OpenOptions(diskOpts(dir))
+		if err == nil {
+			db.Close()
+			t.Fatalf("%v: opened a pre-release directory", files)
 		}
-	}
-	if _, err := db.FlushBlocks(); err != nil {
-		t.Fatal(err)
-	}
-	check(db, "after flush", extra)
-	filesBefore := db.DiskStats().Files
-	merged, err := db.CompactBlocks()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged == 0 || db.DiskStats().Files >= filesBefore {
-		t.Fatalf("compaction merged %d files (%d → %d)", merged, filesBefore, db.DiskStats().Files)
-	}
-	check(db, "after compaction", extra)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range blockFilesIn(t, dir) {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		if !strings.Contains(err.Error(), "FORMAT.md §4") {
+			t.Fatalf("%v: refusal %q does not name FORMAT.md §4", files, err)
 		}
-		if string(raw[:8]) != blockMagic {
-			t.Fatalf("%s: magic %q after compaction", path, raw[:8])
+		after := dirContents(t, dir)
+		for name, raw := range before {
+			if after[name] != raw {
+				t.Fatalf("%v: refused open changed %s", files, name)
+			}
+		}
+		for name := range after {
+			if _, ok := before[name]; !ok && strings.HasSuffix(name, blockFileSuffix) {
+				t.Fatalf("%v: refused open wrote %s", files, name)
+			}
+		}
+		if len(files) == 2 && len(after) != len(before) {
+			t.Fatalf("%v: refused open left %d entries, found %d", files, len(after), len(before))
 		}
 	}
 
-	// A crash between publishing the merged file and deleting its
-	// inputs leaves the old file behind: its chunks are duplicates of
-	// chunks the merged file carries verbatim, and load drops them.
-	if err := os.WriteFile(filepath.Join(dir, "blocks", blk), legacyBlk, 0o644); err != nil {
-		t.Fatal(err)
+	untagged := []byte{0, 0, 1, 0x5a, 0x75, 0x36, 0x40, 0, 0x40, 0x79, 0, 0, 0, 0, 0, 0, 0}
+	if _, err := decodeBlock(untagged, 1); err == nil {
+		t.Fatal("an untagged payload decoded")
 	}
-	db, err = OpenOptions(opts)
+}
+
+// dirContents maps every entry under dir to its bytes ("" for a
+// directory).
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			out[rel] = ""
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		out[rel] = string(raw)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	check(db, "reopen over compaction leftover", extra)
-	if _, err := os.Stat(filepath.Join(dir, "blocks", blk)); !os.IsNotExist(err) {
-		t.Fatalf("leftover legacy file not removed by load-time dedup: %v", err)
-	}
+	return out
 }

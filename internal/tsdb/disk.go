@@ -174,10 +174,12 @@ type chunkKey struct {
 // that fail validation (bad magic, CRC mismatch, torn tail) instead
 // of failing the open — the WAL still holds anything a quarantined
 // file lost if truncation hadn't run. Files are loaded newest-first
-// so crash leftovers dedup in favor of the compacted copy.
+// so crash leftovers dedup in favor of the compacted copy. A CTTBLK1
+// file fails the open instead, before anything in dir is removed,
+// moved or created.
 func (db *DB) openDiskStore(dir string) (*diskStore, error) {
 	fs := db.opts.FS
-	if err := fs.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tsdb: block dir: %w", err)
 	}
 	ds := &diskStore{
@@ -196,15 +198,21 @@ func (db *DB) openDiskStore(dir string) (*diskStore, error) {
 		pb *parsedBlock
 	}
 	var all []loaded
+	closeAll := func() {
+		for _, ld := range all {
+			ld.bf.f.Close()
+		}
+	}
+	// Unfinished writes of a crashed flush or compaction (the WAL or the
+	// inputs hold all they held), and files that failed validation.
+	var tmps, bad []string
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
 		name := e.Name()
 		if strings.HasSuffix(name, ".tmp") {
-			// Unfinished write from a crashed flush or compaction: the
-			// WAL (or the inputs) still hold everything in it.
-			fs.Remove(filepath.Join(dir, name))
+			tmps = append(tmps, filepath.Join(dir, name))
 			continue
 		}
 		part, seq, ok := parseBlockFileName(name)
@@ -220,9 +228,14 @@ func (db *DB) openDiskStore(dir string) (*diskStore, error) {
 		if perr == nil {
 			perr = verifyChunkPayloads(f, pb)
 		}
+		if errors.Is(perr, errUntaggedBlockFile) {
+			f.Close()
+			closeAll()
+			return nil, fmt.Errorf("tsdb: block file %s: %w", path, perr)
+		}
 		if perr != nil {
 			f.Close()
-			ds.quarantine(path)
+			bad = append(bad, path)
 			continue
 		}
 		if seq >= ds.nextSeq {
@@ -234,6 +247,16 @@ func (db *DB) openDiskStore(dir string) (*diskStore, error) {
 			pb: pb,
 		})
 	}
+	if err := fs.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
+		closeAll()
+		return nil, fmt.Errorf("tsdb: block dir: %w", err)
+	}
+	for _, path := range tmps {
+		fs.Remove(path)
+	}
+	for _, path := range bad {
+		ds.quarantine(path)
+	}
 	// Newest first: after a crash between a compaction's rename and
 	// its input deletion, the merged file wins and the stale inputs
 	// dedup to empty (and are deleted below).
@@ -242,7 +265,7 @@ func (db *DB) openDiskStore(dir string) (*diskStore, error) {
 	for _, ld := range all {
 		refs := make([]*Ref, len(ld.pb.series))
 		for i, ps := range ld.pb.series {
-			ref, err := db.Intern(ps.metric, ps.tags)
+			ref, err := db.InternBytes(ps.metric, ps.kvs)
 			if err != nil {
 				// A series that fails validation can only mean a file
 				// from a foreign/corrupted writer: quarantine it.
@@ -535,7 +558,7 @@ func (ds *diskStore) close() {
 // pre-cutoff WAL point that also survives in the rewritten files —
 // duplicating data and resurrecting what retention deleted. If the
 // retry fails the pass is skipped; the expired chunks age out later.
-func (db *DB) diskDeleteBefore(cutoffMS int64, match func(metric string, tags map[string]string) bool) (int, error) {
+func (db *DB) diskDeleteBefore(cutoffMS int64, match func(metric string) bool) (int, error) {
 	ds := db.disk
 	ds.opMu.Lock()
 	defer ds.opMu.Unlock()
@@ -560,7 +583,7 @@ func (db *DB) diskDeleteBefore(cutoffMS int64, match func(metric string, tags ma
 // chunks. Chunks straddling the cutoff are kept whole (disk retention
 // is chunk-granular; the in-memory pass is point-exact). Returns
 // points removed. Caller holds opMu with no truncation pending.
-func (ds *diskStore) deleteBeforeLocked(cutoffMS int64, match func(metric string, tags map[string]string) bool) (int, error) {
+func (ds *diskStore) deleteBeforeLocked(cutoffMS int64, match func(metric string) bool) (int, error) {
 	// Snapshot chunk→file assignment. No pending chunks can exist
 	// here: flush holds opMu across staging and publication.
 	byFile := make(map[*blockFile][]*diskChunk)
@@ -579,7 +602,7 @@ func (ds *diskStore) deleteBeforeLocked(cutoffMS int64, match func(metric string
 	for bf, chunks := range byFile {
 		var dropped, kept []*diskChunk
 		for _, c := range chunks {
-			if c.maxTS < cutoffMS && (match == nil || match(c.ref.metric, c.ref.tags)) {
+			if c.maxTS < cutoffMS && (match == nil || match(c.ref.metric)) {
 				dropped = append(dropped, c)
 			} else {
 				kept = append(kept, c)

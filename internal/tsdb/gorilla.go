@@ -29,10 +29,10 @@ import (
 // BenchmarkGorillaEncode reports both per sensor class.
 //
 // A payload starts with a tag byte: tagXOR, or tagDecimal|scale.
-// Payloads sealed before the tag existed start 0x00 (their first 64
-// bits are a timestamp below 2^42) and stay readable: blockCursor
-// tells the layouts apart by that byte. docs/FORMAT.md §2.7 is the
-// normative layout.
+// Payloads sealed before the tag existed (first byte 0x00) are not
+// read: the block files and WAL records that could carry one are
+// refused at open (docs/FORMAT.md §4), and a cursor fails on one like
+// on any unknown tag. docs/FORMAT.md §2.7 is the normative layout.
 //
 // Bit I/O is word-granular: both writer and reader buffer a 64-bit
 // word so a multi-bit field costs one masked shift instead of one
@@ -48,10 +48,6 @@ const (
 )
 
 var pow10 = [maxDecimalScale + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
-
-// payloadTagged tells a tagged payload from one sealed before the tag
-// existed, whose first byte is the top byte of a timestamp below 2^42.
-func payloadTagged(data []byte) bool { return len(data) > 0 && data[0] != 0 }
 
 // bitWriter appends bits to a byte slice, MSB first. Pending bits
 // accumulate in the low end of acc and spill to buf eight bytes at a
@@ -392,13 +388,9 @@ func (w *bitWriter) writeXORPoints(pts []Point) {
 	}
 }
 
-// Payload layouts a blockCursor reads. layoutLegacy is the untagged
-// Gorilla stream older builds sealed: XOR values, and a first delta
-// in a fixed 33-bit field (which is why no writer emits it any more —
-// a first gap of 2^32 ms or more did not fit).
+// Payload layouts a blockCursor reads.
 const (
-	layoutLegacy = iota
-	layoutXOR
+	layoutXOR = iota
 	layoutDecimal
 	layoutBad
 )
@@ -413,7 +405,7 @@ type blockCursor struct {
 	layout   uint8
 	ts       int64
 	delta    int64
-	val      uint64  // XOR layouts: the current value's bits
+	val      uint64  // XOR layout: the current value's bits
 	k        int64   // decimal layout: the current scaled integer
 	div      float64 // decimal layout: 10^scale
 	leading  uint8
@@ -424,19 +416,16 @@ type blockCursor struct {
 // byte selects the layout; an unknown tag surfaces as an error from
 // the first next().
 func (c *blockCursor) reset(data []byte, n int) {
-	*c = blockCursor{r: bitReader{buf: data}, n: n}
-	if !payloadTagged(data) {
-		return // layoutLegacy
+	*c = blockCursor{r: bitReader{buf: data, pos: 1}, n: n, layout: layoutBad}
+	if len(data) == 0 {
+		return
 	}
-	c.r.pos = 1
 	switch tag := data[0]; {
 	case tag == tagXOR:
 		c.layout = layoutXOR
 	case tag&^0x0F == tagDecimal && tag&0x0F <= maxDecimalScale:
 		c.layout = layoutDecimal
 		c.div = pow10[tag&0x0F]
-	default:
-		c.layout = layoutBad
 	}
 }
 
@@ -449,14 +438,6 @@ func (c *blockCursor) next() (Point, bool, error) {
 	switch {
 	case c.i == 0:
 		err = c.readFirst()
-	case c.i == 1 && c.layout == layoutLegacy:
-		var d uint64
-		if d, err = c.r.readBits(33); err == nil {
-			// Sign-extend the 33-bit first delta.
-			c.delta = int64(d<<31) >> 31
-			c.ts += c.delta
-			err = c.readXOR()
-		}
 	default:
 		var dod int64
 		if dod, err = c.r.readDoD(); err != nil {

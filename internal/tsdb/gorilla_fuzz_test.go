@@ -1,8 +1,7 @@
 package tsdb
 
-// Fuzzing for the untagged Gorilla layout, which no build writes any
-// more but every build must keep reading: the bit-at-a-time reference
-// encoder (the layout as it was) produces the bytes, and both the
+// Fuzzing for the XOR layout against the bit-at-a-time reference
+// codec: the reference encoder produces the bytes, and both the
 // production cursor and the reference decoder must return the
 // original points bit for bit. Run with
 //
@@ -11,7 +10,7 @@ package tsdb
 // to search for divergence; the seed corpus runs in every plain
 // `go test`, covering the DoD buckets, the 64-bit escape paths, and
 // NaN/Inf value bit patterns. FuzzChunkCodec (chunk_codec_test.go)
-// covers the tagged layouts the writer emits.
+// covers both layouts as the writer emits them.
 
 import (
 	"encoding/binary"
@@ -37,14 +36,9 @@ func fuzzPoints(data []byte) []Point {
 		d := binary.LittleEndian.Uint64(data[i*16:])
 		v := binary.LittleEndian.Uint64(data[i*16+8:])
 		// Bias deltas: even selectors stay in the small DoD buckets,
-		// odd ones take multi-day jumps through the escape path. The
-		// second point's delta is the format's fixed 33-bit first-delta
-		// field, so it stays within that field's signed range; later
-		// deltas go through the 64-bit DoD escape and can be anything.
+		// odd ones take multi-day jumps through the 64-bit escape path.
 		if d%2 == 0 {
 			ts += int64(d % 100000)
-		} else if i == 1 {
-			ts += int64(d % (1 << 32))
 		} else {
 			ts += int64(d % (1 << 40))
 		}

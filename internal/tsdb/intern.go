@@ -2,22 +2,27 @@ package tsdb
 
 // Series interning: the write hot path must absorb millions of points
 // per minute, and almost every one of them addresses a series the
-// store has already seen. Building the canonical series key for each
-// point — sorting tag keys, concatenating strings — costs more than
-// the insert itself. The registry here resolves (metric, tags) to a
-// stable *Ref exactly once per series: lookups hash the metric and
-// tags with an order-independent mix (no sort, no key string, no
-// allocation) and compare against the interned canonical copy, so a
-// previously-seen series resolves with two map probes and zero
-// garbage. The resolved Ref carries everything downstream stages need
-// — SeriesID for the WAL dictionary and the rollup engine, the
-// canonical tag map for observers, the storage shard and memSeries
-// for the insert — so one resolution at the network edge serves the
-// whole pipeline.
+// store has already seen. The registry here resolves (metric, tags) to
+// a stable *Ref exactly once per series: lookups hash the metric and
+// tags with an order-independent mix (no sort, no allocation) and
+// compare against the interned tags, so a previously-seen series
+// resolves with one bucket probe and zero garbage.
+//
+// A series' identity is stored once, on its Ref: the metric and the
+// tags sorted by key (a []Tag, in the manner of Prometheus'
+// labels.Labels). There is no tag map and no key string; postings,
+// queries, the WAL and block-file series tables, replication and the
+// rollup engine all read the sorted tags, and the storage shard is
+// taken from the same hash the registry buckets by. The Ref carries
+// everything downstream stages need — SeriesID for the WAL dictionary
+// and the rollup engine, the tags for observers, the storage shard and
+// memSeries for the insert — so one resolution at the network edge
+// serves the whole pipeline.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -27,6 +32,9 @@ import (
 // replayed series in WAL order and may assign different IDs.
 type SeriesID uint64
 
+// Tag is one tag of a series.
+type Tag struct{ Key, Value string }
+
 // Ref is an interned series handle — the stable resolution of one
 // (metric, tags) pair. Refs are created by Intern/InternBytes and
 // remain valid until the series is removed by retention; writes
@@ -34,13 +42,10 @@ type SeriesID uint64
 type Ref struct {
 	id     SeriesID
 	hash   uint64
-	key    string
 	metric string
-	tags   map[string]string
-	// pairs holds the same tags sorted by key: lookup equality checks
-	// scan this slice instead of probing the map, so a hit costs
-	// string compares only — no hashing of individual keys.
-	pairs []tagPair
+	// pairs are the series' tags sorted by key, each key once: the one
+	// stored copy of its identity.
+	pairs []Tag
 	shard uint32
 	s     *memSeries
 
@@ -57,18 +62,32 @@ func (r *Ref) ID() SeriesID { return r.id }
 // Metric returns the series' metric name.
 func (r *Ref) Metric() string { return r.metric }
 
-// Tags returns the canonical tag map. It is shared registry state:
-// callers must treat it as read-only.
-func (r *Ref) Tags() map[string]string { return r.tags }
+// Tags returns the series' tags sorted by key. It is shared registry
+// state: callers must treat it as read-only.
+func (r *Ref) Tags() []Tag { return r.pairs }
 
-// Key returns the canonical series key (metric{k1=v1,...}).
-func (r *Ref) Key() string { return r.key }
+// Tag returns the value of the series' tag key, and whether it has
+// one.
+func (r *Ref) Tag(key string) (string, bool) { return tagValue(r.pairs, key) }
+
+// Key renders the series as metric{k1=v1,...}, for messages; nothing
+// stores or compares it.
+func (r *Ref) Key() string { return string(appendKey(nil, r.metric, r.pairs)) }
 
 // Live reports whether the handle still addresses a stored series;
 // false once retention removed it (a later write through the handle
 // transparently re-interns, but subscribers keying state by ID — the
 // rollup engine — use this to prune entries for dead series).
 func (r *Ref) Live() bool { return !r.dead.Load() }
+
+// tagValue finds key in tags sorted by key.
+func tagValue(tags []Tag, key string) (string, bool) {
+	i, ok := slices.BinarySearchFunc(tags, key, func(t Tag, k string) int { return cmp.Compare(t.Key, k) })
+	if !ok {
+		return "", false
+	}
+	return tags[i].Value, true
+}
 
 // RefPoint is a point addressed to an interned series — the compact
 // form ingest queues and batch observers carry instead of a
@@ -134,16 +153,16 @@ func fnvByte(h uint64, c byte) uint64 {
 	return (h ^ uint64(c)) * fnvPrime64
 }
 
-func seriesHash(metric string, tags map[string]string) uint64 {
-	h := fnvString(fnvOffset64, metric)
+func pairHash(k, v string) uint64 {
+	return fnvString(fnvByte(fnvString(fnvOffset64, k), kvSep), v)
+}
+
+func seriesHash(metric string, tags []Tag) uint64 {
 	var pairs uint64
-	for k, v := range tags {
-		ph := fnvString(fnvOffset64, k)
-		ph = fnvByte(ph, kvSep)
-		ph = fnvString(ph, v)
-		pairs += ph
+	for _, t := range tags {
+		pairs += pairHash(t.Key, t.Value)
 	}
-	return h + pairs*fnvPrime64
+	return fnvString(fnvOffset64, metric) + pairs*fnvPrime64
 }
 
 // seriesHashBytes is seriesHash over raw byte fields: metric plus
@@ -162,12 +181,9 @@ func seriesHashBytes(metric []byte, kvs [][]byte) uint64 {
 
 // --- resolution --------------------------------------------------------
 
-// tagPair is one canonical tag; Refs keep them sorted by key.
-type tagPair struct{ k, v string }
-
 // maxInlineTags bounds the stack scratch the hit path captures tag
-// pairs into; series with more tags fall back to map-probing
-// equality. Real series carry a handful of tags.
+// pairs into; series with more tags fall back to looking each map
+// entry up in the sorted tags. Real series carry a handful of tags.
 const maxInlineTags = 8
 
 // Intern resolves (metric, tags) to the series' interned handle,
@@ -175,14 +191,19 @@ const maxInlineTags = 8
 // allocation and no validation — a series that interned once is valid
 // forever — so edges can intern per point at negligible cost: one
 // iteration over the tag map (hashing and capturing the pairs), a
-// bucket probe, and plain string compares against the canonical
-// pairs. The caller keeps ownership of tags: the registry copies it
-// when (and only when) the series is new.
+// bucket probe, and plain string compares against the sorted tags.
+// The caller keeps ownership of tags: the registry copies it when (and
+// only when) the series is new.
 func (db *DB) Intern(metric string, tags map[string]string) (*Ref, error) {
 	if ref := db.Lookup(metric, tags); ref != nil {
 		return ref, nil
 	}
-	return db.internSlow(metric, tags)
+	pairs := make([]Tag, 0, len(tags))
+	for k, v := range tags {
+		pairs = append(pairs, Tag{k, v})
+	}
+	slices.SortFunc(pairs, func(a, b Tag) int { return cmp.Compare(a.Key, b.Key) })
+	return db.internSlow(metric, pairs)
 }
 
 // Lookup is Intern's hit path alone: the live handle of a series that
@@ -194,20 +215,16 @@ func (db *DB) Lookup(metric string, tags map[string]string) *Ref {
 	var kvs [2 * maxInlineTags]string
 	n := 0
 	small := len(tags) <= maxInlineTags
-	h := fnvString(fnvOffset64, metric)
 	var pairs uint64
 	for k, v := range tags {
-		ph := fnvString(fnvOffset64, k)
-		ph = fnvByte(ph, kvSep)
-		ph = fnvString(ph, v)
-		pairs += ph
+		pairs += pairHash(k, v)
 		if small {
 			kvs[n] = k
 			kvs[n+1] = v
 			n += 2
 		}
 	}
-	h += pairs * fnvPrime64
+	h := fnvString(fnvOffset64, metric) + pairs*fnvPrime64
 
 	rs := &db.reg.shards[h&(regShardCount-1)]
 	rs.mu.RLock()
@@ -220,10 +237,10 @@ func (db *DB) Lookup(metric string, tags map[string]string) *Ref {
 			continue
 		}
 		if small {
-			if equalKVStrings(ref.pairs, kvs[:n]) {
+			if equalKVs(ref.pairs, kvs[:n]) {
 				return ref
 			}
-		} else if tagsEqualMap(ref.tags, tags) {
+		} else if equalMap(ref.pairs, tags) {
 			return ref
 		}
 	}
@@ -231,76 +248,61 @@ func (db *DB) Lookup(metric string, tags map[string]string) *Ref {
 }
 
 // InternBytes is Intern over raw byte fields — metric plus
-// alternating key, value slices — so a wire parser can resolve a
-// previously-seen series without materializing a single string or
-// map. Strings are allocated only on the miss path, when the series
-// is genuinely new.
+// alternating key, value slices — so a wire parser or a decoder of
+// stored series records can resolve a previously-seen series without
+// materializing a single string. Strings are allocated only on the
+// miss path, when the series is genuinely new. A key given more than
+// once takes its last value.
 func (db *DB) InternBytes(metric []byte, kvs [][]byte) (*Ref, error) {
 	h := seriesHashBytes(metric, kvs)
 	rs := &db.reg.shards[h&(regShardCount-1)]
 	rs.mu.RLock()
 	for _, ref := range rs.byHash[h] {
-		if len(ref.pairs) == len(kvs)/2 && !ref.dead.Load() && ref.metric == string(metric) && equalKVBytes(ref.pairs, kvs) {
+		if len(ref.pairs) == len(kvs)/2 && !ref.dead.Load() && ref.metric == string(metric) && equalKVs(ref.pairs, kvs) {
 			rs.mu.RUnlock()
 			return ref, nil
 		}
 	}
 	rs.mu.RUnlock()
-	tags := make(map[string]string, len(kvs)/2)
+	pairs := make([]Tag, 0, len(kvs)/2)
 	for i := 0; i+1 < len(kvs); i += 2 {
-		tags[string(kvs[i])] = string(kvs[i+1])
+		pairs = append(pairs, Tag{string(kvs[i]), string(kvs[i+1])})
 	}
-	return db.internSlow(string(metric), tags)
+	// Stable, so of a repeated key the last value sorts last and wins.
+	slices.SortStableFunc(pairs, func(a, b Tag) int { return cmp.Compare(a.Key, b.Key) })
+	canon := pairs[:0]
+	for i, t := range pairs {
+		if i+1 == len(pairs) || pairs[i+1].Key != t.Key {
+			canon = append(canon, t)
+		}
+	}
+	return db.internSlow(string(metric), canon)
 }
 
-// tagsEqualMap reports whether the canonical map equals the candidate
-// map. Duplicate-free maps of equal length with every candidate pair
-// present are equal sets.
-func tagsEqualMap(canon, cand map[string]string) bool {
-	if len(canon) != len(cand) {
-		return false
-	}
+// equalMap reports whether the sorted tags equal a candidate map of
+// the same length.
+func equalMap(canon []Tag, cand map[string]string) bool {
 	for k, v := range cand {
-		if cv, ok := canon[k]; !ok || cv != v {
+		if cv, ok := tagValue(canon, k); !ok || cv != v {
 			return false
 		}
 	}
 	return true
 }
 
-// equalKVStrings compares the canonical sorted pairs against captured
-// unordered key/value strings of the same count. Quadratic in the tag
-// count, which is tiny; every compare short-circuits on length.
-func equalKVStrings(canon []tagPair, kvs []string) bool {
-	for i := 0; i < len(kvs); i += 2 {
-		k, v := kvs[i], kvs[i+1]
-		found := false
-		for j := range canon {
-			if canon[j].k == k {
-				if canon[j].v != v {
-					return false
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// equalKVBytes is equalKVStrings over raw byte fields. The string
-// conversions in the comparisons do not allocate. Duplicate keys in
-// kvs (possible on a wire edge) fail here at worst and resolve
-// through the dedup on the miss path.
-func equalKVBytes(canon []tagPair, kvs [][]byte) bool {
+// equalKVs compares the sorted tags against unordered alternating
+// key, value fields of the same count — captured strings or raw wire
+// bytes, whose conversions in the comparisons do not allocate.
+// Quadratic in the tag count, which is tiny; every compare
+// short-circuits on length. Duplicate keys in kvs (possible on a wire
+// edge) fail here at worst and resolve through the dedup on the miss
+// path.
+func equalKVs[S string | []byte](canon []Tag, kvs []S) bool {
 	for i := 0; i+1 < len(kvs); i += 2 {
 		found := false
 		for j := range canon {
-			if canon[j].k == string(kvs[i]) {
-				if canon[j].v != string(kvs[i+1]) {
+			if canon[j].Key == string(kvs[i]) {
+				if canon[j].Value != string(kvs[i+1]) {
 					return false
 				}
 				found = true
@@ -314,48 +316,32 @@ func equalKVBytes(canon []tagPair, kvs [][]byte) bool {
 	return true
 }
 
-// internSlow creates (or finds, losing a race) the interned series:
-// validate, canonicalize, register in the registry bucket, then
-// register the storage-side memSeries and its postings.
-// Registry and storage shard locks are never held together — the
-// retention path acquires them in the opposite order.
+// internSlow creates (or finds, losing a race) the interned series
+// from its tags sorted by key, each key once, which it takes
+// ownership of: validate, register in the registry bucket, then
+// register the storage-side memSeries and its postings. Registry and
+// storage shard locks are never held together — the retention path
+// acquires them in the opposite order.
 //
-// The registry is keyed by the hash of the CANONICAL tag set,
+// The registry is keyed by the hash of the deduplicated tags,
 // recomputed here rather than passed in: wire input with duplicate
 // tag keys hashes differently at the lookup (each duplicate pair
 // contributes), and registering under that alias hash would create a
 // second Ref for an existing series — clobbering its storage slot.
-// Recomputing makes every alias converge on the one canonical entry;
-// the aliased lookup just pays the slow path again.
-func (db *DB) internSlow(metric string, tags map[string]string) (*Ref, error) {
-	if err := validateSeries(metric, tags); err != nil {
+// Recomputing makes every alias converge on the one entry; the
+// aliased lookup just pays the slow path again.
+func (db *DB) internSlow(metric string, pairs []Tag) (*Ref, error) {
+	if err := validateSeries(metric, pairs); err != nil {
 		return nil, err
 	}
-	canon := make(map[string]string, len(tags))
-	for k, v := range tags {
-		canon[k] = v
-	}
-	h := seriesHash(metric, canon)
-	key := seriesKey(metric, canon)
-	sorted := make([]tagPair, 0, len(canon))
-	for k, v := range canon {
-		sorted = append(sorted, tagPair{k, v})
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].k < sorted[j].k })
-	ref := &Ref{
-		hash:   h,
-		key:    key,
-		metric: metric,
-		tags:   canon,
-		pairs:  sorted,
-		shard:  shardFor(key),
-	}
-	ref.s = &memSeries{metric: metric, tags: canon, ref: ref}
+	h := seriesHash(metric, pairs)
+	ref := &Ref{hash: h, metric: metric, pairs: pairs, shard: uint32(h % numShards)}
+	ref.s = &memSeries{ref: ref}
 
 	rs := &db.reg.shards[h&(regShardCount-1)]
 	rs.mu.Lock()
 	for _, other := range rs.byHash[h] {
-		if other.metric == metric && !other.dead.Load() && tagsEqualMap(other.tags, tags) {
+		if other.metric == metric && !other.dead.Load() && slices.Equal(other.pairs, pairs) {
 			rs.mu.Unlock()
 			return other, nil // lost the creation race
 		}
@@ -369,7 +355,7 @@ func (db *DB) internSlow(metric string, tags map[string]string) (*Ref, error) {
 	// instant until the first insert lands.
 	sh := &db.shards[ref.shard]
 	sh.mu.Lock()
-	sh.series[key] = ref.s
+	sh.series = append(sh.series, ref.s)
 	db.idx.add(ref.s)
 	sh.mu.Unlock()
 	return ref, nil
@@ -399,39 +385,35 @@ func (db *DB) dropRef(ref *Ref) {
 
 // resurrect replaces a dead ref (its series was removed by retention
 // after the caller resolved it) with a live interned handle for the
-// same metric and tags.
+// same metric and tags, which the two share: neither ever changes.
 func (db *DB) resurrect(ref *Ref) *Ref {
-	next, err := db.Intern(ref.metric, ref.tags)
+	next, err := db.internSlow(ref.metric, ref.pairs)
 	if err != nil {
-		// Impossible: the series validated when first interned and the
-		// canonical fields have not changed.
+		// Impossible: the series validated when first interned and its
+		// identity has not changed.
 		panic(fmt.Sprintf("tsdb: re-intern of valid series failed: %v", err))
 	}
 	return next
 }
 
-// validateSeries checks a series' metric and tag names — applied once
-// per interned series instead of once per point.
-func validateSeries(metric string, tags map[string]string) error {
+// validateSeries checks a series' metric and tags (sorted by key) —
+// applied once per interned series instead of once per point. Of
+// several bad tags it names the one with the smallest key, so the
+// same point gets the same message every time.
+func validateSeries(metric string, pairs []Tag) error {
 	if metric == "" {
 		return ErrEmptyMetric
 	}
 	if !validName(metric) {
 		return fmt.Errorf("%w: metric %q", ErrBadMetricChar, metric)
 	}
-	if len(tags) == 0 {
+	if len(pairs) == 0 {
 		return ErrNoTags
 	}
-	// Of several bad tags, name the smallest key: the same point gets
-	// the same message every time, whatever the map's order.
-	bad, found := "", false
-	for k, v := range tags {
-		if (!validName(k) || !validName(v)) && (!found || k < bad) {
-			bad, found = k, true
+	for _, t := range pairs {
+		if !validName(t.Key) || !validName(t.Value) {
+			return fmt.Errorf("%w: tag %q=%q", ErrBadMetricChar, t.Key, t.Value)
 		}
-	}
-	if found {
-		return fmt.Errorf("%w: tag %q=%q", ErrBadMetricChar, bad, tags[bad])
 	}
 	return nil
 }

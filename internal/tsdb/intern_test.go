@@ -35,14 +35,14 @@ func TestInternStable(t *testing.T) {
 	if a != c {
 		t.Fatal("byte-path interning resolved a different handle")
 	}
-	if h1, h2 := seriesHash("air.co2", tags), seriesHashBytes([]byte("air.co2"),
+	if h1, h2 := seriesHash("air.co2", a.pairs), seriesHashBytes([]byte("air.co2"),
 		[][]byte{[]byte("sensor"), []byte("n01"), []byte("city"), []byte("trondheim")}); h1 != h2 {
 		t.Fatalf("hash variants disagree: %x vs %x", h1, h2)
 	}
-	if h1, h2 := seriesHash("air.co2", tags), a.hash; h1 != h2 {
+	if h1, h2 := seriesHash("air.co2", a.pairs), a.hash; h1 != h2 {
 		t.Fatalf("interned hash %x != seriesHash %x", h2, h1)
 	}
-	if a.Key() != (Series{Metric: "air.co2", Tags: tags}).Key() {
+	if a.Key() != "air.co2{city=trondheim,sensor=n01}" {
 		t.Fatalf("canonical key mismatch: %q", a.Key())
 	}
 	if a.ID() == 0 {
@@ -93,6 +93,17 @@ func TestInternDuplicateKeyAlias(t *testing.T) {
 	}
 	if conflict != ref {
 		t.Fatal("conflicting duplicate keys must dedup last-wins to the canonical series")
+	}
+	// A new series first seen with a repeated key is created under the
+	// key's last value, and only that one.
+	fresh, err := db.InternBytes([]byte("dup.n"), [][]byte{
+		[]byte("b"), []byte("2"), []byte("a"), []byte("0"), []byte("b"), []byte("1"), []byte("a"), []byte("9"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := fresh.Key(); k != "dup.n{a=9,b=1}" {
+		t.Fatalf("repeated keys interned as %s, want dup.n{a=9,b=1}", k)
 	}
 }
 

@@ -10,8 +10,8 @@
 package tsdb
 
 import (
+	"cmp"
 	"errors"
-	"sort"
 	"strings"
 	"time"
 )
@@ -41,37 +41,64 @@ type DataPoint struct {
 	Point
 }
 
-// Series identifies one stored time series.
-type Series struct {
-	Metric string
-	Tags   map[string]string
-}
-
-// Key returns the canonical series key: metric{k1=v1,k2=v2} with tags
-// sorted by key — the same form OpenTSDB displays.
-func (s Series) Key() string {
-	return seriesKey(s.Metric, s.Tags)
-}
-
-func seriesKey(metric string, tags map[string]string) string {
-	keys := make([]string, 0, len(tags))
-	for k := range tags {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(metric)
-	b.WriteByte('{')
-	for i, k := range keys {
+// appendKey appends the series' display form, metric{k1=v1,k2=v2}
+// with tags sorted by key — the form OpenTSDB displays.
+func appendKey(b []byte, metric string, tags []Tag) []byte {
+	b = append(append(b, metric...), '{')
+	for i, t := range tags {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(tags[k])
+		b = append(append(append(b, t.Key...), '='), t.Value...)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, '}')
+}
+
+// compareSeries orders two series as their display forms (appendKey)
+// compare bytewise, without building them: the order query members,
+// ScanSeries and plan notes list series in. Comparing tag by tag would
+// order differently, because the separators sort apart from name
+// bytes: value s10 sorts before s1 where "}" follows, key k2 before k
+// where "=" follows, metric a.b before a where "{" follows. Every
+// series carries a tag (interning refuses any other).
+func compareSeries(a, b *Ref) int {
+	if c := compareName(a.metric, '{', b.metric, '{'); c != 0 {
+		return c
+	}
+	for i := 0; i < len(a.pairs) && i < len(b.pairs); i++ {
+		x, y := a.pairs[i], b.pairs[i]
+		if c := compareName(x.Key, '=', y.Key, '='); c != 0 {
+			return c
+		}
+		if c := compareName(x.Value, tagEnd(a.pairs, i), y.Value, tagEnd(b.pairs, i)); c != 0 {
+			return c
+		}
+	}
+	return 0 // the last tags ended both forms with "}"
+}
+
+// compareName compares two names, each followed by its separator
+// byte, bytewise; names never contain a separator.
+func compareName(x string, xsep byte, y string, ysep byte) int {
+	n := min(len(x), len(y))
+	if c := strings.Compare(x[:n], y[:n]); c != 0 {
+		return c
+	}
+	if len(x) > n {
+		xsep = x[n]
+	}
+	if len(y) > n {
+		ysep = y[n]
+	}
+	return cmp.Compare(xsep, ysep)
+}
+
+// tagEnd is the byte that follows tag i's value in a display form.
+func tagEnd(tags []Tag, i int) byte {
+	if i == len(tags)-1 {
+		return '}'
+	}
+	return ','
 }
 
 func validName(s string) bool {

@@ -7,16 +7,17 @@ package tsdb
 // costs the smallest of its postings, not the store's series count
 // (label-based series identification, as in Prometheus' postings).
 //
-// Members are the *memSeries themselves, not key strings: the index
-// hands a match the series it reads without a shard lookup, and a
-// retention drop removes exactly the series it killed, never a
-// successor interned under the same key. A posting is a plain slice —
-// eight bytes a member — appended to when a series is interned and
-// compacted in one pass per posting when retention drops series.
+// Members are the *memSeries themselves: the index hands a match the
+// series it reads without a shard lookup, and a retention drop removes
+// exactly the series it killed, never a successor interned under the
+// same metric and tags. A series' metric and tags are read from its
+// Ref. A posting is a plain slice — eight bytes a member — appended to
+// when a series is interned and compacted in one pass per posting
+// when retention drops series.
 //
 // The index changes in exactly the two places a series enters or
-// leaves a shard map. internSlow adds the series while its shard lock
-// is held (lock order shard → index). DeleteBeforeWhere marks the
+// leaves a shard's list. internSlow adds the series while its shard
+// lock is held (lock order shard → index). DeleteBeforeWhere marks the
 // series it drops dead under the shard lock and removes them all once
 // its pass is done, with no shard lock held; until then a match skips
 // dead members, so it never sees a series its shard no longer holds,
@@ -45,23 +46,24 @@ func (ix *postings) init() {
 	ix.byTag = make(map[string]map[string]posting)
 }
 
-// add registers a series that just entered its shard map. Caller holds
-// the shard lock.
+// add registers a series that just entered its shard's list. Caller
+// holds the shard lock.
 func (ix *postings) add(s *memSeries) {
 	ix.mu.Lock()
-	ix.byMetric[s.metric] = append(ix.byMetric[s.metric], s)
-	for k, v := range s.tags {
-		vals := ix.byTag[k]
+	metric := s.ref.metric
+	ix.byMetric[metric] = append(ix.byMetric[metric], s)
+	for _, t := range s.ref.pairs {
+		vals := ix.byTag[t.Key]
 		if vals == nil {
 			vals = make(map[string]posting)
-			ix.byTag[k] = vals
+			ix.byTag[t.Key] = vals
 		}
-		vals[v] = append(vals[v], s)
+		vals[t.Value] = append(vals[t.Value], s)
 	}
 	ix.mu.Unlock()
 }
 
-// remove drops series that retention took out of their shard maps
+// remove drops series that retention took out of their shards' lists
 // and marked dead, given by their handles. Each posting they were in
 // is compacted once, keeping its live members.
 func (ix *postings) remove(dead []*Ref) {
@@ -72,18 +74,18 @@ func (ix *postings) remove(dead []*Ref) {
 	defer ix.mu.Unlock()
 	// Postings already compacted: a tag's by its pair, a metric's as
 	// {"", metric} (tag keys are never empty).
-	done := map[tagPair]bool{}
+	done := map[Tag]bool{}
 	for _, ref := range dead {
-		if !done[tagPair{v: ref.metric}] {
-			done[tagPair{v: ref.metric}] = true
+		if !done[Tag{Value: ref.metric}] {
+			done[Tag{Value: ref.metric}] = true
 			compact(ix.byMetric, ref.metric)
 		}
-		for _, p := range ref.pairs {
-			if !done[p] {
-				done[p] = true
-				vals := ix.byTag[p.k]
-				if compact(vals, p.v); len(vals) == 0 {
-					delete(ix.byTag, p.k)
+		for _, t := range ref.pairs {
+			if !done[t] {
+				done[t] = true
+				vals := ix.byTag[t.Key]
+				if compact(vals, t.Value); len(vals) == 0 {
+					delete(ix.byTag, t.Key)
 				}
 			}
 		}
@@ -122,7 +124,7 @@ func (ix *postings) match(metric string, filter map[string]string, fn func(*memS
 		}
 	}
 	for _, s := range cand {
-		if s.metric == metric && tagsMatch(filter, s.tags) && !s.ref.dead.Load() {
+		if s.ref.metric == metric && tagsMatch(filter, s.ref.pairs) && !s.ref.dead.Load() {
 			fn(s)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -31,13 +32,14 @@ func refMatchGroups(db *DB, q Query) []*scanGroup {
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
-		for key, s := range sh.series {
-			if s.metric != q.Metric || !tagsMatch(q.Tags, s.tags) {
+		for _, s := range sh.series {
+			if s.ref.metric != q.Metric || !tagsMatch(q.Tags, s.ref.pairs) {
 				continue
 			}
 			gk := ""
 			for _, k := range groupBy {
-				gk += k + "=" + s.tags[k] + ";"
+				v, _ := s.ref.Tag(k)
+				gk += k + "=" + v + ";"
 			}
 			g := byKey[gk]
 			if g == nil {
@@ -45,14 +47,14 @@ func refMatchGroups(db *DB, q Query) []*scanGroup {
 				byKey[gk] = g
 				groups = append(groups, g)
 			}
-			g.members = append(g.members, matched{s, sh, key})
+			g.members = append(g.members, matched{s, sh})
 		}
 		sh.mu.RUnlock()
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
 	for _, g := range groups {
 		ms := g.members
-		sort.Slice(ms, func(i, j int) bool { return ms[i].key < ms[j].key })
+		sort.Slice(ms, func(i, j int) bool { return ms[i].s.ref.Key() < ms[j].s.ref.Key() })
 	}
 	return groups
 }
@@ -86,20 +88,20 @@ func refNames(db *DB, prefix string, max int, name func(s *memSeries) []string) 
 	return out
 }
 
-func seriesMetric(s *memSeries) []string { return []string{s.metric} }
+func seriesMetric(s *memSeries) []string { return []string{s.ref.metric} }
 
 func seriesTagKeys(s *memSeries) []string {
 	var out []string
-	for k := range s.tags {
-		out = append(out, k)
+	for _, t := range s.ref.pairs {
+		out = append(out, t.Key)
 	}
 	return out
 }
 
 func seriesTagValues(s *memSeries) []string {
 	var out []string
-	for _, v := range s.tags {
-		out = append(out, v)
+	for _, t := range s.ref.pairs {
+		out = append(out, t.Value)
 	}
 	return out
 }
@@ -116,8 +118,8 @@ func refScanKeys(t *testing.T, db *DB, prefix string, filter map[string]string, 
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
-		for key, s := range sh.series {
-			if strings.HasPrefix(s.metric, prefix) && tagsMatch(filter, s.tags) {
+		for _, s := range sh.series {
+			if key := s.ref.Key(); strings.HasPrefix(s.ref.metric, prefix) && tagsMatch(filter, s.ref.pairs) {
 				keys = append(keys, key)
 				byKey[key] = match{s, sh}
 			}
@@ -194,7 +196,7 @@ func checkPostingsParity(t *testing.T, db *DB, rng *rand.Rand, step string) {
 			for j, m := range want[i].members {
 				if g := got[i].members[j]; g != m {
 					t.Fatalf("%s: matchGroups(%s %v) group %q member %d = %s (%p), reference %s (%p)",
-						step, q.Metric, q.Tags, want[i].key, j, g.key, g.s, m.key, m.s)
+						step, q.Metric, q.Tags, want[i].key, j, g.s.ref.Key(), g.s, m.s.ref.Key(), m.s)
 				}
 			}
 		}
@@ -203,8 +205,8 @@ func checkPostingsParity(t *testing.T, db *DB, rng *rand.Rand, step string) {
 		start := randomTS(rng)
 		end := start + int64(rng.IntN(100))*60000
 		var scanned []string
-		if err := db.ScanSeries(prefix, q.Tags, start, end, func(metric string, tags map[string]string, _ []Point) error {
-			scanned = append(scanned, seriesKey(metric, tags))
+		if err := db.ScanSeries(prefix, q.Tags, start, end, func(series *Ref, _ []Point) error {
+			scanned = append(scanned, series.Key())
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -308,8 +310,8 @@ func TestPostingsParity(t *testing.T) {
 							for _, m := range parityMetrics {
 								for _, g := range db.matchGroups(Query{Metric: m}) {
 									for j := 1; j < len(g.members); j++ {
-										if g.members[j-1].key >= g.members[j].key {
-											t.Errorf("matchGroups(%s) during retention: member %q after %q", m, g.members[j].key, g.members[j-1].key)
+										if prev, cur := g.members[j-1].s.ref.Key(), g.members[j].s.ref.Key(); prev >= cur {
+											t.Errorf("matchGroups(%s) during retention: member %q after %q", m, cur, prev)
 											return
 										}
 									}
@@ -355,7 +357,7 @@ func TestPostingsParity(t *testing.T) {
 					refs = nil // handles of the closed store
 				default:
 					what = "retention by tier"
-					if _, err := db.DeleteBeforeWhere(randomTS(rng), func(metric string, _ map[string]string) bool {
+					if _, err := db.DeleteBeforeWhere(randomTS(rng), func(metric string) bool {
 						return strings.HasPrefix(metric, "rollup.")
 					}); err != nil {
 						t.Fatal(err)
@@ -383,8 +385,8 @@ func TestMatchSkipsDeadSeries(t *testing.T) {
 	// Retention's first half, as DeleteBeforeWhere does it.
 	sh := &db.shards[old.shard]
 	sh.mu.Lock()
-	delete(sh.series, old.key)
 	old.dead.Store(true)
+	sh.series = slices.DeleteFunc(sh.series, (*memSeries).dead)
 	sh.mu.Unlock()
 	succ, err := db.Intern("air.co2", tags)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -362,11 +363,11 @@ func (p *Plan) String() string {
 	sep := ""
 	for _, g := range p.groups {
 		for i, rd := range g.reads {
-			tags := g.members[i].key[len(p.q.Metric):] // the key is metric{tags}
+			b = appendKey(append(b, sep...), "", g.members[i].s.ref.pairs)
 			if rd.tier != nil {
-				b = fmt.Appendf(b, "%s%s %s est=%d", sep, tags, rd.tier, rd.est)
+				b = fmt.Appendf(b, " %s est=%d", rd.tier, rd.est)
 			} else {
-				b = fmt.Appendf(b, "%s%s raw est=%d (%s)", sep, tags, rd.est, rd.why)
+				b = fmt.Appendf(b, " raw est=%d (%s)", rd.est, rd.why)
 			}
 			sep = "; "
 		}
@@ -378,7 +379,6 @@ func (p *Plan) String() string {
 // combination of group-by tag values.
 type scanGroup struct {
 	key     string
-	tags    map[string]string // the group-by tags
 	members []matched
 	reads   []memberRead // the plan's read of each member, by index
 }
@@ -402,26 +402,23 @@ func (db *DB) matchGroups(q Query) []*scanGroup {
 	db.idx.match(q.Metric, q.Tags, func(s *memSeries) {
 		gk = gk[:0]
 		for _, k := range groupBy {
-			gk = append(append(append(append(gk, k...), '='), s.tags[k]...), ';')
+			v, _ := s.ref.Tag(k)
+			gk = append(append(append(append(gk, k...), '='), v...), ';')
 		}
 		g := byKey[string(gk)]
 		if g == nil {
-			g = &scanGroup{key: string(gk), tags: make(map[string]string, len(groupBy))}
-			for _, k := range groupBy {
-				g.tags[k] = s.tags[k]
-			}
+			g = &scanGroup{key: string(gk)}
 			byKey[g.key] = g
 			groups = append(groups, g)
 		}
-		g.members = append(g.members, matched{s, &db.shards[s.ref.shard], s.ref.key})
+		g.members = append(g.members, matched{s, &db.shards[s.ref.shard]})
 	})
 	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
 	// Deterministic member order (posting iteration is not): the
 	// cross-series reduction then applies floating-point operations in
 	// a stable order, so repeated runs agree bitwise.
 	for _, g := range groups {
-		ms := g.members
-		sort.Slice(ms, func(i, j int) bool { return ms[i].key < ms[j].key })
+		slices.SortFunc(g.members, func(a, b matched) int { return compareSeries(a.s.ref, b.s.ref) })
 	}
 	return groups
 }
@@ -501,15 +498,9 @@ func (p *Plan) groupSeries(g *scanGroup, sc *execScratch) (ResultSeries, bool, e
 	if q.Rate {
 		merged = rate(merged)
 	}
-	// Result tags: group-by tags plus tags common to all members.
-	tags := map[string]string{}
-	for k, v := range g.tags {
-		tags[k] = v
-	}
-	for k, v := range commonTags(g.members[0].s.tags, g.members) {
-		tags[k] = v
-	}
-	return ResultSeries{Metric: q.Metric, Tags: tags, Points: merged}, true, nil
+	// Result tags: the tags common to all members, the group-by tags
+	// among them.
+	return ResultSeries{Metric: q.Metric, Tags: commonTags(g.members), Points: merged}, true, nil
 }
 
 // maxPrealloc caps what a point-count estimate may allocate up front:
@@ -518,9 +509,8 @@ const maxPrealloc = 1 << 14
 
 // matched pairs a series with its shard for later lock-free reads.
 type matched struct {
-	s   *memSeries
-	sh  *shard
-	key string
+	s  *memSeries
+	sh *shard
 }
 
 // memberRead is the read a plan decided for one member.
@@ -637,28 +627,27 @@ func (db *DB) ReadRef(ref *Ref, start, end int64, interval time.Duration, fn Agg
 	return eachPoint(src, yield)
 }
 
-func commonTags(first map[string]string, members []matched) map[string]string {
+// commonTags returns the tags every member carries with the same
+// value.
+func commonTags(members []matched) map[string]string {
 	common := map[string]string{}
-	for k, v := range first {
-		shared := true
-		for _, m := range members {
-			if m.s.tags[k] != v {
-				shared = false
-				break
+next:
+	for _, t := range members[0].s.ref.pairs {
+		for _, m := range members[1:] {
+			if v, ok := m.s.ref.Tag(t.Key); !ok || v != t.Value {
+				continue next
 			}
 		}
-		if shared {
-			common[k] = v
-		}
+		common[t.Key] = t.Value
 	}
 	return common
 }
 
-// tagsMatch checks filter tags against series tags ("*" matches any
-// present value).
-func tagsMatch(filter, tags map[string]string) bool {
+// tagsMatch checks filter tags against a series' sorted tags ("*"
+// matches any present value).
+func tagsMatch(filter map[string]string, tags []Tag) bool {
 	for k, v := range filter {
-		tv, ok := tags[k]
+		tv, ok := tagValue(tags, k)
 		if !ok {
 			return false
 		}

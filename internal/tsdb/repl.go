@@ -240,7 +240,7 @@ scan:
 			break
 		}
 		switch payload[0] {
-		case walRecSeries, walRecPoints, walRecBlock, walRecBlock2, walRecFlush, walRecGen:
+		case walRecSeries, walRecPoints, walRecBlock2, walRecFlush, walRecGen:
 		case walRecReplPos:
 			p, ok := parseReplPosRecord(payload[1:])
 			if !ok {

@@ -6,7 +6,10 @@ package tsdb
 // before the cutoff and filters head buffers — cheap, because sealed
 // blocks carry their time bounds.
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // DeleteBefore removes all points with timestamps strictly before
 // cutoffMS. Sealed blocks that straddle the cutoff are decoded and
@@ -15,11 +18,11 @@ func (db *DB) DeleteBefore(cutoffMS int64) (int, error) {
 	return db.DeleteBeforeWhere(cutoffMS, nil)
 }
 
-// DeleteBeforeWhere is DeleteBefore restricted to series accepted by
-// match (nil matches every series) — how the rollup engine applies a
-// different retention to each tier: raw series age out on one
-// schedule, each rollup.<res>.* namespace on its own.
-func (db *DB) DeleteBeforeWhere(cutoffMS int64, match func(metric string, tags map[string]string) bool) (int, error) {
+// DeleteBeforeWhere is DeleteBefore restricted to the series whose
+// metric match accepts (nil matches every series) — how the rollup
+// engine applies a different retention to each tier: raw series age
+// out on one schedule, each rollup.<res>.* namespace on its own.
+func (db *DB) DeleteBeforeWhere(cutoffMS int64, match func(metric string) bool) (int, error) {
 	removed := 0
 	// Disk layer first: whole expired files are deleted, partially
 	// expired files rewritten (chunk-granular — a chunk straddling the
@@ -47,8 +50,8 @@ func (db *DB) DeleteBeforeWhere(cutoffMS int64, match func(metric string, tags m
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.Lock()
-		for key, s := range sh.series {
-			if match != nil && !match(s.metric, s.tags) {
+		for _, s := range sh.series {
+			if match != nil && !match(s.ref.metric) {
 				continue
 			}
 			var blocks []sealedBlock
@@ -62,6 +65,7 @@ func (db *DB) DeleteBeforeWhere(cutoffMS int64, match func(metric string, tags m
 					// Straddling block: decode, filter, re-seal.
 					pts, err := decodeBlock(b.data, b.n)
 					if err != nil {
+						sh.series = slices.DeleteFunc(sh.series, (*memSeries).dead)
 						sh.mu.Unlock()
 						return removed, err
 					}
@@ -85,11 +89,11 @@ func (db *DB) DeleteBeforeWhere(cutoffMS int64, match func(metric string, tags m
 			s.head = head
 			if len(s.blocks) == 0 && len(s.head) == 0 &&
 				(db.disk == nil || !db.disk.hasChunks(s.ref.id)) {
-				delete(sh.series, key)
 				s.ref.dead.Store(true)
 				deadRefs = append(deadRefs, s.ref)
 			}
 		}
+		sh.series = slices.DeleteFunc(sh.series, (*memSeries).dead)
 		sh.mu.Unlock()
 	}
 	return removed, nil

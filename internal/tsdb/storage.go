@@ -3,6 +3,7 @@ package tsdb
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,10 +14,11 @@ import (
 )
 
 // DB is the time-series store. It shards series across a fixed set of
-// locks by series-key hash, keeps a mutable head buffer per series, and
-// seals full heads into Gorilla-compressed blocks. Writers resolve
-// series through the interning registry (see intern.go) so the hot
-// path never sorts tags or builds key strings for a known series.
+// locks by the hash the registry interned them under, keeps a mutable
+// head buffer per series, and seals full heads into Gorilla-compressed
+// blocks. A series is known by its interned Ref (see intern.go): the
+// shard holds its memSeries in a plain slice, nothing is keyed by a
+// string, and writers reach the series through the Ref alone.
 type DB struct {
 	shards [numShards]shard
 	reg    registry
@@ -163,17 +165,19 @@ const (
 )
 
 type shard struct {
-	mu     sync.RWMutex
-	series map[string]*memSeries
+	mu sync.RWMutex
+	// series lists the shard's live series in interning order;
+	// retention drops the ones it kills.
+	series []*memSeries
 }
 
 type memSeries struct {
-	metric string
-	tags   map[string]string
-	ref    *Ref // the handle: key, shard and liveness; retention kills it
+	ref    *Ref // the handle: identity, shard and liveness; retention kills it
 	blocks []sealedBlock
 	head   []Point // sorted by timestamp
 }
+
+func (s *memSeries) dead() bool { return s.ref.dead.Load() }
 
 type sealedBlock struct {
 	minTS, maxTS int64
@@ -196,9 +200,6 @@ func OpenOptions(opts Options) (*DB, error) {
 	db := &DB{opts: opts}
 	db.idx.init()
 	db.reg.init()
-	for i := range db.shards {
-		db.shards[i].series = make(map[string]*memSeries)
-	}
 	if opts.Dir == "" {
 		return db, nil
 	}
@@ -279,14 +280,6 @@ func (db *DB) Sync() error {
 		db.degrade(fmt.Errorf("wal sync: %w", err))
 	}
 	return err
-}
-
-func shardFor(key string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return h % numShards
 }
 
 // insertRef stores one point on its interned series, re-interning if
@@ -427,38 +420,34 @@ func (db *DB) CompressedBytes() int {
 
 // SeriesWindowExact returns the raw points of the exact series
 // identified by (metric, tags) — no filter semantics, the tag set
-// must match the stored series key — within [start, end]. A missing
-// series yields a nil slice, not an error. This is the low-level read
-// for callers that hold a series' name rather than its handle (ReadRef
-// is the read by handle) and want none of Execute's matching and
+// must be the series' own — within [start, end]. A missing series
+// yields a nil slice, not an error. This is the low-level read for
+// callers that hold a series' name rather than its handle (ReadRef is
+// the read by handle) and want none of Execute's matching and
 // aggregation machinery.
 func (db *DB) SeriesWindowExact(metric string, tags map[string]string, start, end int64) ([]Point, error) {
-	key := seriesKey(metric, tags)
-	sh := &db.shards[shardFor(key)]
-	sh.mu.RLock()
-	s, ok := sh.series[key]
-	sh.mu.RUnlock()
-	if !ok {
+	ref := db.Lookup(metric, tags)
+	if ref == nil {
 		return nil, nil
 	}
-	return db.rawPoints(s, sh, start, end)
+	return db.rawPoints(ref.s, &db.shards[ref.shard], start, end)
 }
 
 // ScanSeries streams the raw points of every series whose metric has
 // the given prefix and whose tags match filter ("*" accepts any
 // present value; an empty prefix matches every metric), one series at
-// a time in series-key order — the catch-up read /api/stream uses to
-// replay a window of history without materializing more than one
-// series' points. A non-nil error from yield aborts the scan and is
-// returned unchanged.
-func (db *DB) ScanSeries(metricPrefix string, filter map[string]string, start, end int64, yield func(metric string, tags map[string]string, pts []Point) error) error {
+// a time in display-key order (see Ref.Key) — the catch-up read
+// /api/stream uses to replay a window of history without
+// materializing more than one series' points. A non-nil error from
+// yield aborts the scan and is returned unchanged.
+func (db *DB) ScanSeries(metricPrefix string, filter map[string]string, start, end int64, yield func(series *Ref, pts []Point) error) error {
 	// Collect matches first (pointers only) so yields run in a stable
 	// order and without the index lock held.
 	var ms []*memSeries
 	for _, m := range db.SuggestMetrics(metricPrefix, 0) {
 		db.idx.match(m, filter, func(s *memSeries) { ms = append(ms, s) })
 	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].ref.key < ms[j].ref.key })
+	slices.SortFunc(ms, func(a, b *memSeries) int { return compareSeries(a.ref, b.ref) })
 	for _, s := range ms {
 		pts, err := db.rawPoints(s, &db.shards[s.ref.shard], start, end)
 		if err != nil {
@@ -467,7 +456,7 @@ func (db *DB) ScanSeries(metricPrefix string, filter map[string]string, start, e
 		if len(pts) == 0 {
 			continue
 		}
-		if err := yield(s.metric, s.tags, pts); err != nil {
+		if err := yield(s.ref, pts); err != nil {
 			return err
 		}
 	}

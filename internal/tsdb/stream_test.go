@@ -129,27 +129,28 @@ func refExecute(db *DB, q Query) ([]ResultSeries, error) {
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
-		for key, s := range sh.series {
-			if s.metric != q.Metric || !tagsMatch(q.Tags, s.tags) {
+		for _, s := range sh.series {
+			tags := tagMap(s.ref)
+			if s.ref.metric != q.Metric || !tagsMatch(q.Tags, s.ref.pairs) {
 				continue
 			}
 			gk := ""
 			gt := map[string]string{}
 			for _, k := range groupBy {
-				gk += k + "=" + s.tags[k] + ";"
-				gt[k] = s.tags[k]
+				gk += k + "=" + tags[k] + ";"
+				gt[k] = tags[k]
 			}
 			if _, ok := groups[gk]; !ok {
 				groupKeys = append(groupKeys, gk)
 				groupTags[gk] = gt
 			}
-			groups[gk] = append(groups[gk], matched{s, sh, key})
+			groups[gk] = append(groups[gk], matched{s, sh})
 		}
 		sh.mu.RUnlock()
 	}
 	sort.Strings(groupKeys)
 	for _, ms := range groups {
-		sort.Slice(ms, func(i, j int) bool { return ms[i].key < ms[j].key })
+		sort.Slice(ms, func(i, j int) bool { return ms[i].s.ref.Key() < ms[j].s.ref.Key() })
 	}
 
 	fn := q.DownsampleFn
@@ -183,12 +184,29 @@ func refExecute(db *DB, q Query) ([]ResultSeries, error) {
 		for k, v := range groupTags[gk] {
 			tags[k] = v
 		}
-		for k, v := range commonTags(members[0].s.tags, members) {
-			tags[k] = v
+		for k, v := range tagMap(members[0].s.ref) {
+			shared := true
+			for _, m := range members {
+				if tagMap(m.s.ref)[k] != v {
+					shared = false
+				}
+			}
+			if shared {
+				tags[k] = v
+			}
 		}
 		out = append(out, ResultSeries{Metric: q.Metric, Tags: tags, Points: merged})
 	}
 	return out, nil
+}
+
+// tagMap copies a series' tags into a map.
+func tagMap(ref *Ref) map[string]string {
+	m := map[string]string{}
+	for _, t := range ref.Tags() {
+		m[t.Key] = t.Value
+	}
+	return m
 }
 
 // seedRagged loads a deliberately awkward dataset: ten sensors with
@@ -434,7 +452,7 @@ func (r *countingRead) String() string { return "counting" }
 
 func (r *countingRead) Serve(yield func(Point) error) error {
 	r.p.calls.Add(1)
-	raw, err := r.p.db.SeriesWindowExact(r.series.Metric(), r.series.Tags(), r.start, r.end)
+	raw, err := r.p.db.SeriesWindowExact(r.series.Metric(), tagMap(r.series), r.start, r.end)
 	if err != nil {
 		return err
 	}

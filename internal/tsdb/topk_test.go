@@ -198,8 +198,9 @@ func TestScanSeries(t *testing.T) {
 	var metrics []string
 	var total int
 	err = db.ScanSeries("air.", map[string]string{"sensor": "*"}, 1488326400000, 1488326404000,
-		func(metric string, tags map[string]string, pts []Point) error {
-			metrics = append(metrics, metric+"/"+tags["sensor"])
+		func(series *Ref, pts []Point) error {
+			sensor, _ := series.Tag("sensor")
+			metrics = append(metrics, series.Metric()+"/"+sensor)
 			total += len(pts)
 			return nil
 		})
@@ -216,7 +217,7 @@ func TestScanSeries(t *testing.T) {
 	// Tag filter narrows; abort error propagates.
 	n := 0
 	if err := db.ScanSeries("", map[string]string{"sensor": "a1"}, 0, math.MaxInt64,
-		func(string, map[string]string, []Point) error { n++; return nil }); err != nil {
+		func(*Ref, []Point) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 { // air.co2/a1 and env.temp/a1
@@ -224,7 +225,7 @@ func TestScanSeries(t *testing.T) {
 	}
 	wantErr := fmt.Errorf("abort")
 	if err := db.ScanSeries("", nil, 0, math.MaxInt64,
-		func(string, map[string]string, []Point) error { return wantErr }); err != wantErr {
+		func(*Ref, []Point) error { return wantErr }); err != wantErr {
 		t.Fatalf("abort error not propagated: %v", err)
 	}
 }

@@ -82,10 +82,14 @@ func TestValidate(t *testing.T) {
 }
 
 func TestSeriesKeyCanonical(t *testing.T) {
-	a := seriesKey("m", map[string]string{"b": "2", "a": "1"})
-	b := seriesKey("m", map[string]string{"a": "1", "b": "2"})
-	if a != b || a != "m{a=1,b=2}" {
-		t.Fatalf("series key not canonical: %q vs %q", a, b)
+	db, _ := Open("")
+	defer db.Close()
+	ref, err := db.InternBytes([]byte("m"), [][]byte{[]byte("b"), []byte("2"), []byte("a"), []byte("1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := ref.Key(); k != "m{a=1,b=2}" {
+		t.Fatalf("series key not canonical: %q", k)
 	}
 }
 

@@ -32,13 +32,15 @@ import (
 //
 //	series (1):  fileID(4) | metric(str) | nTags(2) | (key(str) value(str))*
 //	points (2):  count(2) | count × ( fileID(4) | ts(8) | value(8) )
-//	block  (3):  fileID(4) | minTS(8) | maxTS(8) | n(4) | dataLen(4) | data
-//	block2 (7):  as block; data is a tagged chunk payload (gorilla.go)
+//	block2 (7):  fileID(4) | minTS(8) | maxTS(8) | n(4) | dataLen(4) | data
 //	flush  (4):  cutoffMS(8) | nFiles(2) | fileName(str)*
 //	replpos(5):  gen(8) | off(8) | epoch(8) | flags(1)
 //	gen    (6):  gen(8)
 //
-// str is a 16-bit length prefix + bytes. fileIDs are local to one log
+// str is a 16-bit length prefix + bytes; data is a tagged chunk
+// payload (gorilla.go). Type 3 was block2 with an untagged payload,
+// written by pre-release builds: a log holding one is refused at open
+// and left as it is (docs/FORMAT.md §4). fileIDs are local to one log
 // file session: every series is (re-)announced by a series record
 // before its first points record after an open, so replay never
 // depends on process-lifetime SeriesIDs. block records are written by
@@ -128,13 +130,11 @@ const (
 
 	walRecSeries  = 1
 	walRecPoints  = 2
-	walRecBlock   = 3
 	walRecFlush   = 4
 	walRecReplPos = 5
 	walRecGen     = 6
-	// walRecBlock2 is walRecBlock carrying a tagged payload. It is a
-	// type of its own so a build that predates the tag stops at the
-	// record instead of decoding the payload as an untagged one.
+	// walRecBlock2 carries a sealed block. Type 3, the same record
+	// with an untagged payload, is refused: see replayV2Locked.
 	walRecBlock2 = 7
 
 	// maxWALPointsPerRecord chunks huge batches so the 16-bit count
@@ -263,7 +263,10 @@ func (db *DB) replayV2Locked(l *wal) error {
 				break
 			}
 			switch payload[0] {
-			case walRecSeries, walRecPoints, walRecBlock, walRecBlock2:
+			case walRecSeries, walRecPoints, walRecBlock2:
+			case 3:
+				// Nothing has been changed yet: the log is left as it is.
+				return fmt.Errorf("tsdb: %s holds an untagged block record (type 3) from a pre-release build, which this build does not read (docs/FORMAT.md §4)", l.path)
 			case walRecFlush:
 				cutoff, files, ok := parseFlushMarker(payload[1:])
 				if !ok {
@@ -376,7 +379,7 @@ scan:
 			if !db.applyPointsRecord(payload[1:], refs, horizon) {
 				break scan
 			}
-		case walRecBlock, walRecBlock2:
+		case walRecBlock2:
 			if !db.applyBlockRecord(payload[1:], refs, horizon) {
 				break scan
 			}
@@ -424,28 +427,11 @@ func (db *DB) applySeriesRecord(p []byte) (uint32, *Ref, error) {
 		return 0, nil, errWALCorrupt
 	}
 	fid := binary.LittleEndian.Uint32(p)
-	off := 4
-	metric, off, err := readWALString(p, off)
+	metric, kvs, _, err := readSeriesEntry(p, 4)
 	if err != nil {
 		return 0, nil, err
 	}
-	if off+2 > len(p) {
-		return 0, nil, errWALCorrupt
-	}
-	nTags := int(binary.LittleEndian.Uint16(p[off:]))
-	off += 2
-	tags := make(map[string]string, nTags)
-	for i := 0; i < nTags; i++ {
-		var k, v string
-		if k, off, err = readWALString(p, off); err != nil {
-			return 0, nil, err
-		}
-		if v, off, err = readWALString(p, off); err != nil {
-			return 0, nil, err
-		}
-		tags[k] = v
-	}
-	ref, err := db.Intern(metric, tags)
+	ref, err := db.InternBytes(metric, kvs)
 	if err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", errWALCorrupt, err)
 	}
@@ -592,12 +578,7 @@ func encodeSeriesRecord(buf []byte, fid uint32, ref *Ref) []byte {
 	buf, off := beginWALRecord(buf)
 	buf = append(buf, walRecSeries)
 	buf = binary.LittleEndian.AppendUint32(buf, fid)
-	buf = appendWALString(buf, ref.metric)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ref.tags)))
-	for k, v := range ref.tags {
-		buf = appendWALString(buf, k)
-		buf = appendWALString(buf, v)
-	}
+	buf = appendSeriesEntry(buf, ref)
 	return finishWALRecord(buf, off)
 }
 
@@ -665,11 +646,11 @@ func parseFlushMarker(p []byte) (cutoffMS int64, files []string, ok bool) {
 	off := 10
 	files = make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		s, noff, err := readWALString(p, off)
+		s, noff, err := readWALBytes(p, off)
 		if err != nil {
 			return 0, nil, false
 		}
-		files = append(files, s)
+		files = append(files, string(s))
 		off = noff
 	}
 	if off != len(p) {
@@ -678,16 +659,10 @@ func parseFlushMarker(p []byte) (cutoffMS int64, files []string, ok bool) {
 	return cutoffMS, files, true
 }
 
-// encodeBlockRecord logs one sealed block verbatim. A block restored
-// from an older log keeps its untagged payload and its old record
-// type; everything this build seals is tagged.
+// encodeBlockRecord logs one sealed block verbatim.
 func encodeBlockRecord(buf []byte, fid uint32, b sealedBlock) []byte {
 	buf, off := beginWALRecord(buf)
-	if payloadTagged(b.data) {
-		buf = append(buf, walRecBlock2)
-	} else {
-		buf = append(buf, walRecBlock)
-	}
+	buf = append(buf, walRecBlock2)
 	buf = binary.LittleEndian.AppendUint32(buf, fid)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.minTS))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.maxTS))
@@ -980,14 +955,48 @@ func appendWALString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func readWALString(buf []byte, off int) (string, int, error) {
+// readWALBytes reads one str; the bytes alias buf.
+func readWALBytes(buf []byte, off int) ([]byte, int, error) {
 	if off+2 > len(buf) {
-		return "", off, errWALCorrupt
+		return nil, off, errWALCorrupt
 	}
 	n := int(binary.LittleEndian.Uint16(buf[off:]))
 	off += 2
 	if off+n > len(buf) {
-		return "", off, errWALCorrupt
+		return nil, off, errWALCorrupt
 	}
-	return string(buf[off : off+n]), off + n, nil
+	return buf[off : off+n], off + n, nil
+}
+
+// appendSeriesEntry appends a series' identity as WAL series records
+// and block-file series tables store it: metric(str) | nTags(2) |
+// (key(str) value(str))*, tags sorted by key.
+func appendSeriesEntry(buf []byte, ref *Ref) []byte {
+	buf = appendWALString(buf, ref.metric)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ref.pairs)))
+	for _, t := range ref.pairs {
+		buf = appendWALString(appendWALString(buf, t.Key), t.Value)
+	}
+	return buf
+}
+
+// readSeriesEntry decodes one appendSeriesEntry entry, tags in any
+// order, into the arguments of InternBytes, aliasing buf. It returns
+// the offset past the entry.
+func readSeriesEntry(buf []byte, off int) (metric []byte, kvs [][]byte, end int, err error) {
+	if metric, off, err = readWALBytes(buf, off); err != nil {
+		return nil, nil, off, err
+	}
+	if off+2 > len(buf) {
+		return nil, nil, off, errWALCorrupt
+	}
+	n := int(binary.LittleEndian.Uint16(buf[off:]))
+	off += 2
+	kvs = make([][]byte, 2*n)
+	for i := range kvs {
+		if kvs[i], off, err = readWALBytes(buf, off); err != nil {
+			return nil, nil, off, err
+		}
+	}
+	return metric, kvs, off, nil
 }

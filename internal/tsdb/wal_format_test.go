@@ -198,7 +198,7 @@ func TestWALTornDictRecord(t *testing.T) {
 
 	// Fabricate a full dictionary record for a second series, then cut
 	// it mid-payload.
-	other := &Ref{metric: "wal.torn2", tags: map[string]string{"s": "2"}}
+	other := &Ref{metric: "wal.torn2", pairs: []Tag{{"s", "2"}}}
 	rec := encodeSeriesRecord(nil, 7, other)
 	torn := append(append([]byte{}, intact...), rec[:len(rec)-3]...)
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
