@@ -5,10 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
-	"math"
 	"math/rand"
 	"net"
 	"os"
@@ -30,14 +28,15 @@ func defaultDial(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, 5*time.Second)
 }
 
-// walName mirrors the store's WAL file name; the wire carries the name
-// too, but the follower never trusts it beyond validation.
-const walName = "tsdb.wal"
+// stagingDir is where a snapshot is received, inside the data
+// directory, before it replaces the store's files.
+const stagingDir = "snapshot.staging"
 
 var errResyncNeeded = errors.New("repl: primary demands snapshot re-sync")
 
-// errRecordCorrupt: a WAL record in the stream failed its checks.
-var errRecordCorrupt = errors.New("repl: wal record corrupt in stream")
+// errOldSnapshot: the primary answered with a snapshot in a format this
+// build refuses.
+var errOldSnapshot = errors.New("repl: bootstrap refused: a version-1 primary's snapshot holds CTTBLK1 block files, which this build does not read (docs/FORMAT.md §4); upgrade the primary")
 
 // maxStuckDecodes is how many sessions may end in a decode error with
 // no batch applied in between before the follower treats its durable
@@ -49,7 +48,7 @@ const maxStuckDecodes = 3
 // isDecodeErr reports whether a session ended on bytes the follower
 // could not decode, as opposed to a link or apply failure.
 func isDecodeErr(err error) bool {
-	return errors.Is(err, errFrameCorrupt) || errors.Is(err, errFrameTooLarge) || errors.Is(err, errRecordCorrupt)
+	return errors.Is(err, errFrameCorrupt) || errors.Is(err, errFrameTooLarge) || errors.Is(err, tsdb.ErrWALCorrupt)
 }
 
 // BootstrapConfig parameterizes the pre-open bootstrap handshake.
@@ -71,8 +70,8 @@ type BootstrapConfig struct {
 type BootstrapResult struct {
 	Pos    tsdb.ReplPos
 	HasPos bool
-	// Snapshot reports that the directory was wiped and re-seeded from
-	// the primary (Pos must be committed via CommitReplPos after open).
+	// Snapshot reports that the directory's store was replaced by the
+	// primary's snapshot (Pos must be committed via CommitReplPos after open).
 	Snapshot bool
 	// Offline reports that the primary was unreachable but the local
 	// directory is resumable: the follower starts serving stale reads
@@ -92,11 +91,13 @@ type session struct {
 
 // Bootstrap prepares dir for follower duty before the DB is opened. A
 // resumable directory (durable position, same epoch) is kept and the
-// primary asked to resume; otherwise the directory is wiped and
-// re-seeded from a primary snapshot. A fenced refusal (this node has
-// seen a newer epoch than the primary — the operator pointed a
-// promoted node at a stale primary) is a hard error. An unreachable
-// primary is fatal only when the directory is not resumable.
+// primary asked to resume; otherwise the directory is re-seeded from a
+// primary snapshot, which replaces the local store only once it has
+// arrived whole. A fenced refusal (this node has seen a newer epoch
+// than the primary — the operator pointed a promoted node at a stale
+// primary) and a snapshot this build cannot read are hard errors. An
+// unreachable primary is fatal only when the directory is not
+// resumable.
 func Bootstrap(cfg BootstrapConfig) (*BootstrapResult, error) {
 	if cfg.FS == nil {
 		cfg.FS = fsio.OS
@@ -131,22 +132,32 @@ func Bootstrap(cfg BootstrapConfig) (*BootstrapResult, error) {
 		if IsFenced(err) {
 			return nil, fmt.Errorf("repl: bootstrap refused: %w (re-seed this node or point it at the current primary)", err)
 		}
+		if errors.Is(err, errOldSnapshot) {
+			return nil, err
+		}
 		return offline(err)
 	}
 	if mode == modeResume {
 		return &BootstrapResult{Pos: pos, HasPos: true, sess: &session{conn: conn, br: br}}, nil
 	}
 
-	// Snapshot mode: wipe whatever is local and receive the primary's
-	// files verbatim. Their own CRCs (block trailers, WAL records)
-	// vouch for content; the frame CRCs vouched for transit.
-	if err := wipeDataDir(cfg.Dir, cfg.FS); err != nil {
-		conn.Close()
-		return nil, err
+	// Snapshot mode: receive the primary's files verbatim beside the
+	// local ones, and only once all of them are in swap them in. Their
+	// own CRCs (block trailers, WAL records) vouch for content; the
+	// frame CRCs vouched for transit. A refused or broken transfer
+	// leaves the local store as it was.
+	stage := filepath.Join(cfg.Dir, stagingDir)
+	err = removeTree(cfg.FS, stage) // a transfer a crash cut short
+	var snapPos tsdb.ReplPos
+	if err == nil {
+		snapPos, err = receiveSnapshot(cfg, stage, conn, br)
 	}
-	snapPos, err := receiveSnapshot(cfg, conn, br)
+	if err == nil {
+		err = installSnapshot(cfg.Dir, stage, cfg.FS)
+	}
 	if err != nil {
 		conn.Close()
+		removeTree(cfg.FS, stage) // what stays is removed by the next bootstrap
 		return nil, fmt.Errorf("repl: snapshot bootstrap: %w", err)
 	}
 	snapPos.Epoch = epoch
@@ -178,35 +189,72 @@ func handshake(conn net.Conn, br *bufio.Reader, timeout time.Duration, key strin
 	if err != nil {
 		return 0, 0, err
 	}
+	if mode == modeSnapshot && !resumeOnly && payload[0] < minSnapshotVersion {
+		return 0, 0, errOldSnapshot
+	}
 	if resumable && mode == modeResume && epoch != pos.Epoch {
 		return 0, 0, fmt.Errorf("repl: resume welcome with epoch %d != ours %d", epoch, pos.Epoch)
 	}
 	return epoch, mode, nil
 }
 
-// wipeDataDir removes the store files a snapshot replaces: the WAL and
-// the block directory tree. Unknown files are left alone.
-func wipeDataDir(dir string, fs fsio.FS) error {
-	if err := fs.Remove(filepath.Join(dir, walName)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("repl: wipe %s: %w", walName, err)
-	}
-	blocks := filepath.Join(dir, "blocks")
-	ents, err := fs.ReadDir(blocks)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
+// installSnapshot replaces the store files in dir — the WAL and the
+// block files — with the ones received into stage. The WAL goes last:
+// until it is in place the directory holds no position to resume, so
+// a crash part-way re-seeds it. Unknown files are left alone.
+func installSnapshot(dir, stage string, fs fsio.FS) error {
+	blocks, staged := filepath.Join(dir, tsdb.BlockDirName), filepath.Join(stage, tsdb.BlockDirName)
+	wal := filepath.Join(dir, tsdb.WALFileName)
+	moveIn := func(p string) error { return fs.Rename(p, filepath.Join(blocks, filepath.Base(p))) }
+	for _, step := range []func() error{
+		func() error { return fs.SyncDir(staged) },
+		func() error { return fs.SyncDir(stage) },
+		func() error { return removeTree(fs, wal) },
+		func() error { return fs.MkdirAll(blocks, 0o755) },
+		func() error { return forFiles(fs, blocks, fs.Remove) },
+		func() error { return forFiles(fs, staged, moveIn) },
+		func() error { return fs.SyncDir(blocks) },
+		func() error { return fs.Rename(filepath.Join(stage, tsdb.WALFileName), wal) },
+		func() error { return fs.SyncDir(dir) },
+		func() error { return removeTree(fs, stage) },
+	} {
+		if err := step(); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// forFiles calls fn with the path of every file directly in dir;
+// subdirectories (the block layer's quarantine) are left alone.
+func forFiles(fs fsio.FS, dir string, fn func(path string) error) error {
+	ents, err := fs.ReadDir(dir)
+	if err != nil {
 		return err
 	}
 	for _, e := range ents {
-		if e.IsDir() {
-			continue // the block layer keeps a flat dir; leave surprises alone
-		}
-		if err := fs.Remove(filepath.Join(blocks, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("repl: wipe block %s: %w", e.Name(), err)
+		if !e.IsDir() {
+			if err := fn(filepath.Join(dir, e.Name())); err != nil {
+				return err
+			}
 		}
 	}
-	return fs.SyncDir(blocks)
+	return nil
+}
+
+// removeTree deletes path and, when it is a directory, everything
+// under it; a missing path is not an error.
+func removeTree(fs fsio.FS, path string) error {
+	ents, _ := fs.ReadDir(path) // a file, or missing: no entries
+	for _, e := range ents {
+		if err := removeTree(fs, filepath.Join(path, e.Name())); err != nil {
+			return err
+		}
+	}
+	if err := fs.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	return nil
 }
 
 func validSnapName(name string) bool {
@@ -215,17 +263,18 @@ func validSnapName(name string) bool {
 }
 
 // receiveSnapshot consumes snapfile/snapdata frames until snapend,
-// writing and fsyncing each file, then fsyncing the directories. A
-// file of another kind — kind 2 was the rollup state older primaries
-// shipped — is refused before anything is written for it.
-func receiveSnapshot(cfg BootstrapConfig, conn net.Conn, br *bufio.Reader) (tsdb.ReplPos, error) {
-	blocks := filepath.Join(cfg.Dir, "blocks")
+// writing each file into stage (the WAL) or stage/blocks and fsyncing
+// it. A file of another kind — kind 2 was the rollup state older
+// primaries shipped — is refused before anything is written for it.
+func receiveSnapshot(cfg BootstrapConfig, stage string, conn net.Conn, br *bufio.Reader) (tsdb.ReplPos, error) {
+	blocks := filepath.Join(stage, tsdb.BlockDirName)
 	if err := cfg.FS.MkdirAll(blocks, 0o755); err != nil {
 		return tsdb.ReplPos{}, err
 	}
 	var cur fsio.File // nil before the first file
 	var curName string
 	var remaining int64
+	gotWAL := false
 	closeCur := func() error {
 		f := cur
 		cur = nil
@@ -276,7 +325,7 @@ func receiveSnapshot(cfg BootstrapConfig, conn net.Conn, br *bufio.Reader) (tsdb
 			var path string
 			switch kind {
 			case snapKindWAL:
-				path = filepath.Join(cfg.Dir, walName)
+				path, gotWAL = filepath.Join(stage, tsdb.WALFileName), true
 			case snapKindBlock:
 				path = filepath.Join(blocks, name)
 			default:
@@ -304,11 +353,8 @@ func receiveSnapshot(cfg BootstrapConfig, conn net.Conn, br *bufio.Reader) (tsdb
 			if len(payload) != 16 {
 				return tsdb.ReplPos{}, errFrameCorrupt
 			}
-			if err := cfg.FS.SyncDir(blocks); err != nil {
-				return tsdb.ReplPos{}, err
-			}
-			if err := cfg.FS.SyncDir(cfg.Dir); err != nil {
-				return tsdb.ReplPos{}, err
+			if !gotWAL {
+				return tsdb.ReplPos{}, errors.New("snapshot without a WAL")
 			}
 			return tsdb.ReplPos{
 				Gen: binary.LittleEndian.Uint64(payload),
@@ -587,7 +633,7 @@ func (f *Follower) stream(sess *session) error {
 	if !ok {
 		return errors.New("repl: no committed position to stream from")
 	}
-	dec := newRecDecoder(f.cfg.DB)
+	dec := f.cfg.DB.NewWALDecoder()
 	readTimeout := 4 * f.cfg.Heartbeat
 	for {
 		sess.conn.SetReadDeadline(time.Now().Add(readTimeout))
@@ -598,8 +644,12 @@ func (f *Follower) stream(sess *session) error {
 		f.bytesIn.Add(uint64(len(payload)))
 		switch typ {
 		case fDict:
-			if err := dec.feedDict(payload); err != nil {
+			// Series records only: the dictionary replays an earlier
+			// region of the file, so it moves no offset.
+			if _, pts, err := dec.Feed(payload); err != nil {
 				return err
+			} else if len(pts) > 0 {
+				return fmt.Errorf("%w: points in the dictionary", tsdb.ErrWALCorrupt)
 			}
 		case fData:
 			if len(payload) < 24 {
@@ -608,11 +658,11 @@ func (f *Follower) stream(sess *session) error {
 			gen := binary.LittleEndian.Uint64(payload)
 			off := int64(binary.LittleEndian.Uint64(payload[8:]))
 			sent := int64(binary.LittleEndian.Uint64(payload[16:]))
-			if gen != pos.Gen || off != pos.Off+int64(len(dec.part)) {
+			if gen != pos.Gen || off != pos.Off+int64(dec.Pending()) {
 				return fmt.Errorf("repl: stream position mismatch: frame %d/%d, applied %d/%d(+%d)",
-					gen, off, pos.Gen, pos.Off, len(dec.part))
+					gen, off, pos.Gen, pos.Off, dec.Pending())
 			}
-			consumed, err := dec.feed(payload[24:])
+			consumed, pts, err := dec.Feed(payload[24:])
 			if err != nil {
 				return err
 			}
@@ -623,12 +673,11 @@ func (f *Follower) stream(sess *session) error {
 			}
 			next := pos
 			next.Off += consumed
-			if len(dec.batch) > 0 {
-				res := f.cfg.DB.AppendRefsAt(dec.batch, next)
-				if len(res.Errors) > 0 || res.Stored != len(dec.batch) {
-					return fmt.Errorf("repl: apply failed: stored %d/%d: %v", res.Stored, len(dec.batch), firstErr(res))
+			if len(pts) > 0 {
+				res := f.cfg.DB.AppendRefsAt(pts, next)
+				if len(res.Errors) > 0 || res.Stored != len(pts) {
+					return fmt.Errorf("repl: apply failed: stored %d/%d: %v", res.Stored, len(pts), firstErr(res))
 				}
-				dec.batch = dec.batch[:0]
 				f.applied()
 			}
 			// Skip-only advances (flush markers, upstream positions)
@@ -640,12 +689,12 @@ func (f *Follower) stream(sess *session) error {
 			if len(payload) != 16 {
 				return errFrameCorrupt
 			}
-			if len(dec.part) > 0 {
+			if dec.Pending() > 0 {
 				return errors.New("repl: gen switch inside a partial record")
 			}
 			pos.Gen = binary.LittleEndian.Uint64(payload)
 			pos.Off = int64(binary.LittleEndian.Uint64(payload[8:]))
-			dec.reset() // new file, new fid namespace; dict follows
+			dec.Reset() // new file, new fid namespace; dict follows
 		case fHeartbeat:
 			if len(payload) != 24 {
 				return errFrameCorrupt
@@ -697,139 +746,4 @@ func sleepCtx(stop <-chan struct{}, d time.Duration) bool {
 	case <-t.C:
 		return true
 	}
-}
-
-// recDecoder reassembles WAL records from stream chunks and turns them
-// into interned batches. Frame boundaries are arbitrary: a record may
-// span fData frames (part buffers the tail), but never a gen switch.
-type recDecoder struct {
-	db    *tsdb.DB
-	fids  map[uint32]*tsdb.Ref
-	part  []byte
-	batch []tsdb.RefPoint
-}
-
-func newRecDecoder(db *tsdb.DB) *recDecoder {
-	return &recDecoder{db: db, fids: make(map[uint32]*tsdb.Ref)}
-}
-
-func (d *recDecoder) reset() {
-	d.fids = make(map[uint32]*tsdb.Ref)
-	d.part = d.part[:0]
-	d.batch = d.batch[:0]
-}
-
-// feedDict consumes dictionary bytes: series records only, no offset
-// accounting (the dict is a replay of an earlier file region).
-func (d *recDecoder) feedDict(data []byte) error {
-	if _, err := d.feed(data); err != nil {
-		return err
-	}
-	if len(d.batch) > 0 {
-		return errors.New("repl: point records in dictionary")
-	}
-	return nil
-}
-
-// feed consumes complete records from part+data, interning series and
-// collecting points into batch. It returns how many stream bytes are
-// now fully consumed — the offset advance those records cover, counted
-// from the start of part, so a record an earlier frame began counts
-// whole; the incomplete tail stays buffered.
-func (d *recDecoder) feed(data []byte) (consumed int64, err error) {
-	d.part = append(d.part, data...)
-	p := d.part
-	total := 0
-	for {
-		if len(p)-total < 8 {
-			break
-		}
-		n := binary.LittleEndian.Uint32(p[total+4:])
-		if n == 0 || int64(n) > maxFrame {
-			return 0, fmt.Errorf("%w: implausible length %d", errRecordCorrupt, n)
-		}
-		if len(p)-total < 8+int(n) {
-			break
-		}
-		rec := p[total : total+8+int(n)]
-		if crc32.ChecksumIEEE(rec[8:]) != binary.LittleEndian.Uint32(rec) {
-			return 0, fmt.Errorf("%w: crc mismatch", errRecordCorrupt)
-		}
-		if err := d.apply(rec[8:]); err != nil {
-			return 0, err
-		}
-		total += 8 + int(n)
-	}
-	d.part = append(d.part[:0], p[total:]...)
-	return int64(total), nil
-}
-
-// apply dispatches one verified record payload.
-func (d *recDecoder) apply(payload []byte) error {
-	switch payload[0] {
-	case 1: // series
-		return d.applySeries(payload[1:])
-	case 2: // points
-		return d.applyPoints(payload[1:])
-	case 7: // sealed blocks: written by log rewrites only, never streamed
-		return errors.New("repl: unexpected block record in stream")
-	case 4, 5, 6: // flush marker, replpos, gen: primary-local bookkeeping
-		return nil
-	default:
-		return fmt.Errorf("repl: unknown wal record type %d in stream", payload[0])
-	}
-}
-
-func (d *recDecoder) applySeries(p []byte) error {
-	if len(p) < 4 {
-		return errFrameCorrupt
-	}
-	fid := binary.LittleEndian.Uint32(p)
-	metric, off, err := readBytes(p, 4)
-	if err != nil {
-		return err
-	}
-	if off+2 > len(p) {
-		return errFrameCorrupt
-	}
-	kvs := make([][]byte, 2*int(binary.LittleEndian.Uint16(p[off:])))
-	off += 2
-	for i := range kvs {
-		if kvs[i], off, err = readBytes(p, off); err != nil {
-			return err
-		}
-	}
-	ref, err := d.db.InternBytes(metric, kvs)
-	if err != nil {
-		return fmt.Errorf("repl: intern %s: %w", metric, err)
-	}
-	d.fids[fid] = ref
-	return nil
-}
-
-func (d *recDecoder) applyPoints(p []byte) error {
-	if len(p) < 2 {
-		return errFrameCorrupt
-	}
-	n := int(binary.LittleEndian.Uint16(p))
-	if len(p) != 2+n*20 {
-		return errFrameCorrupt
-	}
-	off := 2
-	for i := 0; i < n; i++ {
-		fid := binary.LittleEndian.Uint32(p[off:])
-		ref, ok := d.fids[fid]
-		if !ok {
-			return fmt.Errorf("repl: point for unannounced series fid %d", fid)
-		}
-		d.batch = append(d.batch, tsdb.RefPoint{
-			Ref: ref,
-			Point: tsdb.Point{
-				Timestamp: int64(binary.LittleEndian.Uint64(p[off+4:])),
-				Value:     math.Float64frombits(binary.LittleEndian.Uint64(p[off+12:])),
-			},
-		})
-		off += 20
-	}
-	return nil
 }

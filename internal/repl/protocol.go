@@ -26,7 +26,8 @@
 // str is a 16-bit length prefix + bytes (the WAL's string codec). The
 // payload of data/dict frames is a byte range of the primary's WAL v2
 // file — records keep their own CRCs — and may split records at
-// either end; the follower reassembles.
+// either end. This package checks only its own frames: it hands those
+// bytes to the store's WAL decoder (tsdb.WALDecoder) as they come.
 package repl
 
 import (
@@ -44,10 +45,14 @@ const (
 	// protoVersion, stamped on the welcome, names the store format the
 	// primary ships in a snapshot: 2 since block files are CTTBLK2 and
 	// the WAL prefix may carry block2 records (tagged chunk payloads).
-	// A follower accepts any version up to its own — every build reads
-	// the older formats — and an older follower refuses a newer welcome
-	// before it has touched its data directory.
+	// A follower accepts any version up to its own for the live stream,
+	// which is the same in every version, and an older follower refuses
+	// a newer welcome before it has touched its data directory.
 	protoVersion = 2
+	// minSnapshotVersion is the oldest welcome whose snapshot this
+	// build takes: a version-1 primary ships CTTBLK1 block files, which
+	// the store refuses at open (docs/FORMAT.md §4).
+	minSnapshotVersion = 2
 	// helloVersion is the hello frame's own layout, unchanged since 1:
 	// an upgraded follower must still be able to greet an old primary
 	// (replicas upgrade first).
@@ -178,21 +183,15 @@ func appendStr(buf []byte, s string) []byte {
 }
 
 func readStr(p []byte, off int) (string, int, error) {
-	b, off, err := readBytes(p, off)
-	return string(b), off, err
-}
-
-// readBytes is readStr without the copy: the bytes alias p.
-func readBytes(p []byte, off int) ([]byte, int, error) {
 	if off+2 > len(p) {
-		return nil, off, errFrameCorrupt
+		return "", off, errFrameCorrupt
 	}
 	n := int(binary.LittleEndian.Uint16(p[off:]))
 	off += 2
 	if off+n > len(p) {
-		return nil, off, errFrameCorrupt
+		return "", off, errFrameCorrupt
 	}
-	return p[off : off+n], off + n, nil
+	return string(p[off : off+n]), off + n, nil
 }
 
 // sendError best-effort ships an fError before the caller closes the

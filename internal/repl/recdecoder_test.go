@@ -1,163 +1,185 @@
 package repl
 
-// The follower's live-stream decoder against arbitrary record streams.
-// Run
+// The follower's live-stream decoding, end to end through its stream
+// loop, against a primary's log bytes cut into data frames anywhere.
+// The record decoder itself is fuzzed where it lives, in
+// internal/tsdb. Run
 //
 //	go test -run '^$' -fuzz FuzzRecDecoder ./internal/repl
 //
 // to search beyond the seed corpus every plain `go test` runs.
 
 import (
-	"encoding/binary"
+	"bufio"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
+	"log/slog"
 	"math"
+	"net"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/tsdb"
 )
 
-// walRecord frames a record payload as the WAL stores it: the CRC-32
-// of the payload, its length, the payload.
-func walRecord(payload []byte) []byte {
-	rec := binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload))
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-	return append(rec, payload...)
-}
-
-// seriesPayload is a series record: fid, metric, tags.
-func seriesPayload(fid uint32, metric string, tags ...string) []byte {
-	p := binary.LittleEndian.AppendUint32([]byte{1}, fid)
-	p = appendStr(p, metric)
-	p = binary.LittleEndian.AppendUint16(p, uint16(len(tags)/2))
-	for _, s := range tags {
-		p = appendStr(p, s)
+// primaryLog writes through a store's own append paths in a fresh
+// directory — whatever write does — and returns the log's records, the
+// bytes a primary streams past the magic.
+func primaryLog(t testing.TB, write func(db *tsdb.DB)) []byte {
+	dir := t.TempDir()
+	db, err := tsdb.OpenOptions(tsdb.Options{Dir: dir, FlushInterval: -1, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return p
-}
-
-// pointsPayload is a points record of (fid, timestamp, value) triples.
-func pointsPayload(pts ...[3]uint64) []byte {
-	p := binary.LittleEndian.AppendUint16([]byte{2}, uint16(len(pts)))
-	for _, pt := range pts {
-		p = binary.LittleEndian.AppendUint32(p, uint32(pt[0]))
-		p = binary.LittleEndian.AppendUint64(p, pt[1])
-		p = binary.LittleEndian.AppendUint64(p, pt[2])
+	write(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
-	return p
-}
-
-// recordStream reads fuzz input as length-prefixed record payloads —
-// one length byte, then up to that many payload bytes — and frames each
-// as a valid WAL record.
-func recordStream(input []byte) []byte {
-	var stream []byte
-	for len(input) > 0 {
-		n := min(max(int(input[0]), 1), len(input)-1)
-		if n == 0 {
-			break
-		}
-		stream = append(stream, walRecord(input[1:1+n])...)
-		input = input[1+n:]
+	b, err := os.ReadFile(filepath.Join(dir, tsdb.WALFileName))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return stream
+	return b[8:]
 }
 
-// fuzzInput is the inverse of recordStream for seeds.
-func fuzzInput(payloads ...[]byte) []byte {
-	var in []byte
-	for _, p := range payloads {
-		in = append(append(in, byte(len(p))), p...)
-	}
-	return in
+// streamOutcome is what a follower makes of a stream: whether the
+// session ran until the primary hung up, and then its committed
+// position and stored points.
+type streamOutcome struct {
+	clean  bool
+	pos    tsdb.ReplPos
+	points []string
 }
 
-// decodeOutcome is what a fresh decoder makes of stream fed in the
-// given pieces: whether any feed failed and, if none did, the total
-// bytes consumed, the series each fid names and the collected batch.
-type decodeOutcome struct {
-	failed   bool
-	consumed int64
-	series   map[uint32]string
-	batch    []string
-}
-
-func decodeIn(t *testing.T, pieces ...[]byte) decodeOutcome {
+// followStream sends pieces as consecutive data frames to a follower's
+// stream loop on a fresh store positioned at 1/8, then hangs up.
+func followStream(t *testing.T, pieces ...[]byte) streamOutcome {
 	db, err := tsdb.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	dec := newRecDecoder(db)
-	var out decodeOutcome
-	for _, p := range pieces {
-		n, err := dec.feed(p)
-		if err != nil {
-			return decodeOutcome{failed: true}
+	start := tsdb.ReplPos{Gen: 1, Off: 8, Epoch: 1}
+	if err := db.CommitReplPos(start); err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	go func() {
+		defer server.Close()
+		off := start.Off
+		for _, p := range pieces {
+			frame := append(appendClock(appendPos(nil, start.Gen, off)), p...)
+			if _, err := writeFrame(server, nil, time.Second, fData, frame); err != nil {
+				return // the follower hung up
+			}
+			off += int64(len(p))
 		}
-		out.consumed += n
-	}
-	out.series = make(map[uint32]string, len(dec.fids))
-	for fid, ref := range dec.fids {
-		out.series[fid] = ref.Key()
-	}
-	for _, rp := range dec.batch {
-		out.batch = append(out.batch, fmt.Sprintf("%s@%d=%#x", rp.Ref.Key(), rp.Point.Timestamp, math.Float64bits(rp.Point.Value)))
-	}
+	}()
+	f := NewFollower(FollowerConfig{DB: db, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	err = f.stream(&session{conn: client, br: bufio.NewReader(client)})
+	out := streamOutcome{clean: errors.Is(err, io.EOF)}
+	out.pos, _ = db.ReplPosition()
+	db.ScanSeries("", nil, 0, 1<<62, func(ref *tsdb.Ref, pts []tsdb.Point) error {
+		for _, p := range pts {
+			out.points = append(out.points, fmt.Sprintf("%s@%d=%#x", ref.Key(), p.Timestamp, math.Float64bits(p.Value)))
+		}
+		return nil
+	})
 	return out
 }
 
-// FuzzRecDecoder builds CRC-valid record streams from the input,
-// optionally corrupting one byte, and feeds them to the decoder whole
-// and split at a fuzzed offset. Neither may panic, and both must reach
-// the same outcome: a record boundary is not the stream's to choose, a
-// fData frame may end anywhere.
+// FuzzRecDecoder feeds a follower's stream loop a primary's log bytes,
+// optionally with one byte corrupted, as one data frame and as two
+// split at a fuzzed offset. Neither may panic, and both must end the
+// same way: a record boundary is not the stream's to choose, a data
+// frame may end anywhere. A stream that applies must leave the same
+// points either way.
 func FuzzRecDecoder(f *testing.F) {
-	series := seriesPayload(7, "air.co2", "sensor", "n1", "city", "trondheim")
-	other := seriesPayload(9, "air.no2", "sensor", "n2")
-	points := pointsPayload([3]uint64{7, 1488326400000, math.Float64bits(412.5)}, [3]uint64{9, 1488326460000, math.Float64bits(-1)})
+	putN := func(db *tsdb.DB, metric string, n int) {
+		ref, err := db.Intern(metric, map[string]string{"sensor": "n1", "city": "trondheim"})
+		if err != nil {
+			f.Fatal(err)
+		}
+		batch := make([]tsdb.RefPoint, n)
+		for i := range batch {
+			batch[i] = tsdb.RefPoint{Ref: ref, Point: tsdb.Point{Timestamp: testBase + int64(i)*60000, Value: float64(i) / 4}}
+		}
+		if res := db.AppendRefs(batch); len(res.Errors) > 0 {
+			f.Fatal(res.Errors[0].Err)
+		}
+	}
+	base := primaryLog(f, func(db *tsdb.DB) {
+		putN(db, "air.co2", 3)
+		putN(db, "air.no2", 2)
+		putN(db, "air.co2", 1)
+	})
+	replica := primaryLog(f, func(db *tsdb.DB) { // replpos records ride with each batch
+		ref, err := db.Intern("air.co2", map[string]string{"sensor": "n1"})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := int64(0); i < 3; i++ {
+			db.AppendRefsAt([]tsdb.RefPoint{{Ref: ref, Point: tsdb.Point{Timestamp: testBase + i, Value: 1}}}, tsdb.ReplPos{Gen: 1, Off: 100 * i, Epoch: 1})
+		}
+	})
+	flushed := primaryLog(f, func(db *tsdb.DB) { // rewritten by a flush: a gen record, then the dictionary
+		putN(db, "air.co2", 300)
+		if _, err := db.FlushBlocks(); err != nil {
+			f.Fatal(err)
+		}
+		putN(db, "air.pm10", 2)
+	})
+	compacted := primaryLog(f, func(db *tsdb.DB) { // gen and block2 records: refused in a stream
+		putN(db, "air.co2", 300)
+		if err := db.CompactWAL(); err != nil {
+			f.Fatal(err)
+		}
+	})
+	large := primaryLog(f, func(db *tsdb.DB) { putN(db, "air.co2", 2000) })
 	for _, seed := range []struct {
 		in             []byte
 		split, corrupt uint16
 	}{
-		{fuzzInput(series, points), 0, 0},
-		{fuzzInput(series, other, points), 30, 0},
-		{fuzzInput(series, other, points), 200, 0},
-		{fuzzInput(series, []byte{4}, other, []byte{5, 0, 0}, points), 57, 0},
-		{fuzzInput(series, other, points), 45, 12},
-		{fuzzInput(series, pointsPayload([3]uint64{8, 1, 1})), 10, 0},                    // unannounced fid
-		{fuzzInput(seriesPayload(1, "bad name"), points), 5, 0},                          // intern refuses
-		{fuzzInput(series, []byte{3}), 40, 0},                                            // block record
-		{fuzzInput(series, []byte{2, 1, 0, 7}), 40, 0},                                   // short points record
-		{append(fuzzInput(series), 0xff, 2), 3, 0},                                       // truncated tail
-		{fuzzInput(seriesPayload(7, "air.co2", "sensor"), points), 0, 0},                 // odd tag string
-		{fuzzInput(series, seriesPayload(7, "air.pm10", "sensor", "n1"), points), 60, 0}, // fid reuse
+		{base, 0, 0},
+		{base, 30, 0},
+		{base, uint16(len(base)), 0},
+		{base, 45, 13},
+		{replica, 70, 0},
+		{flushed, 200, 0},
+		{compacted, 40, 0},
+		{base[:len(base)-5], 50, 0}, // torn final record
+		{base, 60, 4 + 3*259},       // the first record's length field
+		{large, 20011, 0},           // inside one large points record
+		{base, 1, 0},                // inside the first header
+		{replica, 100, 80},          // inside the first position record
 	} {
-		f.Add(seed.in, seed.split, seed.corrupt)
+		f.Add(slices.Clone(seed.in), seed.split, seed.corrupt)
 	}
-	f.Fuzz(func(t *testing.T, in []byte, split, corrupt uint16) {
-		stream := recordStream(in)
+	f.Fuzz(func(t *testing.T, stream []byte, split, corrupt uint16) {
 		if corrupt != 0 && len(stream) > 0 {
 			stream[int(corrupt)%len(stream)] ^= byte(corrupt>>8) | 1
 		}
 		k := int(split) % (len(stream) + 1)
-		whole := decodeIn(t, stream)
-		parts := decodeIn(t, stream[:k], stream[k:])
-		if whole.failed != parts.failed {
-			t.Fatalf("split at %d of %d: failed %v, whole %v", k, len(stream), parts.failed, whole.failed)
+		whole := followStream(t, stream)
+		parts := followStream(t, stream[:k], stream[k:])
+		if whole.clean != parts.clean {
+			t.Fatalf("split at %d of %d: clean end %v, whole %v", k, len(stream), parts.clean, whole.clean)
 		}
-		if whole.failed {
+		if !whole.clean {
 			return
 		}
-		if whole.consumed != parts.consumed {
-			t.Fatalf("split at %d of %d: consumed %d, whole %d", k, len(stream), parts.consumed, whole.consumed)
+		// The durable position rides with the next batch, so a split
+		// whose last frame holds only bookkeeping records commits less
+		// than the whole stream; never more.
+		if parts.pos.Gen != whole.pos.Gen || parts.pos.Off > whole.pos.Off {
+			t.Fatalf("split at %d of %d: position %+v, whole %+v", k, len(stream), parts.pos, whole.pos)
 		}
-		if fmt.Sprint(whole.series) != fmt.Sprint(parts.series) {
-			t.Fatalf("split at %d of %d: series %v, whole %v", k, len(stream), parts.series, whole.series)
-		}
-		if !slices.Equal(whole.batch, parts.batch) {
-			t.Fatalf("split at %d of %d: batch %v, whole %v", k, len(stream), parts.batch, whole.batch)
+		if !slices.Equal(whole.points, parts.points) {
+			t.Fatalf("split at %d of %d: points %v, whole %v", k, len(stream), parts.points, whole.points)
 		}
 	})
 }

@@ -258,10 +258,7 @@ func (s *Server) session(conn net.Conn) {
 		// rewrites the follower slept through; announce where the
 		// stream actually starts before any data flows.
 		if gen, off := rd.Pos(); gen != hello.gen || off != hello.off {
-			hdr := make([]byte, 0, 16)
-			hdr = binary.LittleEndian.AppendUint64(hdr, gen)
-			hdr = binary.LittleEndian.AppendUint64(hdr, uint64(off))
-			if buf, err = writeFrame(conn, buf, s.cfg.WriteTimeout, fGen, hdr); err != nil {
+			if buf, err = writeFrame(conn, buf, s.cfg.WriteTimeout, fGen, appendPos(nil, gen, off)); err != nil {
 				rd.Close()
 				return
 			}
@@ -338,20 +335,14 @@ func (s *Server) session(conn net.Conn) {
 		}
 		switch ev.Kind {
 		case tsdb.WALData:
-			hdr = hdr[:0]
-			hdr = binary.LittleEndian.AppendUint64(hdr, ev.Gen)
-			hdr = binary.LittleEndian.AppendUint64(hdr, uint64(ev.Off))
-			hdr = binary.LittleEndian.AppendUint64(hdr, uint64(time.Now().UnixNano()))
+			hdr = appendClock(appendPos(hdr[:0], ev.Gen, ev.Off))
 			payload := append(hdr, ev.Data...)
 			if buf, err = writeFrame(conn, buf, s.cfg.WriteTimeout, fData, payload); err != nil {
 				return
 			}
 			s.bytesOut.Add(uint64(len(payload)))
 		case tsdb.WALRemap:
-			hdr = hdr[:0]
-			hdr = binary.LittleEndian.AppendUint64(hdr, ev.Gen)
-			hdr = binary.LittleEndian.AppendUint64(hdr, uint64(ev.Off))
-			if buf, err = writeFrame(conn, buf, s.cfg.WriteTimeout, fGen, hdr); err != nil {
+			if buf, err = writeFrame(conn, buf, s.cfg.WriteTimeout, fGen, appendPos(hdr[:0], ev.Gen, ev.Off)); err != nil {
 				return
 			}
 			dict, err := rd.DictPrefix()
@@ -362,10 +353,7 @@ func (s *Server) session(conn net.Conn) {
 				return
 			}
 		case tsdb.WALIdle:
-			hdr = hdr[:0]
-			hdr = binary.LittleEndian.AppendUint64(hdr, ev.Gen)
-			hdr = binary.LittleEndian.AppendUint64(hdr, uint64(ev.Off))
-			hdr = binary.LittleEndian.AppendUint64(hdr, uint64(time.Now().UnixNano()))
+			hdr = appendClock(appendPos(hdr[:0], ev.Gen, ev.Off))
 			if buf, err = writeFrame(conn, buf, s.cfg.WriteTimeout, fHeartbeat, hdr); err != nil {
 				return
 			}
@@ -411,10 +399,7 @@ func (s *Server) sendSnapshot(conn net.Conn, buf []byte) (*tsdb.WALReader, []byt
 		return nil, buf, err
 	}
 	gen, off := rd.Pos()
-	end := make([]byte, 0, 16)
-	end = binary.LittleEndian.AppendUint64(end, gen)
-	end = binary.LittleEndian.AppendUint64(end, uint64(off))
-	if buf, err = writeFrame(conn, buf, s.cfg.WriteTimeout, fSnapEnd, end); err != nil {
+	if buf, err = writeFrame(conn, buf, s.cfg.WriteTimeout, fSnapEnd, appendPos(nil, gen, off)); err != nil {
 		rd.Close()
 		return nil, buf, err
 	}
@@ -424,7 +409,7 @@ func (s *Server) sendSnapshot(conn net.Conn, buf []byte) (*tsdb.WALReader, []byt
 // sendDict ships a reader's dictionary prefix (WALReader.DictPrefix:
 // every series record before its position in the current file),
 // chunked into fDict frames at arbitrary byte boundaries (the
-// follower reassembles).
+// follower's WAL decoder takes them as they come).
 func (s *Server) sendDict(conn net.Conn, dict, buf []byte) ([]byte, error) {
 	var err error
 	for off := 0; ; off += 256 << 10 {
@@ -440,6 +425,16 @@ func (s *Server) sendDict(conn net.Conn, dict, buf []byte) ([]byte, error) {
 			return buf, nil
 		}
 	}
+}
+
+// appendPos appends a gen(8) | off(8) stream position.
+func appendPos(buf []byte, gen uint64, off int64) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(buf, gen), uint64(off))
+}
+
+// appendClock appends the primary's send time, sentNano(8).
+func appendClock(buf []byte) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(time.Now().UnixNano()))
 }
 
 type helloMsg struct {

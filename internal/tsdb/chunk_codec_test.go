@@ -289,8 +289,8 @@ func TestFirstDeltaFullWidth(t *testing.T) {
 func TestLegacyDataDirectory(t *testing.T) {
 	const blk = "0000015957536400-00000001.blk"
 	for _, files := range [][]string{
-		{walFileName, filepath.Join("blocks", blk)},
-		{walFileName},
+		{WALFileName, filepath.Join("blocks", blk)},
+		{WALFileName},
 	} {
 		dir := t.TempDir()
 		for _, name := range files {

@@ -130,14 +130,14 @@ func TestWALShrinksAfterFlush(t *testing.T) {
 	if err := db.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	before, err := os.Stat(filepath.Join(dir, walFileName))
+	before, err := os.Stat(filepath.Join(dir, WALFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.flushBefore(baseTS+590*60000, true); err != nil {
 		t.Fatal(err)
 	}
-	after, err := os.Stat(filepath.Join(dir, walFileName))
+	after, err := os.Stat(filepath.Join(dir, WALFileName))
 	if err != nil {
 		t.Fatal(err)
 	}

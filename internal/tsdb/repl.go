@@ -9,15 +9,11 @@ package tsdb
 // CommitReplPos / DetachReplica on the replica.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"repro/internal/tsdb/fsio"
 )
@@ -114,25 +110,13 @@ func (l *wal) appendPos(pos ReplPos, sync bool) error {
 	if l.broken != nil {
 		return l.broken
 	}
-	buf := encodeReplPosRecord(l.scratch[:0], pos)
-	_, err := l.w.Write(buf)
-	l.size.Add(int64(len(buf)))
-	if cap(buf) <= maxWALScratch {
-		l.scratch = buf[:0]
-	} else {
-		l.scratch = nil
-	}
-	if err != nil {
+	if err := l.writeLocked(encodeReplPosRecord(l.scratch[:0], pos)); err != nil {
 		return err
 	}
 	if sync {
-		if err := l.w.Flush(); err != nil {
+		if err := l.syncLocked(); err != nil {
 			return err
 		}
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("%w: %v", errWALFsync, err)
-		}
-		l.lastSync.Store(time.Now().UnixNano())
 	}
 	l.notifyLeasesLocked()
 	return nil
@@ -210,7 +194,7 @@ func ReadWALReplState(dir string, fs fsio.FS) (pos ReplPos, resumable bool) {
 	if fs == nil {
 		fs = fsio.OS
 	}
-	f, err := fs.Open(filepath.Join(dir, walFileName))
+	f, err := fs.Open(filepath.Join(dir, WALFileName))
 	if err != nil {
 		return ReplPos{}, false
 	}
@@ -219,42 +203,13 @@ func ReadWALReplState(dir string, fs fsio.FS) (pos ReplPos, resumable bool) {
 	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != walMagic {
 		return ReplPos{}, false
 	}
-	r := bufio.NewReaderSize(f, 64<<10)
-	var header [8]byte
-	var last *ReplPos
-scan:
-	for {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			break
-		}
-		crc := binary.LittleEndian.Uint32(header[0:4])
-		n := binary.LittleEndian.Uint32(header[4:8])
-		if n == 0 || n > 16<<20 {
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			break
-		}
-		switch payload[0] {
-		case walRecSeries, walRecPoints, walRecBlock2, walRecFlush, walRecGen:
-		case walRecReplPos:
-			p, ok := parseReplPosRecord(payload[1:])
-			if !ok {
-				break scan
-			}
-			last = &p
-		default:
-			break scan
-		}
-	}
-	if last == nil || last.Detached {
+	// A type-3 record ends the framing as a refusal; what precedes it
+	// still stands.
+	fr, _ := frameWAL(f, "", func(string) bool { return false })
+	if fr.lastPos == nil || fr.lastPos.Detached {
 		return ReplPos{}, false
 	}
-	return *last, true
+	return *fr.lastPos, true
 }
 
 // SnapshotFile is one file of a replication snapshot stream: the
@@ -316,7 +271,7 @@ func (db *DB) StreamSnapshot(maxLag int64, send func(SnapshotFile) error) (*WALR
 	}
 	// The WAL goes last: pread within [0, eof) is safe against
 	// concurrent appends, which only ever extend the file.
-	if err := send(SnapshotFile{Kind: "wal", Name: walFileName, Size: eof, R: io.NewSectionReader(walF, 0, eof)}); err != nil {
+	if err := send(SnapshotFile{Kind: "wal", Name: WALFileName, Size: eof, R: io.NewSectionReader(walF, 0, eof)}); err != nil {
 		return nil, err
 	}
 	l.mu.Lock()

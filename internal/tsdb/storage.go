@@ -203,7 +203,7 @@ func OpenOptions(opts Options) (*DB, error) {
 	if opts.Dir == "" {
 		return db, nil
 	}
-	ds, err := db.openDiskStore(filepath.Join(opts.Dir, "blocks"))
+	ds, err := db.openDiskStore(filepath.Join(opts.Dir, BlockDirName))
 	if err != nil {
 		return nil, err
 	}

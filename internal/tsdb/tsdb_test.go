@@ -531,7 +531,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	db.Close()
 
 	// Simulate a crash mid-write: append garbage half-record.
-	path := filepath.Join(dir, walFileName)
+	path := filepath.Join(dir, WALFileName)
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -573,7 +573,7 @@ func TestWALCorruptMiddleStopsCleanly(t *testing.T) {
 	}
 	db.Close()
 	// Flip a byte in the middle of the file.
-	path := filepath.Join(dir, walFileName)
+	path := filepath.Join(dir, WALFileName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -17,14 +17,8 @@ import (
 	"repro/internal/tsdb/fsio"
 )
 
-// wal is a single-file append-only write-ahead log. Records are
-// length-prefixed and CRC-protected; replay stops cleanly at the first
-// torn record (partial final write after a crash).
-//
-// Current format ("v2"): the file opens with an 8-byte magic header,
-// followed by typed records designed around group commit — a batch of
-// points costs one lock acquisition and one buffered write, and series
-// identity travels as a dictionary instead of per point:
+// wal is a single-file append-only write-ahead log in the layout
+// docs/FORMAT.md §3 specifies: an 8-byte magic header, then records
 //
 //	crc32(4) | len(4) | payload
 //
@@ -38,35 +32,17 @@ import (
 //	gen    (6):  gen(8)
 //
 // str is a 16-bit length prefix + bytes; data is a tagged chunk
-// payload (gorilla.go). Type 3 was block2 with an untagged payload,
-// written by pre-release builds: a log holding one is refused at open
-// and left as it is (docs/FORMAT.md §4). fileIDs are local to one log
-// file session: every series is (re-)announced by a series record
-// before its first points record after an open, so replay never
-// depends on process-lifetime SeriesIDs. block records are written by
-// compaction (CompactWAL): a retention pass rewrites the log from the
-// store's state — sealed blocks verbatim, heads as points — so the
-// file tracks the data instead of growing forever.
-//
-// replpos records are written by a replica: each applied upstream
-// batch is followed (in the same buffered write) by the upstream
-// position it covers, so the durable resume offset can never run
-// ahead of or behind the data it acknowledges. At replay the file is
-// truncated back to the end of the last replpos record — trailing
-// records not covered by a position are dropped and re-fetched from
-// the primary — unless that record carries the detached flag
-// (promotion), in which case the node owns its tail. gen records open
-// every compacted file and persist the generation counter tailers
-// fence their offsets with.
-//
-// flush records are the durable-block commit markers: a flush pass
-// appends one (fsynced) naming the block files it is about to write,
-// before any file I/O, while the WAL gate is closed to writers. At
-// replay a marker is honored only if every named block file loaded
-// cleanly; an honored marker suppresses points before its cutoff in
-// all earlier records — they live in the block files now — while an
-// unhonored one (crash before the renames landed, quarantined file)
-// is inert and the full log replays.
+// payload (gorilla.go). The records are built around group commit: a
+// batch of points costs one lock acquisition and one buffered write,
+// and series identity travels as a dictionary of fileIDs, local to one
+// file session, instead of per point. CompactWAL rewrites the log from
+// the store's state (sealed blocks as block2 records), so the file
+// tracks the data instead of growing forever. flush records are the
+// durable-block commit markers (§3.2); replpos and gen records hold a
+// replica's resume position and the generation tailers fence offsets
+// with (§3.3). walrecord.go reads the records back; replay
+// (replayV2Locked) stops at the first one it cannot frame or apply and
+// truncates the log there.
 type wal struct {
 	mu   sync.Mutex
 	fs   fsio.FS
@@ -124,9 +100,15 @@ type walGenSpan struct {
 	nextBase int64
 }
 
+// WALFileName and BlockDirName name the log and the block file
+// directory inside a data directory (docs/FORMAT.md §1).
 const (
-	walFileName = "tsdb.wal"
-	walMagic    = "CTTWAL2\n"
+	WALFileName  = "tsdb.wal"
+	BlockDirName = "blocks"
+)
+
+const (
+	walMagic = "CTTWAL2\n"
 
 	walRecSeries  = 1
 	walRecPoints  = 2
@@ -145,8 +127,6 @@ const (
 	maxWALScratch = 1 << 20
 )
 
-var errWALCorrupt = errors.New("tsdb: wal record corrupt")
-
 // errWALFsync classifies a failed WAL fsync (as opposed to a failed
 // buffered write). After a rejected fsync the kernel may drop the
 // dirty pages while the process-side page cache still reads back
@@ -158,7 +138,7 @@ func openWAL(dir string, fs fsio.FS) (*wal, error) {
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tsdb: wal dir: %w", err)
 	}
-	path := filepath.Join(dir, walFileName)
+	path := filepath.Join(dir, WALFileName)
 	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: wal open: %w", err)
@@ -214,189 +194,82 @@ func (db *DB) replayWAL(l *wal) error {
 }
 
 // replayV2Locked replays a current-format file in two passes. Pass 1
-// frames every intact record and collects the flush markers that will
-// be honored (all named block files loaded). Pass 2 replays with a
-// running suppression horizon: a record earlier in the log than an
-// honored marker drops its points below that marker's cutoff —
+// (frameWAL) frames every intact record and finds the flush markers
+// that will be honored (all named block files loaded). Pass 2 replays
+// with a running suppression horizon: a record earlier in the log than
+// an honored marker drops its points below that marker's cutoff —
 // they're already in the block files — so "replay since last flush"
 // falls out of full-file replay. Caller holds l.mu and has consumed
 // the magic header.
 func (db *DB) replayV2Locked(l *wal) error {
-	// Pass 1: framing + marker collection.
-	type flushMarker struct {
-		start  int64 // record start offset
-		cutoff int64
-	}
-	var markers []flushMarker // honored markers only
-	// markerRefs keeps every marker's file list, honored or not, so
-	// the disk layer can reserve their sequence numbers and clean up
-	// after inert ones (see noteReplayMarker).
-	type markerRef struct {
-		start   int64
-		files   []string
-		honored bool
-	}
-	var markerRefs []markerRef
-	fileGen := uint64(1)
-	var lastPos *ReplPos
-	var lastPosEnd int64
-	framedEnd := int64(len(walMagic))
-	{
-		r := bufio.NewReaderSize(l.f, 64<<10)
-		var header [8]byte
-		off := framedEnd
-	frame:
-		for {
-			if _, err := io.ReadFull(r, header[:]); err != nil {
-				break // clean EOF or torn header
-			}
-			crc := binary.LittleEndian.Uint32(header[0:4])
-			n := binary.LittleEndian.Uint32(header[4:8])
-			if n == 0 || n > 16<<20 {
-				break // implausible length: treat as torn
-			}
-			payload := make([]byte, n)
-			if _, err := io.ReadFull(r, payload); err != nil {
-				break
-			}
-			if crc32.ChecksumIEEE(payload) != crc {
-				break
-			}
-			switch payload[0] {
-			case walRecSeries, walRecPoints, walRecBlock2:
-			case 3:
-				// Nothing has been changed yet: the log is left as it is.
-				return fmt.Errorf("tsdb: %s holds an untagged block record (type 3) from a pre-release build, which this build does not read (docs/FORMAT.md §4)", l.path)
-			case walRecFlush:
-				cutoff, files, ok := parseFlushMarker(payload[1:])
-				if !ok {
-					break frame
-				}
-				honor := len(files) > 0
-				for _, name := range files {
-					if honor && !db.disk.hasFile(name) {
-						honor = false
-					}
-				}
-				if honor {
-					markers = append(markers, flushMarker{start: off, cutoff: cutoff})
-				}
-				markerRefs = append(markerRefs, markerRef{start: off, files: files, honored: honor})
-			case walRecReplPos:
-				pos, ok := parseReplPosRecord(payload[1:])
-				if !ok {
-					break frame
-				}
-				lastPos = &pos
-				lastPosEnd = off + int64(8+n)
-			case walRecGen:
-				g, ok := parseGenRecord(payload[1:])
-				if !ok {
-					break frame
-				}
-				fileGen = g
-			default:
-				break frame // unknown record type: stop cleanly
-			}
-			off += int64(8 + n)
-		}
-		framedEnd = off
+	fr, err := frameWAL(l.f, l.path, db.disk.hasFile)
+	if err != nil {
+		// Nothing has been changed yet: the log is left as it is.
+		return err
 	}
 	// A replica's log is only trusted up to the end of its last
 	// position record: trailing records are data the resume offset does
 	// not acknowledge, so they are dropped here and re-fetched from the
 	// primary (applying them AND resuming past-position would duplicate
 	// them; resuming at-position would, too). A detached position
-	// (promotion) means the node owns everything after it.
-	if lastPos != nil && !lastPos.Detached && lastPosEnd < framedEnd {
-		framedEnd = lastPosEnd
-		// Markers past the cut are no longer part of the log: treat
-		// them as inert so their block files are cleaned up rather than
-		// suppressing points the truncated log must now replay.
-		kept := markers[:0]
-		for _, m := range markers {
-			if m.start < framedEnd {
-				kept = append(kept, m)
-			}
-		}
-		markers = kept
-		for i := range markerRefs {
-			if markerRefs[i].start >= framedEnd {
-				markerRefs[i].honored = false
-			}
-		}
+	// (promotion) means the node owns everything after it. Markers past
+	// the cut are no longer part of the log: they are inert, so their
+	// block files are cleaned up rather than suppressing points the
+	// truncated log must now replay.
+	if fr.lastPos != nil && !fr.lastPos.Detached && fr.lastPosEnd < fr.end {
+		fr.end = fr.lastPosEnd
 	}
-	for _, m := range markerRefs {
+	var markers []walMarker // honored markers only
+	for _, m := range fr.markers {
+		m.honored = m.honored && m.start < fr.end
 		db.disk.noteReplayMarker(m.files, m.honored)
+		if m.honored {
+			markers = append(markers, m)
+		}
 	}
 	// suffix[i] = max cutoff over markers[i:] — the horizon for a
 	// record that precedes marker i.
 	suffix := make([]int64, len(markers)+1)
 	suffix[len(markers)] = math.MinInt64
 	for i := len(markers) - 1; i >= 0; i-- {
-		suffix[i] = markers[i].cutoff
-		if suffix[i+1] > suffix[i] {
-			suffix[i] = suffix[i+1]
-		}
+		suffix[i] = max(markers[i].cutoff, suffix[i+1])
 	}
 
-	// Pass 2: replay.
-	if _, err := l.f.Seek(int64(len(walMagic)), io.SeekStart); err != nil {
-		return err
-	}
-	r := bufio.NewReaderSize(l.f, 64<<10)
-	validEnd := int64(len(walMagic))
-	refs := map[uint32]*Ref{}
-	var maxFid uint32
+	// Pass 2: replay, stopping at the first record that does not apply.
+	d := db.NewWALDecoder()
 	var replayedPos *ReplPos
-	var header [8]byte
 	mi := 0
-scan:
-	for validEnd < framedEnd {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			break
-		}
-		n := binary.LittleEndian.Uint32(header[4:8])
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break
-		}
-		for mi < len(markers) && markers[mi].start <= validEnd {
+	body := io.NewSectionReader(l.f, int64(len(walMagic)), fr.end-int64(len(walMagic)))
+	validEnd, err := scanWAL(body, int64(len(walMagic)), func(start int64, rec []byte) bool {
+		for mi < len(markers) && markers[mi].start <= start {
 			mi++
 		}
-		horizon := suffix[mi]
-		switch payload[0] {
+		var err error
+		switch p := rec[walHeaderLen+1:]; rec[walHeaderLen] {
 		case walRecSeries:
-			fid, ref, err := db.applySeriesRecord(payload[1:])
-			if err != nil {
-				break scan
-			}
-			refs[fid] = ref
-			if fid > maxFid {
-				maxFid = fid
-			}
+			err = d.series(p)
 		case walRecPoints:
-			if !db.applyPointsRecord(payload[1:], refs, horizon) {
-				break scan
+			d.batch = d.batch[:0]
+			if err = d.points(p, suffix[mi]); err == nil {
+				db.insertRefBatch(d.batch)
 			}
 		case walRecBlock2:
-			if !db.applyBlockRecord(payload[1:], refs, horizon) {
-				break scan
+			if !db.applyBlockRecord(p, d.refs, suffix[mi]) {
+				err = ErrWALCorrupt
 			}
-		case walRecFlush:
-			// Framing and honor decisions happened in pass 1.
 		case walRecReplPos:
 			// Only a position the replay actually covered counts as the
-			// durable resume offset (pass 2 can stop early on a corrupt
-			// apply).
-			if pos, ok := parseReplPosRecord(payload[1:]); ok {
-				p := pos
-				replayedPos = &p
+			// durable resume offset.
+			if pos, ok := parseReplPosRecord(p); ok {
+				replayedPos = &pos
 			}
-		case walRecGen:
-			// Parsed in pass 1 (fileGen).
 		}
-		validEnd += int64(8 + n)
+		return err == nil
+	})
+	if err != nil {
+		// Pass 1 framed these bytes: this is a read error, and nothing
+		// may be truncated on the strength of it.
+		return fmt.Errorf("tsdb: wal read: %w", err)
 	}
 	if err := l.f.Truncate(validEnd); err != nil {
 		return err
@@ -406,7 +279,7 @@ scan:
 	}
 	l.w.Reset(l.f)
 	l.size.Store(validEnd)
-	l.gen = fileGen
+	l.gen = fr.gen
 	if replayedPos != nil {
 		db.replPos.Store(replayedPos)
 	}
@@ -414,7 +287,10 @@ scan:
 	// starts empty and new ids start past everything replayed, so ids
 	// never collide within one file.
 	l.fileIDs = make(map[SeriesID]uint32)
-	l.nextFileID = maxFid + 1
+	l.nextFileID = 1
+	for fid := range d.refs {
+		l.nextFileID = max(l.nextFileID, fid+1)
+	}
 	// Surviving honored markers mean flushes whose WAL truncation
 	// never landed: the compactor retries truncation before touching
 	// the files those markers reference.
@@ -422,55 +298,70 @@ scan:
 	return nil
 }
 
-func (db *DB) applySeriesRecord(p []byte) (uint32, *Ref, error) {
-	if len(p) < 4 {
-		return 0, nil, errWALCorrupt
-	}
-	fid := binary.LittleEndian.Uint32(p)
-	metric, kvs, _, err := readSeriesEntry(p, 4)
-	if err != nil {
-		return 0, nil, err
-	}
-	ref, err := db.InternBytes(metric, kvs)
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", errWALCorrupt, err)
-	}
-	return fid, ref, nil
+// walMarker is a flush marker found while framing: where its record
+// starts, its cutoff and block files, and whether every file loaded.
+type walMarker struct {
+	start, cutoff int64
+	files         []string
+	honored       bool
 }
 
-// applyPointsRecord inserts every point of a points record at or past
-// the suppression horizon (points below it already live in flushed
-// block files); false means the record is corrupt (including a fileID
-// with no preceding series record) and replay must stop. Records are
-// validated in full before any point is applied.
-func (db *DB) applyPointsRecord(p []byte, refs map[uint32]*Ref, horizon int64) bool {
-	if len(p) < 2 {
-		return false
-	}
-	count := int(binary.LittleEndian.Uint16(p))
-	if len(p) != 2+count*20 {
-		return false
-	}
-	for i := 0; i < count; i++ {
-		if refs[binary.LittleEndian.Uint32(p[2+i*20:])] == nil {
-			return false
+// walFraming is what framing a log finds: where its framed records
+// end, its last replication position and where that record ends, its
+// flush markers, and the file generation.
+type walFraming struct {
+	end, lastPosEnd int64
+	markers         []walMarker
+	lastPos         *ReplPos
+	gen             uint64
+}
+
+// frameWAL frames the log body r holds (read past the magic), stopping
+// cleanly at the first record that does not frame or parse or is of an
+// unknown type. A type-3 record fails it: the log is from a pre-release
+// build (docs/FORMAT.md §4); so does a read error. hasFile reports
+// whether a marker's block file loaded.
+func frameWAL(r io.Reader, path string, hasFile func(string) bool) (fr walFraming, err error) {
+	fr.gen = 1
+	var refused error
+	fr.end, err = scanWAL(r, int64(len(walMagic)), func(start int64, rec []byte) bool {
+		ok := true
+		switch p := rec[walHeaderLen+1:]; rec[walHeaderLen] {
+		case walRecSeries, walRecPoints, walRecBlock2:
+		case 3:
+			refused = fmt.Errorf("tsdb: %s holds an untagged block record (type 3) from a pre-release build, which this build does not read (docs/FORMAT.md §4)", path)
+			ok = false
+		case walRecFlush:
+			var m walMarker
+			if m.cutoff, m.files, ok = parseFlushMarker(p); ok {
+				m.start, m.honored = start, len(m.files) > 0
+				for _, name := range m.files {
+					m.honored = m.honored && hasFile(name)
+				}
+				fr.markers = append(fr.markers, m)
+			}
+		case walRecReplPos:
+			var pos ReplPos
+			if pos, ok = parseReplPosRecord(p); ok {
+				fr.lastPos, fr.lastPosEnd = &pos, start+int64(len(rec))
+			}
+		case walRecGen:
+			var g uint64
+			if g, ok = parseGenRecord(p); ok {
+				fr.gen = g
+			}
+		default:
+			ok = false
 		}
+		return ok
+	})
+	if refused != nil {
+		return fr, refused
 	}
-	for i := 0; i < count; i++ {
-		rec := p[2+i*20:]
-		ts := int64(binary.LittleEndian.Uint64(rec[4:]))
-		if ts < horizon {
-			continue
-		}
-		db.insertRef(RefPoint{
-			Ref: refs[binary.LittleEndian.Uint32(rec)],
-			Point: Point{
-				Timestamp: ts,
-				Value:     math.Float64frombits(binary.LittleEndian.Uint64(rec[12:])),
-			},
-		})
+	if err == io.ErrUnexpectedEOF || errors.Is(err, ErrWALCorrupt) {
+		err = nil // a torn or corrupt record ends the log
 	}
-	return true
+	return fr, err
 }
 
 // applyBlockRecord restores one sealed block (written by compaction):
@@ -547,6 +438,17 @@ func (l *wal) appendRefs(pts []RefPoint, pos *ReplPos) error {
 	if pos != nil {
 		buf = encodeReplPosRecord(buf, *pos)
 	}
+	err := l.writeLocked(buf)
+	if err == nil {
+		l.notifyLeasesLocked()
+	}
+	return err
+}
+
+// writeLocked hands records built in the scratch buffer to the file's
+// writer, keeping the buffer for reuse unless it grew past
+// maxWALScratch. Caller holds l.mu.
+func (l *wal) writeLocked(buf []byte) error {
 	_, err := l.w.Write(buf)
 	l.size.Add(int64(len(buf)))
 	if cap(buf) <= maxWALScratch {
@@ -554,10 +456,20 @@ func (l *wal) appendRefs(pts []RefPoint, pos *ReplPos) error {
 	} else {
 		l.scratch = nil
 	}
-	if err == nil {
-		l.notifyLeasesLocked()
-	}
 	return err
+}
+
+// syncLocked flushes the buffered tail and fsyncs the file. Caller
+// holds l.mu.
+func (l *wal) syncLocked() error {
+	if err := l.w.Flush(); err != nil {
+		return err
+	}
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("%w: %v", errWALFsync, err)
+	}
+	l.lastSync.Store(time.Now().UnixNano())
+	return nil
 }
 
 // beginWALRecord reserves the 8-byte header; finishWALRecord patches
@@ -613,24 +525,12 @@ func (l *wal) appendFlushMarker(cutoffMS int64, files []string) error {
 	for _, name := range files {
 		buf = appendWALString(buf, name)
 	}
-	buf = finishWALRecord(buf, off)
-	_, err := l.w.Write(buf)
-	l.size.Add(int64(len(buf)))
-	if cap(buf) <= maxWALScratch {
-		l.scratch = buf[:0]
-	} else {
-		l.scratch = nil
-	}
-	if err != nil {
+	if err := l.writeLocked(finishWALRecord(buf, off)); err != nil {
 		return err
 	}
-	if err := l.w.Flush(); err != nil {
+	if err := l.syncLocked(); err != nil {
 		return err
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("%w: %v", errWALFsync, err)
-	}
-	l.lastSync.Store(time.Now().UnixNano())
 	l.notifyLeasesLocked()
 	return nil
 }
@@ -930,14 +830,7 @@ func (l *wal) sync() error {
 	if l.broken != nil {
 		return l.broken
 	}
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("%w: %v", errWALFsync, err)
-	}
-	l.lastSync.Store(time.Now().UnixNano())
-	return nil
+	return l.syncLocked()
 }
 
 func (l *wal) close() error {
@@ -958,12 +851,12 @@ func appendWALString(buf []byte, s string) []byte {
 // readWALBytes reads one str; the bytes alias buf.
 func readWALBytes(buf []byte, off int) ([]byte, int, error) {
 	if off+2 > len(buf) {
-		return nil, off, errWALCorrupt
+		return nil, off, ErrWALCorrupt
 	}
 	n := int(binary.LittleEndian.Uint16(buf[off:]))
 	off += 2
 	if off+n > len(buf) {
-		return nil, off, errWALCorrupt
+		return nil, off, ErrWALCorrupt
 	}
 	return buf[off : off+n], off + n, nil
 }
@@ -988,7 +881,7 @@ func readSeriesEntry(buf []byte, off int) (metric []byte, kvs [][]byte, end int,
 		return nil, nil, off, err
 	}
 	if off+2 > len(buf) {
-		return nil, nil, off, errWALCorrupt
+		return nil, nil, off, ErrWALCorrupt
 	}
 	n := int(binary.LittleEndian.Uint16(buf[off:]))
 	off += 2

@@ -65,7 +65,7 @@ func TestWALOpenRule(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			path := filepath.Join(dir, walFileName)
+			path := filepath.Join(dir, WALFileName)
 			if err := os.WriteFile(path, c.content, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +190,7 @@ func TestWALTornDictRecord(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, walFileName)
+	path := filepath.Join(dir, WALFileName)
 	intact, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func TestWALCompactedByRetention(t *testing.T) {
 	if after >= before {
 		t.Fatalf("compaction did not shrink the log: %d -> %d bytes", before, after)
 	}
-	fi, err := os.Stat(filepath.Join(dir, walFileName))
+	fi, err := os.Stat(filepath.Join(dir, WALFileName))
 	if err != nil {
 		t.Fatal(err)
 	}

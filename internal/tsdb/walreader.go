@@ -9,11 +9,8 @@ package tsdb
 // session owns one reader.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 )
@@ -43,7 +40,7 @@ type WALEventKind int
 
 const (
 	// WALData carries appended log bytes starting at (Gen, Off). The
-	// byte range may split records; the consumer reassembles.
+	// byte range may split records (WALDecoder.Feed takes it as is).
 	WALData WALEventKind = iota
 	// WALRemap reports a log rewrite: the stream continues at (Gen,
 	// Off) of the new file, whose dictionary must be re-read
@@ -209,40 +206,18 @@ func (r *WALReader) DictPrefix() ([]byte, error) {
 		return nil, errors.New("tsdb: wal reader: dict prefix with pending remap")
 	}
 	start := int64(len(walMagic))
-	end := r.off
-	br := bufio.NewReaderSize(io.NewSectionReader(l.f, start, end-start), 64<<10)
 	var out []byte
-	var header [8]byte
-	insideRecord := func(pos int64) error {
-		return fmt.Errorf("%w: offset %d is inside the record at %d", ErrWALResyncRequired, end, pos)
-	}
-	for pos := start; pos < end; {
-		if end-pos < int64(len(header)) {
-			return nil, insideRecord(pos)
+	end, err := scanWAL(io.NewSectionReader(l.f, start, r.off-start), start, func(_ int64, rec []byte) bool {
+		if rec[walHeaderLen] == walRecSeries {
+			out = append(out, rec...)
 		}
-		if _, err := io.ReadFull(br, header[:]); err != nil {
-			return nil, fmt.Errorf("tsdb: wal dict scan: %w", err)
-		}
-		crc := binary.LittleEndian.Uint32(header[0:4])
-		n := binary.LittleEndian.Uint32(header[4:8])
-		if n == 0 {
-			return nil, errWALCorrupt
-		}
-		if pos+int64(8+n) > end {
-			return nil, insideRecord(pos)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("tsdb: wal dict scan: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			return nil, errWALCorrupt
-		}
-		if payload[0] == walRecSeries {
-			out = append(out, header[:]...)
-			out = append(out, payload...)
-		}
-		pos += int64(8 + n)
+		return true
+	})
+	switch {
+	case err == io.ErrUnexpectedEOF:
+		return nil, fmt.Errorf("%w: offset %d is inside the record at %d", ErrWALResyncRequired, r.off, end)
+	case err != nil:
+		return nil, fmt.Errorf("tsdb: wal dict scan: %w", err)
 	}
 	return out, nil
 }

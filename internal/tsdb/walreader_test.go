@@ -1,9 +1,8 @@
 package tsdb
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
-	"hash/crc32"
 	"testing"
 	"time"
 )
@@ -55,21 +54,12 @@ func drain(t *testing.T, rd *WALReader) []byte {
 func walRecords(t *testing.T, raw []byte) [][]byte {
 	t.Helper()
 	var recs [][]byte
-	for off := 0; off < len(raw); {
-		if len(raw)-off < 8 {
-			t.Fatalf("torn record header at %d/%d", off, len(raw))
-		}
-		crc := binary.LittleEndian.Uint32(raw[off:])
-		n := int(binary.LittleEndian.Uint32(raw[off+4:]))
-		if len(raw)-off < 8+n {
-			t.Fatalf("torn record body at %d/%d", off, len(raw))
-		}
-		payload := raw[off+8 : off+8+n]
-		if crc32.ChecksumIEEE(payload) != crc {
-			t.Fatalf("record crc mismatch at %d", off)
-		}
-		recs = append(recs, payload)
-		off += 8 + n
+	end, err := scanWAL(bytes.NewReader(raw), 0, func(_ int64, rec []byte) bool {
+		recs = append(recs, bytes.Clone(rec[walHeaderLen:]))
+		return true
+	})
+	if err != nil {
+		t.Fatalf("record at %d/%d: %v", end, len(raw), err)
 	}
 	return recs
 }
