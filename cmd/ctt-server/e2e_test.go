@@ -390,6 +390,8 @@ func TestE2EFlagValidation(t *testing.T) {
 		{"replica-chained", []string{"-replica-of", "127.0.0.1:1", "-data-dir", "d", "-repl-listen", "127.0.0.1:2"}, "chained replication"},
 		{"wal-removed", []string{"-wal", "w"}, "-data-dir"},
 		{"repl-listen-without-persistence", []string{"-repl-listen", "127.0.0.1:2"}, "requires persistence: set -data-dir so"},
+		{"unknown-city", []string{"-city", "oslo"}, "unknown -city"},
+		{"bad-rollup", []string{"-rollup", "1x:2h"}, "bad -rollup"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -62,19 +62,8 @@ func main() {
 	// --- dashboards (Fig. 6 / Fig. 8) ----------------------------------
 	srv := dashboard.New(sys.DB, sys.Dataport)
 	srv.SetNow(sys.Now)
-	panels := []dashboard.Panel{
-		{Name: "co2", Title: "Air quality — CO2 by sensor", Metric: core.MetricCO2,
-			Tags: map[string]string{"sensor": "*"}, Agg: tsdb.AggAvg,
-			Downsample: time.Hour, Window: 7 * 24 * time.Hour, YLabel: "ppm"},
-		{Name: "pm10", Title: "Air quality — PM10 network mean", Metric: core.MetricPM10,
-			Agg: tsdb.AggAvg, Downsample: time.Hour, Window: 7 * 24 * time.Hour, YLabel: "µg/m³"},
-		{Name: "traffic", Title: "Traffic — city jam factor", Metric: "traffic.jamfactor",
-			Agg: tsdb.AggAvg, Downsample: 30 * time.Minute, Window: 48 * time.Hour, YLabel: "jam factor"},
-		{Name: "battery", Title: "Node battery levels", Metric: core.MetricBattery,
-			Tags: map[string]string{"sensor": "*"}, Agg: tsdb.AggAvg,
-			Downsample: time.Hour, Window: 7 * 24 * time.Hour, YLabel: "%"},
-	}
-	for _, p := range panels {
+	// The same five panels ctt-server shows on its wall display.
+	for _, p := range dashboard.PilotPanels(7 * 24 * time.Hour) {
 		if err := srv.AddPanel(p); err != nil {
 			log.Fatal(err)
 		}

@@ -40,7 +40,6 @@ import (
 	"crypto/subtle"
 	"fmt"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"runtime/debug"
@@ -213,10 +212,7 @@ type Gateway struct {
 	authFails   atomic.Uint64 // requests refused: missing/wrong API key
 	panics      atomic.Uint64 // handler panics recovered by the middleware
 
-	rate ewmaRate
-
-	srv *http.Server
-	ln  net.Listener
+	rate obs.EWMARate
 }
 
 // New builds a gateway over db and starts its ingest workers. dp may
@@ -281,7 +277,7 @@ func (g *Gateway) initObs() {
 	reg.Gauge(`ctt_ingest_rejected_total{reason="queue_full"}`, func() float64 { return float64(g.rejectFull.Load()) })
 	reg.Gauge(`ctt_ingest_rejected_total{reason="rate_limited"}`, func() float64 { return float64(g.rejectRate.Load()) })
 	reg.Gauge(`ctt_ingest_rejected_total{reason="invalid"}`, func() float64 { return float64(g.invalid.Load()) })
-	reg.Gauge("ctt_ingest_rate_points_per_second", func() float64 { return g.rate.value(time.Now()) })
+	reg.Gauge("ctt_ingest_rate_points_per_second", func() float64 { return g.rate.Value(time.Now()) })
 	reg.Gauge("ctt_put_requests_total", func() float64 { return float64(g.putReqs.Load()) })
 	reg.Gauge("ctt_query_requests_total", func() float64 { return float64(g.queryReqs.Load()) })
 	reg.Gauge("ctt_query_errors_total", func() float64 { return float64(g.queryErrs.Load()) })
@@ -508,27 +504,9 @@ func (g *Gateway) CheckAPIKey(key string) bool {
 	return subtle.ConstantTimeCompare([]byte(key), []byte(g.cfg.APIKey)) == 1
 }
 
-// Start serves on addr until Close.
-func (g *Gateway) Start(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("api: %w", err)
-	}
-	g.ln = ln
-	// No WriteTimeout: /api/stream holds SSE connections open
-	// indefinitely. Header-read and idle timeouts still bound
-	// slow-loris and abandoned keep-alive connections.
-	g.srv = &http.Server{
-		Handler:           g.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go g.srv.Serve(ln)
-	return ln.Addr(), nil
-}
-
 // Close stops accepting writes, drains the queue, and shuts the
-// server and stream hub down.
+// stream hub down. The caller owns the http.Server that serves
+// Handler and shuts it down beside this call.
 func (g *Gateway) Close() error {
 	g.qmu.Lock()
 	if !g.closed {
@@ -541,9 +519,6 @@ func (g *Gateway) Close() error {
 		remove()
 	}
 	g.hub.closeAll()
-	if g.srv != nil {
-		return g.srv.Close()
-	}
 	return nil
 }
 
@@ -694,43 +669,4 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // its elapsed time and the pipeline stage it last entered.
 func (g *Gateway) handleInflight(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, g.inflight.Snapshot())
-}
-
-// ewmaRate tracks an exponentially-weighted ingest rate.
-type ewmaRate struct {
-	mu   sync.Mutex
-	rate float64
-	last time.Time
-}
-
-// observe credits n points at time now.
-func (e *ewmaRate) observe(n int, now time.Time) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.last.IsZero() {
-		e.last, e.rate = now, 0
-		return
-	}
-	dt := now.Sub(e.last).Seconds()
-	if dt <= 0 {
-		return
-	}
-	inst := float64(n) / dt
-	// ~10s time constant.
-	alpha := 1 - math.Exp(-dt/10)
-	e.rate += alpha * (inst - e.rate)
-	e.last = now
-}
-
-func (e *ewmaRate) value(now time.Time) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.last.IsZero() {
-		return 0
-	}
-	// Decay toward zero when idle.
-	if dt := now.Sub(e.last).Seconds(); dt > 0 {
-		return e.rate * math.Exp(-dt/10)
-	}
-	return e.rate
 }

@@ -877,7 +877,7 @@ func (g *Gateway) worker() {
 		res := g.db.AppendRefs(batch)
 		g.ingested.Add(uint64(res.Stored))
 		g.storeErrors.Add(uint64(len(res.Errors)))
-		g.rate.observe(res.Stored, time.Now())
+		g.rate.Observe(res.Stored, time.Now())
 	}
 }
 

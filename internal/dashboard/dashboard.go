@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataport"
 	"repro/internal/sensors"
 	"repro/internal/tsdb"
@@ -138,6 +139,26 @@ func (s *Server) Panels() []Panel {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Panel(nil), s.panels...)
+}
+
+// PilotPanels are ctt-server's five wall-display panels over the
+// pilot's metrics; all but the 48 h traffic panel trail window.
+func PilotPanels(window time.Duration) []Panel {
+	return []Panel{
+		{Name: "co2", Title: "Air quality — CO2 by sensor", Metric: core.MetricCO2,
+			Tags: map[string]string{"sensor": "*"}, Agg: tsdb.AggAvg,
+			Downsample: time.Hour, Window: window, YLabel: "ppm"},
+		{Name: "co2top", Title: "Air quality — top 5 CO2 hotspots", Metric: core.MetricCO2,
+			Tags: map[string]string{"sensor": "*"}, Agg: tsdb.AggAvg,
+			Downsample: time.Hour, Window: window, YLabel: "ppm", TopK: 5},
+		{Name: "no2", Title: "Air quality — NO2 network mean", Metric: core.MetricNO2,
+			Agg: tsdb.AggAvg, Downsample: time.Hour, Window: window, YLabel: "µg/m³"},
+		{Name: "traffic", Title: "Traffic — city jam factor", Metric: "traffic.jamfactor",
+			Agg: tsdb.AggAvg, Downsample: 30 * time.Minute, Window: 48 * time.Hour, YLabel: "jf"},
+		{Name: "battery", Title: "Node battery", Metric: core.MetricBattery,
+			Tags: map[string]string{"sensor": "*"}, Agg: tsdb.AggAvg,
+			Downsample: time.Hour, Window: window, YLabel: "%"},
+	}
 }
 
 // Handler returns the HTTP handler (usable without a listener).

@@ -13,31 +13,11 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/rollup"
-	"repro/internal/tsdb"
 )
 
 // pilotDays is how much history the golden pilot fast-forwards; the
 // panels' trailing window is as long, as ctt-server's -days sets it.
 const pilotDays = 2
-
-// pilotPanels are ctt-server's five wall-display panels.
-func pilotPanels(window time.Duration) []Panel {
-	return []Panel{
-		{Name: "co2", Title: "Air quality — CO2 by sensor", Metric: core.MetricCO2,
-			Tags: map[string]string{"sensor": "*"}, Agg: tsdb.AggAvg,
-			Downsample: time.Hour, Window: window, YLabel: "ppm"},
-		{Name: "co2top", Title: "Air quality — top 5 CO2 hotspots", Metric: core.MetricCO2,
-			Tags: map[string]string{"sensor": "*"}, Agg: tsdb.AggAvg,
-			Downsample: time.Hour, Window: window, YLabel: "ppm", TopK: 5},
-		{Name: "no2", Title: "Air quality — NO2 network mean", Metric: core.MetricNO2,
-			Agg: tsdb.AggAvg, Downsample: time.Hour, Window: window, YLabel: "µg/m³"},
-		{Name: "traffic", Title: "Traffic — city jam factor", Metric: "traffic.jamfactor",
-			Agg: tsdb.AggAvg, Downsample: 30 * time.Minute, Window: 48 * time.Hour, YLabel: "jf"},
-		{Name: "battery", Title: "Node battery", Metric: core.MetricBattery,
-			Tags: map[string]string{"sensor": "*"}, Agg: tsdb.AggAvg,
-			Downsample: time.Hour, Window: window, YLabel: "%"},
-	}
-}
 
 // pilotDashboard fast-forwards a seeded Trondheim pilot under
 // ctt-server's default rollup tiers and returns a dashboard over it
@@ -63,7 +43,7 @@ func pilotDashboard(t *testing.T) (*Server, *core.System) {
 	eng.Flush(sys.Now())
 	s := New(sys.DB, sys.Dataport)
 	s.SetNow(sys.Now)
-	for _, p := range pilotPanels(pilotDays * 24 * time.Hour) {
+	for _, p := range PilotPanels(pilotDays * 24 * time.Hour) {
 		if err := s.AddPanel(p); err != nil {
 			t.Fatal(err)
 		}

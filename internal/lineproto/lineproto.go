@@ -137,32 +137,40 @@ type Server struct {
 	// telnet backpressure.
 	flushHist atomic.Pointer[obs.Histogram]
 
-	rate ewmaRate
+	rate obs.EWMARate
 }
 
-// New builds a server feeding sink. Call Start, then Close.
+// New builds a server feeding sink. Call Start or Serve, then Close.
 func New(sink Sink, cfg Config) *Server {
 	cfg.setDefaults()
 	return &Server{sink: sink, cfg: cfg, conns: make(map[net.Conn]struct{})}
 }
 
-// Start listens on addr and accepts connections until Close.
+// Start listens on addr and serves it (see Serve).
 func (s *Server) Start(addr string) (net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("lineproto: %w", err)
 	}
+	if err := s.Serve(ln); err != nil {
+		return nil, err
+	}
+	return ln.Addr(), nil
+}
+
+// Serve accepts connections on ln in the background until Close,
+// which closes ln. A closed server closes ln and returns an error.
+func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		ln.Close()
-		return nil, errors.New("lineproto: server closed")
+		return errors.New("lineproto: server closed")
 	}
 	s.ln = ln
-	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
-	return ln.Addr(), nil
+	return nil
 }
 
 // Close stops accepting, closes every live connection, and waits for
@@ -443,7 +451,7 @@ func (s *Server) flush(conn net.Conn, st *connState) {
 		}
 	} else {
 		s.points.Add(uint64(n))
-		s.rate.observe(n, time.Now())
+		s.rate.Observe(n, time.Now())
 	}
 	st.refs = st.refs[:0]
 }
@@ -483,7 +491,7 @@ func (s *Server) Stats() Stats {
 		DegradedDropped: s.degraded.Load(),
 		Timeouts:        s.timeouts.Load(),
 		AuthFails:       s.authFails.Load(),
-		PointsPerSecond: s.rate.value(time.Now()),
+		PointsPerSecond: s.rate.Value(time.Now()),
 	}
 }
 
@@ -500,43 +508,6 @@ func (s *Server) RegisterMetrics(r *obs.Registry) {
 	r.Uint("ctt_lineproto_degraded_dropped_total", s.degraded.Load)
 	r.Uint("ctt_lineproto_read_timeouts_total", s.timeouts.Load)
 	r.Uint("ctt_lineproto_auth_failures_total", s.authFails.Load)
-	r.Gauge("ctt_lineproto_rate_points_per_second", func() float64 { return s.rate.value(time.Now()) })
+	r.Gauge("ctt_lineproto_rate_points_per_second", func() float64 { return s.rate.Value(time.Now()) })
 	s.flushHist.Store(r.Histogram("ctt_lineproto_flush_seconds", "", nil))
-}
-
-// ewmaRate tracks an exponentially-weighted ingest rate (~10s time
-// constant), decaying toward zero when idle.
-type ewmaRate struct {
-	mu   sync.Mutex
-	rate float64
-	last time.Time
-}
-
-func (e *ewmaRate) observe(n int, now time.Time) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.last.IsZero() {
-		e.last = now
-		return
-	}
-	dt := now.Sub(e.last).Seconds()
-	if dt <= 0 {
-		return
-	}
-	inst := float64(n) / dt
-	alpha := 1 - math.Exp(-dt/10)
-	e.rate += alpha * (inst - e.rate)
-	e.last = now
-}
-
-func (e *ewmaRate) value(now time.Time) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.last.IsZero() {
-		return 0
-	}
-	if dt := now.Sub(e.last).Seconds(); dt > 0 {
-		return e.rate * math.Exp(-dt/10)
-	}
-	return e.rate
 }

@@ -56,7 +56,7 @@ type Server struct {
 	bytesOut  atomic.Uint64
 }
 
-// NewServer builds a server; call Start (or Serve) to accept.
+// NewServer builds a server; call Start or Serve to accept, then Close.
 func NewServer(cfg ServerConfig) *Server {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = time.Second
@@ -73,24 +73,29 @@ func NewServer(cfg ServerConfig) *Server {
 	return &Server{cfg: cfg, conns: make(map[net.Conn]struct{}), stop: make(chan struct{})}
 }
 
-// Start listens on addr and serves in the background.
+// Start listens on addr and serves it (see Serve).
 func (s *Server) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
+	return s.Serve(ln)
+}
+
+// Serve accepts followers on ln in the background until Close, which
+// closes ln. A closed server closes ln and returns an error.
+func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		ln.Close()
 		return errors.New("repl: server closed")
 	}
 	s.ln = ln
-	s.mu.Unlock()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.serve(ln)
+		s.acceptLoop(ln)
 	}()
 	return nil
 }
@@ -105,7 +110,7 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-func (s *Server) serve(ln net.Listener) {
+func (s *Server) acceptLoop(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {

@@ -228,6 +228,46 @@ func formatRes(d time.Duration) string {
 	}
 }
 
+// ParseTiers parses a tier spec, "1m:168h,1h:2160h" ("res" alone
+// keeps forever), and refuses what New would refuse.
+func ParseTiers(spec string) ([]Tier, error) {
+	var tiers []Tier
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		resS, retS, hasRet := strings.Cut(part, ":")
+		res, err := time.ParseDuration(resS)
+		if err != nil {
+			return nil, fmt.Errorf("bad tier resolution %q: %v", resS, err)
+		}
+		var ret time.Duration
+		if hasRet {
+			if ret, err = time.ParseDuration(retS); err != nil {
+				return nil, fmt.Errorf("bad tier retention %q: %v", retS, err)
+			}
+		}
+		tiers = append(tiers, Tier{Resolution: res, Retention: ret})
+	}
+	return tiers, checkTiers(tiers)
+}
+
+// checkTiers reports why New would refuse tiers: a resolution below
+// 1s, or resolutions not distinct and finest first (serving picks the
+// coarsest satisfying tier by scanning from the back).
+func checkTiers(tiers []Tier) error {
+	for i, t := range tiers {
+		if t.Resolution < time.Second {
+			return fmt.Errorf("rollup: tier resolution %v below 1s", t.Resolution)
+		}
+		if i > 0 && t.Resolution.Milliseconds() <= tiers[i-1].Resolution.Milliseconds() {
+			return fmt.Errorf("rollup: tiers must be sorted by ascending resolution, each resolution once")
+		}
+	}
+	return nil
+}
+
 // New builds an engine over db, rebuilds the unsealed tail of every
 // stored series, subscribes the engine to the store's write feed,
 // installs it as the store's rollup planner, and (unless disabled)
@@ -245,29 +285,16 @@ func New(db *tsdb.DB, cfg Config) (*Engine, error) {
 	if cfg.FlushEvery == 0 {
 		cfg.FlushEvery = 10 * time.Second
 	}
+	if err := checkTiers(cfg.Tiers); err != nil {
+		return nil, err
+	}
 	e := &Engine{db: db, cfg: cfg, stop: make(chan struct{})}
-	seen := map[int64]bool{}
 	for _, t := range cfg.Tiers {
-		if t.Resolution < time.Second {
-			return nil, fmt.Errorf("rollup: tier resolution %v below 1s", t.Resolution)
-		}
-		ms := t.Resolution.Milliseconds()
-		if seen[ms] {
-			return nil, fmt.Errorf("rollup: duplicate tier resolution %v", t.Resolution)
-		}
-		seen[ms] = true
 		name := formatRes(t.Resolution)
 		e.tiers = append(e.tiers, tierSpec{
-			res: t.Resolution, resMS: ms, retention: t.Retention,
+			res: t.Resolution, resMS: t.Resolution.Milliseconds(), retention: t.Retention,
 			name: name, metricPrefix: MetricPrefix + name + ".",
 		})
-	}
-	// Finest first, so serving can pick the coarsest satisfying tier
-	// by scanning from the back.
-	for i := 1; i < len(e.tiers); i++ {
-		if e.tiers[i].resMS <= e.tiers[i-1].resMS {
-			return nil, fmt.Errorf("rollup: tiers must be sorted by ascending resolution")
-		}
 	}
 	for i := range e.shards {
 		e.shards[i].series = make(map[tsdb.SeriesID]*seriesState)
