@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -138,14 +139,18 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	// The first interrupt ends Run once start-up is done (the
-	// fast-forward cannot be cut short); a second one kills.
+	// The first interrupt ends Run, during the fast-forward too; a
+	// second one kills.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	go func() { <-ctx.Done(); stop() }()
 	srv := server.New(cfg, logger)
 	err = srv.Listen()
 	if err == nil {
 		err = srv.Run(ctx)
+	}
+	if errors.Is(err, context.Canceled) {
+		logger.Info("interrupted during start-up")
+		err = nil
 	}
 	if cerr := srv.Close(); err == nil {
 		err = cerr

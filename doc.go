@@ -84,10 +84,12 @@
 // ranked by folding member cursors (served from rollup tier
 // statistics when a tier covers the range and is shorter than the raw
 // series) so only the K winners ever materialize. The gateway appends
-// each result series to one pooled response buffer — three-decimal
-// readings without strconv's digit search — and pushes it to the
-// socket after the first series and then on a 32 KiB / 50 ms
-// threshold. CI enforces a bench-regression gate: gateway,
+// each result series to one pooled response buffer without strconv
+// on the common path — a dps key reuses the digits of ts/1e8 from the
+// point before and writes its low eight from a digit-pair table, and a
+// reading of at most three decimals is written from the same table by
+// internal/jsonenc's one float printer — and pushes it to the socket
+// after the first series and then on a 32 KiB / 50 ms threshold. CI enforces a bench-regression gate: gateway,
 // tsdb, lineproto and obs benchmark medians (ns/op and allocs/op) are
 // compared against ci/bench_baseline.json (see ci/benchcmp) and a
 // >30% slowdown fails the build; that baseline is the one committed

@@ -5,17 +5,19 @@ package api
 // budget of zero. The float printer itself is fuzzed against strconv
 // and encoding/json in internal/jsonenc; FuzzAppendJSONFloat here
 // holds a series carrying the fuzzed reading to the reflective
-// marshaler.
+// marshaler, and FuzzAppendJSONKeys holds the dps key writer to
+// strconv.
 
 import (
+	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/jsonenc"
 	"repro/internal/tsdb"
 )
 
@@ -48,6 +50,98 @@ func FuzzAppendJSONFloat(f *testing.F) {
 			if err == nil && string(got) != string(want) {
 				t.Fatalf("%v (%#x): %s, encoding/json renders %s", v, math.Float64bits(v), got, want)
 			}
+		}
+	})
+}
+
+// FuzzAppendJSONKeys: count points from start, step apart — every
+// dup'th point (dup > 0) repeating the timestamp before it — with
+// values cycled from the 8-byte words of vals, every other one rounded
+// to a reading of three decimals. appendJSON must write strconv's keys,
+// each followed by jsonenc.AppendFloat's value, in order and with a
+// run of equal timestamps kept as its last point; where the keys have
+// one width and ascend, it must also be what encoding/json renders for
+// the equivalent map.
+func FuzzAppendJSONKeys(f *testing.F) {
+	seed := []byte{0, 0, 0, 0, 0, 0x40, 0x79, 0x40, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xf1, 0xbf} // 404, -1.1
+	for _, s := range []struct {
+		start, step int64
+		count       uint16
+		dup         uint8
+	}{
+		{1488326400000, 300000, 2016, 0}, // a week of the pilot's readings
+		{1499999990000, 1000, 40, 0},     // across the ts/1e8 boundary at 1.5e12
+		{1e12 - 4000, 1000, 8, 0},        // from 12 digits to 13
+		{1e13 - 4000, 1000, 8, 0},        // from 13 digits to 14
+		{3000, -1000, 8, 0},              // down through zero to negative
+		{-1e12 - 2, -1, 8, 0},            // negative: 13 digits after the sign
+		{1488326400000, 300000, 12, 3},   // every third timestamp repeated
+		{1488326400000, 0, 4, 0},         // one timestamp throughout
+		{math.MaxInt64 - 2, 1, 4, 0},     // wraps to the most negative
+	} {
+		f.Add(s.start, s.step, s.count, s.dup, seed)
+	}
+	f.Fuzz(func(t *testing.T, start, step int64, count uint16, dup uint8, vals []byte) {
+		qr := queryResult{Metric: "air.co2", Points: make([]tsdb.Point, int(count)%2100)}
+		ts := start
+		for i := range qr.Points {
+			if i > 0 && (dup == 0 || i%int(dup) != 0) {
+				ts += step
+			}
+			v := float64(400000+(i*7919)%90000) / 1000
+			if words := len(vals) / 8; words > 0 {
+				v = math.Float64frombits(binary.LittleEndian.Uint64(vals[i%words*8:]))
+				if i%2 == 1 {
+					v = math.Round(v*1000) / 1000
+				}
+			}
+			qr.Points[i] = tsdb.Point{Timestamp: ts, Value: v}
+		}
+		got, err := qr.appendJSON(nil)
+
+		want := []byte(`{"metric":"air.co2","tags":{},"dps":{`)
+		var keys []string
+		var werr error
+		for i, p := range qr.Points {
+			if i+1 < len(qr.Points) && qr.Points[i+1].Timestamp == p.Timestamp {
+				continue
+			}
+			if len(keys) > 0 {
+				want = append(want, ',')
+			}
+			keys = append(keys, strconv.FormatInt(p.Timestamp, 10))
+			want = append(strconv.AppendQuote(want, keys[len(keys)-1]), ':')
+			if want, werr = jsonenc.AppendFloat(want, p.Value); werr != nil {
+				break
+			}
+		}
+		want = append(want, '}', '}')
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("error %v, the reference %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if string(got) != string(want) {
+			t.Fatalf("appendJSON:\n %s\nstrconv keys:\n %s", got, want)
+		}
+
+		for i := 1; i < len(keys); i++ {
+			if len(keys[i]) != len(keys[0]) || keys[i] <= keys[i-1] {
+				return // encoding/json would sort or merge these keys
+			}
+		}
+		dps := map[string]float64{}
+		for _, p := range qr.Points {
+			dps[strconv.FormatInt(p.Timestamp, 10)] = p.Value
+		}
+		viaJSON, _ := json.Marshal(struct {
+			Metric string             `json:"metric"`
+			Tags   map[string]string  `json:"tags"`
+			DPS    map[string]float64 `json:"dps"`
+		}{qr.Metric, map[string]string{}, dps})
+		if string(got) != string(viaJSON) {
+			t.Fatalf("appendJSON:\n %s\nencoding/json:\n %s", got, viaJSON)
 		}
 	})
 }
@@ -104,18 +198,57 @@ func encodeBenchSeries(n int) queryResult {
 	return qr
 }
 
+// encodeBenchMix is a week of raw readings in the pilots' value
+// shapes, in turn: one, two and three decimals (temperature, NO2,
+// CO2), negative integers (net.rssi), non-decimal values
+// (traffic.jamfactor) and hourly means of three-decimal readings (as
+// node.battery in testdata/cold_battery.json).
+func encodeBenchMix(n int) queryResult {
+	qr := queryResult{Metric: "mix", Tags: map[string]string{"sensor": "ctt-node-07", "city": "trondheim"}}
+	for i := 0; i < n; i++ {
+		var v float64
+		switch k := i * 7919; i % 6 {
+		case 0:
+			v = float64(k%400) / 10
+		case 1:
+			v = float64(k%9000) / 100
+		case 2:
+			v = float64(400000+k%90000) / 1000
+		case 3:
+			v = -float64(60 + k%60)
+		case 4:
+			v = float64(k%1000) / 997
+		case 5:
+			var sum float64
+			for j := 0; j < 12; j++ {
+				sum += float64(70000+(k+j*31)%9000) / 1000
+			}
+			v = sum / 12
+		}
+		qr.Points = append(qr.Points, tsdb.Point{Timestamp: 1488326400000 + int64(i)*300000, Value: v})
+	}
+	return qr
+}
+
 // BenchmarkEncodeSeries is the encoder's cost per result series — a
-// week of hourly buckets and a week of raw five-minute readings —
-// appended to a warm pooled buffer and pushed on the encoder's own
-// policy, identity and gzip. Zero allocations per series is asserted,
-// not just reported.
+// week of hourly buckets, a week of raw five-minute readings and a
+// week of the pilots' mixed value shapes — appended to a warm pooled
+// buffer and pushed on the encoder's own policy, identity and gzip.
+// Zero allocations per series is asserted, not just reported.
 func BenchmarkEncodeSeries(b *testing.B) {
-	for _, points := range []int{168, 2016} {
-		qr := encodeBenchSeries(points)
+	for _, c := range []struct {
+		name string
+		qr   queryResult
+	}{
+		{"points=168", encodeBenchSeries(168)},
+		{"points=2016", encodeBenchSeries(2016)},
+		{"mix=2016", encodeBenchMix(2016)},
+	} {
+		qr := c.qr
 		for _, gz := range []bool{false, true} {
-			name := fmt.Sprintf("points=%d/identity", points)
+			name := c.name + "/identity"
 			if gz {
-				name = fmt.Sprintf("points=%d/gzip", points)
+				name = c.name + "/gzip"
 			}
 			b.Run(name, func(b *testing.B) {
 				enc := newStreamEncoder(discardResponse{http.Header{}}, nil, "miss", false, gz, false)

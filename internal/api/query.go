@@ -73,6 +73,12 @@ func (qr queryResult) MarshalJSON() ([]byte, error) {
 // map and timestamp-keyed object: {"metric":…,"tags":{…},"dps":{…}}.
 // Duplicate timestamps keep the last value, matching the old map
 // semantics. It allocates nothing once b has room.
+//
+// A dps key of a millisecond timestamp in [1e12, 1e13) — 2001 to 2286
+// — is written without strconv: the digits of ts/1e8, which change
+// every 27.8 hours, are kept from one point to the next, and the low
+// eight come from jsonenc's digit-pair table, all straight into
+// reserved capacity. Other timestamps take strconv.
 func (qr queryResult) appendJSON(b []byte) ([]byte, error) {
 	b = append(b, `{"metric":`...)
 	b = jsonenc.AppendString(b, qr.Metric)
@@ -91,23 +97,42 @@ func (qr queryResult) appendJSON(b []byte) ([]byte, error) {
 		b = append(b, ':')
 		b = jsonenc.AppendString(b, qr.Tags[k])
 	}
-	b = append(b, `},"dps":{`...)
-	first := true
+	b = append(b, `},"dps":`...)
+	// Each member is written with the byte before it: the object's
+	// opening brace, then commas.
+	const keyLen = len(`{"1488326400000":`)
+	sep := byte('{')
+	prefix := [8]byte{1: '"'} // sep, '"', the five digits of ts/1e8, a spare
+	prefixOf := int64(-1)
 	for i, p := range qr.Points {
 		if i+1 < len(qr.Points) && qr.Points[i+1].Timestamp == p.Timestamp {
 			continue // duplicate key: last wins, like the old map
 		}
-		if !first {
-			b = append(b, ',')
+		if ts := p.Timestamp; ts >= 1e12 && ts < 1e13 {
+			if hi := ts / 1e8; hi != prefixOf {
+				prefixOf = hi
+				var d [8]byte
+				jsonenc.PutDigits8(&d, uint32(hi)) // "000" and the five
+				copy(prefix[2:7], d[3:])
+			}
+			prefix[0] = sep
+			n := len(b)
+			b = slices.Grow(b, keyLen)[:n+keyLen]
+			key := (*[keyLen]byte)(b[n:])
+			*(*[8]byte)(key[:]) = prefix
+			jsonenc.PutDigits8((*[8]byte)(key[7:]), uint32(ts%1e8))
+			key[15], key[16] = '"', ':'
+		} else {
+			b = append(strconv.AppendInt(append(b, sep, '"'), ts, 10), '"', ':')
 		}
-		first = false
-		b = append(b, '"')
-		b = strconv.AppendInt(b, p.Timestamp, 10)
-		b = append(b, '"', ':')
+		sep = ','
 		var err error
 		if b, err = jsonenc.AppendFloat(b, p.Value); err != nil {
 			return nil, err
 		}
+	}
+	if sep == '{' {
+		b = append(b, '{')
 	}
 	return append(b, '}', '}'), nil
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -39,30 +40,69 @@ func AppendString(b []byte, s string) []byte {
 // nearest r/1000 for an integer r below 1e15, the at most 15
 // significant digits of r/1000 are the only decimal that short to
 // round-trip to f, hence what strconv's shortest formatter prints —
-// r with a point three from the right, trailing zeros cut. Everything
-// else (−0, which prints its sign; values under 1e-3, whose digits sit
-// further right) goes through strconv.
+// r with a point three from the right, trailing zeros cut. Those
+// digits are written here, two per read of the digit-pair table,
+// straight into b's spare capacity. Everything else (−0, which prints
+// its sign; values under 1e-3, whose digits sit further right;
+// non-decimal values) goes through strconv.
 func AppendFloat(b []byte, f float64) ([]byte, error) {
+	abs := math.Abs(f)
+	r := math.Round(abs * 1000)
+	if !(r < 1e15 && r/1000 == abs && (abs >= 1e-3 || (f == 0 && !math.Signbit(f)))) {
+		return appendShortest(b, f)
+	}
+	u := uint64(r)
+	q, frac := u/1000, u%1000
+	w := 1 // integer digits; q is below 1e12
+	for p := uint64(10); q >= p; p *= 10 {
+		w++
+	}
+	fw := 0 // "", ".d", ".dd" or ".ddd": frac without trailing zeros
+	if frac != 0 {
+		fw = 4
+		if frac%100 == 0 {
+			fw = 2
+		} else if frac%10 == 0 {
+			fw = 3
+		}
+	}
+	if f < 0 {
+		b = append(b, '-')
+	}
+	n := len(b)
+	b = slices.Grow(b, w+fw)[:n+w+fw]
+	d := b[n:]
+	switch fw {
+	case 2:
+		d[w], d[w+1] = '.', byte('0'+frac/100)
+	case 3:
+		d[w] = '.'
+		*(*[2]byte)(d[w+1:]) = digitPairs[frac/10]
+	case 4:
+		d[w], d[w+1] = '.', byte('0'+frac/100)
+		*(*[2]byte)(d[w+2:]) = digitPairs[frac%100]
+	}
+	for q >= 100 {
+		w -= 2
+		*(*[2]byte)(d[w:]) = digitPairs[q%100]
+		q /= 100
+	}
+	if q >= 10 {
+		*(*[2]byte)(d[w-2:]) = digitPairs[q]
+	} else {
+		d[w-1] = byte('0' + q)
+	}
+	return b, nil
+}
+
+// appendShortest is AppendFloat outside the exact-decimal path:
+// strconv's shortest digits, in exponent form outside [1e-6, 1e21).
+func appendShortest(b []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return nil, fmt.Errorf("unsupported value: %v", f)
 	}
-	abs := math.Abs(f)
-	if r := math.Round(abs * 1000); r < 1e15 && r/1000 == abs && (abs >= 1e-3 || (f == 0 && !math.Signbit(f))) {
-		if f < 0 {
-			b = append(b, '-')
-		}
-		u := uint64(r)
-		b = strconv.AppendUint(b, u/1000, 10)
-		if frac := u % 1000; frac != 0 {
-			b = append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
-			for b[len(b)-1] == '0' {
-				b = b[:len(b)-1]
-			}
-		}
-		return b, nil
-	}
 	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
 	b = strconv.AppendFloat(b, f, format, -1, 64)
@@ -73,4 +113,24 @@ func AppendFloat(b []byte, f float64) ([]byte, error) {
 		}
 	}
 	return b, nil
+}
+
+// digitPairs holds the two decimal digits of 0 through 99.
+var digitPairs = func() (t [100][2]byte) {
+	for i := range t {
+		t[i] = [2]byte{byte('0' + i/10), byte('0' + i%10)}
+	}
+	return t
+}()
+
+// PutDigits8 writes v, which must be below 1e8, as exactly eight
+// decimal digits, zero-padded, from the digit-pair table AppendFloat
+// reads. It inlines: the query encoder writes the low digits of every
+// timestamp key with it.
+func PutDigits8(d *[8]byte, v uint32) {
+	hi, lo := v/10000, v%10000
+	*(*[2]byte)(d[0:]) = digitPairs[hi/100%100]
+	*(*[2]byte)(d[2:]) = digitPairs[hi%100]
+	*(*[2]byte)(d[4:]) = digitPairs[lo/100]
+	*(*[2]byte)(d[6:]) = digitPairs[lo%100]
 }

@@ -27,6 +27,14 @@ func FuzzAppendFloat(f *testing.F) {
 	} {
 		f.Add(math.Float64bits(v))
 	}
+	// Where the digit-pair path changes the number of integer or
+	// fraction digits it writes.
+	for _, v := range []float64{9.999, 10, 99.999, 100, 999.999, 1000, 9999.999, 10000, 99999.999, 999999999999.999} {
+		f.Add(math.Float64bits(v))
+		f.Add(math.Float64bits(-v))
+	}
+	f.Add(math.Float64bits(0.001))
+	f.Add(math.Float64bits(0.01))
 	f.Fuzz(func(t *testing.T, bits uint64) {
 		v := math.Float64frombits(bits)
 		// A decimal reading near the fuzzed value: what the fast path

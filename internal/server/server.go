@@ -145,14 +145,20 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 }
 
 // Run builds the role's state and serves it until ctx is done or the
-// HTTP server fails. A primary fast-forwards the pilot first; a
-// replica bootstraps from the primary.
+// HTTP server fails. A primary fast-forwards the pilot first, and
+// returns ctx's error if ctx is done before that ends; a replica
+// bootstraps from the primary.
 func (s *Server) Run(ctx context.Context) error {
-	start := s.primary
+	var (
+		h   http.Handler
+		db  *tsdb.DB
+		err error
+	)
 	if s.cfg.ReplicaOf != "" {
-		start = s.replica
+		h, db, err = s.replica()
+	} else {
+		h, db, err = s.primary(ctx)
 	}
-	h, db, err := start()
 	if err != nil {
 		return err
 	}
@@ -173,8 +179,9 @@ func (s *Server) Run(ctx context.Context) error {
 	}
 }
 
-// primary starts the pilot, the rollup engine and every listener.
-func (s *Server) primary() (http.Handler, *tsdb.DB, error) {
+// primary starts the pilot, the rollup engine and every listener. A
+// ctx done during the fast-forward ends it with ctx's error.
+func (s *Server) primary(ctx context.Context) (http.Handler, *tsdb.DB, error) {
 	cfg := s.cfg
 	pc := cities[cfg.City](cfg.Seed)
 	pc.Start = time.Date(2017, time.March, 1, 0, 0, 0, 0, time.UTC)
@@ -203,7 +210,7 @@ func (s *Server) primary() (http.Handler, *tsdb.DB, error) {
 
 	s.log.Info("fast-forwarding pilot history", "days", cfg.Days, "city", cfg.City, "sensors", len(sys.Nodes))
 	t0 := time.Now()
-	if _, err := sys.Run(time.Duration(cfg.Days) * 24 * time.Hour); err != nil {
+	if err := fastForward(ctx, sys, time.Duration(cfg.Days)*24*time.Hour); err != nil {
 		return nil, nil, fmt.Errorf("pilot fast-forward: %w", err)
 	}
 	s.log.Info("fast-forward done",
@@ -312,6 +319,23 @@ func (s *Server) primary() (http.Handler, *tsdb.DB, error) {
 	fmt.Printf("dashboards  http://%s/  ·  wall http://%s/wall  ·  live http://%s/live\n", cfg.Addr, cfg.Addr, cfg.Addr)
 	fmt.Printf("stepping %v of simulated time every %v — Ctrl-C to stop\n", sys.Interval, cfg.Tick)
 	return root, sys.DB, nil
+}
+
+// fastForward steps the pilot through d of simulated time, tick for
+// tick as core.System.Run does, and checks ctx every simulated hour.
+func fastForward(ctx context.Context, sys *core.System, d time.Duration) error {
+	perHour := max(1, int(time.Hour/sys.Interval))
+	for i := 0; i < int(d/sys.Interval); i++ {
+		if i%perHour == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if err := sys.Step(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // replica bootstraps from the primary, opens the store and follows

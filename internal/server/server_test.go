@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -12,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -196,4 +198,54 @@ func TestListenBusyPortTouchesNoState(t *testing.T) {
 		t.Fatalf("the HTTP port stayed bound after a failed Listen: %v", err)
 	}
 	ln.Close()
+}
+
+// TestCancelStopsFastForward cancels Run's context as the pilot's
+// fast-forward starts: Run must return the context's error within a
+// second, not once a month of history has been simulated, and Close
+// must succeed.
+func TestCancelStopsFastForward(t *testing.T) {
+	cfg := testPrimary(t)
+	cfg.Days, cfg.Rollup = 30, DefaultConfig().Rollup
+	started := &logWatch{msg: "fast-forwarding pilot history", seen: make(chan struct{})}
+	s := New(cfg, slog.New(slog.NewTextHandler(started, nil)))
+	if err := s.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ran := make(chan error, 1)
+	go func() { ran <- s.Run(ctx) }()
+	select {
+	case <-started.seen:
+	case <-time.After(15 * time.Second):
+		t.Fatal("no fast-forward started")
+	}
+	cancel()
+	select {
+	case err := <-ran:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run after a cancel during the fast-forward: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Run still fast-forwarding 1 s after its context was cancelled")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// logWatch is a log sink that closes seen at the first line holding
+// msg.
+type logWatch struct {
+	msg  string
+	seen chan struct{}
+	once sync.Once
+}
+
+func (w *logWatch) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(w.msg)) {
+		w.once.Do(func() { close(w.seen) })
+	}
+	return len(p), nil
 }
